@@ -1,8 +1,8 @@
 // Ablation: overload robustness -- open-loop arrival vs the protection stack.
 //
-// The closed-loop chaos driver (one arrival per completion) cannot overload
+// A closed-loop client (one arrival per completion) cannot overload
 // anything: it self-throttles exactly when the service slows down. This
-// bench drives the sharded KV service with *open-loop* Poisson arrivals at
+// bench drives the sharded KV service's open loop with Poisson arrivals at
 // 0.5x-3x of service capacity (shards * slots_per_tick per tick) and
 // compares two services:
 //
@@ -10,7 +10,8 @@
 //     no breakers, no brownout. Clients still time out after deadline_ticks
 //     and retry with backoff -- which is the collapse amplifier: past 1x,
 //     every queued request expires before it is served, retries multiply
-//     offered load, and goodput falls toward zero;
+//     offered load, and goodput falls toward zero; a request that runs out
+//     of attempts this way was never refused, so it counts as lost;
 //   * protected: bounded queues with deadline-aware shed at admission,
 //     retry-budget token bucket, per-shard circuit breakers, brownout
 //     ladder (src/chaos/admission.h, breaker.h).
@@ -69,8 +70,11 @@ ShardServiceConfig ServiceConfig(double factor, bool protected_mode,
     config.overload = OverloadConfig::Protected();
   }
   if (!campaign_spec.empty()) {
+    // The default campaign is scaled to the arrival phase's length in ticks.
+    const auto ticks = static_cast<uint64_t>(static_cast<double>(config.ops) /
+                                             config.arrival.MeanRate());
     const std::string spec =
-        campaign_spec == "default" ? DefaultCampaignSpec(config.ops) : campaign_spec;
+        campaign_spec == "default" ? DefaultCampaignSpec(ticks) : campaign_spec;
     auto chaos = ParseCampaign(spec, seed);
     O1_CHECK(chaos.ok());
     config.chaos = *chaos;
@@ -106,7 +110,7 @@ Point RunPoint(double factor, bool protected_mode, const std::string& campaign_s
   p.shed_rate = ov.arrivals == 0
                     ? 0
                     : static_cast<double>(ov.sheds) / static_cast<double>(ov.arrivals);
-  p.p99_admitted_us = sys.ctx().clock().CyclesToUs(ov.admitted_latency.Percentile(99));
+  p.p99_admitted_us = sys.ctx().clock().CyclesToUs(r.all_latency.Percentile(99));
   p.window_a = ov.queue_depth_window_a;
   p.window_b = ov.queue_depth_window_b;
   for (const ShardOverloadStats& st : ov.per_shard) {

@@ -133,12 +133,10 @@ inline SystemConfig BenchConfig() {
   config.machine.nvm_bytes = 16 * kGiB;
   config.tmpfs_quota_bytes = 3 * kGiB;
   config.machine.obs.histograms = true;
-  config.machine.obs.trace = BenchObs().trace_path.has_value();
-  // A traced bench also retains tail exemplars and the per-tick metrics
-  // ring: one --trace flag arms the whole causal-tracing artifact. Still
+  // The trace ring brings the tail exemplars and the per-tick metrics ring
+  // with it: one --trace flag arms the whole causal-tracing artifact. Still
   // zero simulated cycles either way.
-  config.machine.obs.exemplars = config.machine.obs.trace;
-  config.machine.obs.metrics = config.machine.obs.trace;
+  config.machine.obs.trace = BenchObs().trace_path.has_value();
   return config;
 }
 

@@ -125,6 +125,10 @@ uint32_t ArrivalProcess::ArrivalsAt(uint64_t tick) {
   if (generated_ >= total_ops_) {
     return 0;
   }
+  if (!config_.enabled) {
+    ++generated_;
+    return 1;
+  }
   const double lambda = RateAt(tick);
   if (lambda <= 0.0) {
     return 0;

@@ -20,6 +20,9 @@
 // extends to load. The op-class mix (read / write / scan) is drawn per
 // arrival by the service from its workload Rng, so per-class offered rates
 // are rate * class fraction.
+//
+// A disabled config (the default) emits exactly one arrival per tick and
+// draws nothing: the steady load the fault campaigns run under.
 #ifndef O1MEM_SRC_CHAOS_ARRIVAL_H_
 #define O1MEM_SRC_CHAOS_ARRIVAL_H_
 
@@ -45,7 +48,8 @@ struct ArrivalConfig {
   double scan_fraction = 0.0;
   uint64_t scan_records = 16;  // records touched by one scan op
 
-  // Mean arrivals per tick (for horizon/backstop math).
+  // Mean arrivals per tick (for horizon/backstop math). The defaults give
+  // 1.0, which is also what a disabled config emits.
   double MeanRate() const {
     switch (kind) {
       case Kind::kPoisson: return rate;
@@ -68,7 +72,8 @@ class ArrivalProcess {
   // leaves horizon_ticks at 0.
   ArrivalProcess(const ArrivalConfig& config, uint64_t total_ops, uint64_t seed);
 
-  // Number of arrivals at `tick`. Call once per tick, monotonically.
+  // Number of arrivals at `tick` (1 while the budget lasts when the config
+  // is disabled). Call once per tick, monotonically.
   uint32_t ArrivalsAt(uint64_t tick);
 
   // Instantaneous rate at `tick` (the lambda ArrivalsAt samples from).

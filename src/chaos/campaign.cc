@@ -175,13 +175,13 @@ CampaignEngine::CampaignEngine(const ChaosConfig& config, int num_shards)
     : num_shards_(num_shards), rng_(config.seed) {
   O1_CHECK(num_shards > 0);
   for (const ChaosAction& action : config.schedule) {
-    pending_.push_back(Pending{action, action.at_tick, false});
+    schedule_.push_back(Scheduled{action, action.at_tick, false});
   }
 }
 
 std::vector<ChaosFiring> CampaignEngine::Poll(uint64_t tick) {
   std::vector<ChaosFiring> due;
-  for (Pending& p : pending_) {
+  for (Scheduled& p : schedule_) {
     if (p.done || p.next_tick != tick) {
       // Torn arming is special: it fires exactly once, at tick 0, to arm the
       // injector; the actual crash happens whenever the event count hits.

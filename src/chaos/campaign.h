@@ -112,13 +112,13 @@ class CampaignEngine {
   uint64_t firings() const { return firings_; }
 
  private:
-  struct Pending {
+  struct Scheduled {
     ChaosAction action;
     uint64_t next_tick;
     bool done = false;
   };
 
-  std::vector<Pending> pending_;
+  std::vector<Scheduled> schedule_;
   int num_shards_;
   Rng rng_;
   std::string log_;

@@ -28,7 +28,12 @@ ShardedKvService::ShardedKvService(System& sys, const ShardServiceConfig& config
       workload_rng_(config.workload_seed),
       retry_rng_(config.chaos.seed ^ 0x9e3779b97f4a7c15ULL),
       trace_rng_(config.workload_seed ^ 0x0ddc0ffeebadf00dULL),
-      zipf_(client_version_.size(), config.zipf_theta) {
+      zipf_(client_version_.size(), config.zipf_theta),
+      // One arrival stream per run, seeded independently of the chaos seed so
+      // (arrival spec, campaign, seed) each govern their own random stream.
+      arrival_(config.arrival, config.ops, config.workload_seed ^ 0xa5c1d34b9e77f210ULL),
+      retry_budget_(config.overload.retry_budget),
+      retries_(config.retry.max_delay_ticks) {
   O1_CHECK(config.shards > 0);
   O1_CHECK(config.record_bytes >= kLineBytes);
   O1_CHECK(config.shard_bytes % config.record_bytes == 0);
@@ -38,20 +43,13 @@ ShardedKvService::ShardedKvService(System& sys, const ShardServiceConfig& config
   num_cpus_ = sys_.machine().config().smp.num_cpus;
   shard_latency_.resize(static_cast<size_t>(config_.shards));
   shard_slowest_.resize(static_cast<size_t>(config_.shards));
-  if (config_.arrival.enabled) {
-    // One arrival stream per run, seeded independently of the chaos seed so
-    // (arrival spec, campaign, seed) each govern their own random stream.
-    arrival_ = std::make_unique<ArrivalProcess>(config_.arrival, config_.ops,
-                                                config_.workload_seed ^ 0xa5c1d34b9e77f210ULL);
-    retry_budget_ = std::make_unique<RetryBudget>(config_.overload.retry_budget);
-    for (int i = 0; i < config_.shards; ++i) {
-      queues_.emplace_back(config_.overload.admission, config_.overload.slots_per_tick);
-      breakers_.emplace_back(config_.overload.breaker);
-      brownouts_.emplace_back(config_.overload.brownout);
-    }
-    pressure_.resize(static_cast<size_t>(config_.shards));
-    report_.overload.per_shard.resize(static_cast<size_t>(config_.shards));
+  for (int i = 0; i < config_.shards; ++i) {
+    queues_.emplace_back(config_.overload.admission, config_.overload.slots_per_tick);
+    breakers_.emplace_back(config_.overload.breaker);
+    brownouts_.emplace_back(config_.overload.brownout);
   }
+  pressure_.resize(static_cast<size_t>(config_.shards));
+  report_.overload.per_shard.resize(static_cast<size_t>(config_.shards));
 }
 
 void ShardedKvService::BringUp(int index) {
@@ -76,6 +74,14 @@ void ShardedKvService::SetupShards() {
     shards_.emplace_back(config_);
     BringUp(i);
   }
+}
+
+uint64_t ShardedKvService::QueuedRequests() const {
+  uint64_t depth = 0;
+  for (const auto& q : queues_) {
+    depth += q.depth();
+  }
+  return depth;
 }
 
 bool ShardedKvService::FaultActive() const {
@@ -172,66 +178,79 @@ void ShardedKvService::ApplyFiring(const ChaosFiring& firing, uint64_t tick) {
   }
 }
 
-Status ShardedKvService::ServeOnce(Shard& shard, const Request& req) {
-  ObsSpan span(sys_.ctx(), TraceKind::kServiceOp, kLineBytes);
-  const Vaddr addr = shard.base + Offset(req.key);
-  uint8_t line[kLineBytes];
-  if (req.is_put) {
-    EncodeRecord(line, client_version_[req.key] + 1, req.key);
-    O1_RETURN_IF_ERROR(sys_.UserWrite(*shard.proc, addr, line));
-    O1_RETURN_IF_ERROR(sys_.UserFlush(*shard.proc, addr, kLineBytes));
-    client_version_[req.key]++;
-    return OkStatus();
-  }
-  Status read = sys_.UserRead(*shard.proc, addr, line);
-  if (read.code() == StatusCode::kMediaError) {
-    // Degraded serving: the client copy is authoritative, so repair the
-    // record by rewriting it. Transient poison heals on the overwrite;
-    // sticky poison keeps failing reads, but the op still succeeds from the
-    // client copy either way.
-    EncodeRecord(line, client_version_[req.key], req.key);
-    O1_RETURN_IF_ERROR(sys_.UserWrite(*shard.proc, addr, line));
-    O1_RETURN_IF_ERROR(sys_.UserFlush(*shard.proc, addr, kLineBytes));
-    report_.media_repairs++;
-    return OkStatus();
-  }
-  O1_RETURN_IF_ERROR(read);
-  if (config_.verify && client_version_[req.key] != 0) {
-    uint64_t version = 0;
-    uint64_t key = 0;
-    std::memcpy(&version, line, sizeof(version));
-    std::memcpy(&key, line + sizeof(version), sizeof(key));
-    if (version != client_version_[req.key] || key != req.key) {
-      report_.verify_failures++;
+Status ShardedKvService::Serve(Shard& shard, const OpenRequest& req) {
+  // A scan gets scan_records consecutive records of this shard (stride =
+  // shards in key space keeps every touched key on the same shard), wrapping.
+  const uint64_t records = req.cls == OpClass::kScan ? config_.arrival.scan_records : 1;
+  for (uint64_t j = 0; j < records; ++j) {
+    const uint64_t key =
+        (req.key + j * static_cast<uint64_t>(config_.shards)) % client_version_.size();
+    ObsSpan span(sys_.ctx(), TraceKind::kServiceOp, kLineBytes);
+    const Vaddr addr = shard.base + Offset(key);
+    uint8_t line[kLineBytes];
+    if (req.cls == OpClass::kWrite) {
+      EncodeRecord(line, client_version_[key] + 1, key);
+      O1_RETURN_IF_ERROR(sys_.UserWrite(*shard.proc, addr, line));
+      O1_RETURN_IF_ERROR(sys_.UserFlush(*shard.proc, addr, kLineBytes));
+      client_version_[key]++;
+      continue;
+    }
+    Status read = sys_.UserRead(*shard.proc, addr, line);
+    if (read.code() == StatusCode::kMediaError) {
+      // Degraded serving: the client copy is authoritative, so repair the
+      // record by rewriting it. Transient poison heals on the overwrite;
+      // sticky poison keeps failing reads, but the op still succeeds from the
+      // client copy either way.
+      EncodeRecord(line, client_version_[key], key);
+      O1_RETURN_IF_ERROR(sys_.UserWrite(*shard.proc, addr, line));
+      O1_RETURN_IF_ERROR(sys_.UserFlush(*shard.proc, addr, kLineBytes));
+      report_.media_repairs++;
+      continue;
+    }
+    O1_RETURN_IF_ERROR(read);
+    if (config_.verify && client_version_[key] != 0) {
+      uint64_t version = 0;
+      uint64_t stored_key = 0;
+      std::memcpy(&version, line, sizeof(version));
+      std::memcpy(&stored_key, line + sizeof(version), sizeof(stored_key));
+      if (version != client_version_[key] || stored_key != key) {
+        report_.verify_failures++;
+      }
     }
   }
   return OkStatus();
 }
 
-// --- causal tracing + tail attribution ---------------------------------------
+// --- completion, causal tracing + tail attribution ---------------------------
 
-void ShardedKvService::ClosePark(uint64_t& park_cycles, uint64_t& acc_cycles, uint64_t trace_id,
-                                 uint32_t& next_span, TraceKind kind) {
-  if (park_cycles == 0) {
+void ShardedKvService::ClosePark(OpenRequest& req, uint64_t& acc_cycles, TraceKind kind) {
+  if (req.park_cycles == 0) {
     return;
   }
-  const uint64_t dur = sys_.ctx().now() - park_cycles;
+  const uint64_t dur = sys_.ctx().now() - req.park_cycles;
   acc_cycles += dur;
   Observer* obs = sys_.ctx().obs();
-  if (obs != nullptr && trace_id != 0 && obs->WantsSpan(kind)) {
-    obs->RecordSpan(kind, 0, park_cycles, dur, 0, trace_id, next_span++, /*parent_span=*/1);
+  if (obs != nullptr && req.trace_id != 0 && obs->WantsSpan(kind)) {
+    obs->RecordSpan(kind, 0, req.park_cycles, dur, 0, req.trace_id, req.next_span++,
+                    /*parent_span=*/1);
   }
-  park_cycles = 0;
+  req.park_cycles = 0;
 }
 
-void ShardedKvService::FinishRequest(TraceKind kind, int shard, uint64_t trace_id,
-                                     uint64_t first_arrival_cycles, uint64_t wait_cycles,
-                                     uint64_t backoff_cycles, uint64_t serve_cycles) {
-  const uint64_t latency = sys_.ctx().now() - first_arrival_cycles;
+void ShardedKvService::FinishRequest(int index, const OpenRequest& req) {
+  report_.ops_ok++;
+  const uint64_t latency = sys_.ctx().now() - req.first_arrival_cycles;
+  if (req.attempts > 1) {
+    report_.disrupted.Record(latency);
+  } else if (FaultActive()) {
+    report_.recovery.Record(latency);
+  } else {
+    report_.nominal.Record(latency);
+  }
   report_.all_latency.Record(latency);
-  shard_latency_[static_cast<size_t>(shard)].Record(latency);
-  auto& pool = shard_slowest_[static_cast<size_t>(shard)];
-  const TailSample sample{latency, wait_cycles, backoff_cycles, serve_cycles};
+  shard_latency_[static_cast<size_t>(index)].Record(latency);
+  auto& pool = shard_slowest_[static_cast<size_t>(index)];
+  const TailSample sample{latency, req.wait_cycles, req.backoff_cycles, req.serve_cycles};
   if (pool.size() < kTailSamplesPerShard) {
     pool.push_back(sample);
   } else {
@@ -247,7 +266,23 @@ void ShardedKvService::FinishRequest(TraceKind kind, int shard, uint64_t trace_i
   }
   Observer* obs = sys_.ctx().obs();
   if (obs != nullptr) {
-    obs->EndRequest(kind, 0, first_arrival_cycles, latency, kLineBytes, trace_id);
+    const TraceKind kind = req.cls == OpClass::kScan    ? TraceKind::kKvScan
+                           : req.cls == OpClass::kWrite ? TraceKind::kKvPut
+                                                        : TraceKind::kKvGet;
+    obs->EndRequest(kind, 0, req.first_arrival_cycles, latency, kLineBytes, req.trace_id);
+  }
+  Shard& shard = shards_[static_cast<size_t>(index)];
+  if (shard.awaiting_first_serve) {
+    shard.awaiting_first_serve = false;
+    const double ttfs = sys_.ctx().clock().CyclesToUs(sys_.ctx().now() - shard.down_cycles);
+    // Fill the newest recovery event covering this shard (per-shard or
+    // whole-machine).
+    for (auto it = report_.recoveries.rbegin(); it != report_.recoveries.rend(); ++it) {
+      if ((it->shard == index || it->shard == -1) && it->time_to_first_served_us == 0) {
+        it->time_to_first_served_us = ttfs;
+        break;
+      }
+    }
   }
 }
 
@@ -324,7 +359,7 @@ void ShardedKvService::FinalizeTail() {
 void ShardedKvService::PushTickMetric(uint64_t tick, uint64_t queue_depth,
                                       uint64_t pending_retries, uint32_t arrivals) {
   Observer* obs = sys_.ctx().obs();
-  if (obs == nullptr || !obs->metrics_enabled()) {
+  if (obs == nullptr || obs->metrics() == nullptr) {
     return;
   }
   MetricSample m;
@@ -356,74 +391,6 @@ void ShardedKvService::PushTickMetric(uint64_t tick, uint64_t queue_depth,
   obs->PushMetric(m);
 }
 
-bool ShardedKvService::AttemptRequest(Request& req, uint64_t tick) {
-  const int index = static_cast<int>(req.key % static_cast<uint64_t>(config_.shards));
-  Shard& shard = shards_[static_cast<size_t>(index)];
-  req.attempts++;
-  // A re-attempt closes the backoff window it waited out (and records it as
-  // a retry_wait child span of the request's root).
-  ClosePark(req.park_cycles, req.backoff_cycles, req.trace_id, req.next_span,
-            TraceKind::kRetryWait);
-  bool served = false;
-  if (shard.state == ShardState::kUp) {
-    sys_.ctx().SetCurrentCpu(index % num_cpus_);
-    const uint64_t serve_start = sys_.ctx().now();
-    {
-      // Everything ServeOnce does -- the service_op span, faults, shootdowns,
-      // journal commits -- joins the request's span tree.
-      TraceScope scope(sys_.ctx().obs(), req.trace_id, &req.next_span);
-      Status s = ServeOnce(shard, req);
-      O1_CHECK(s.ok());  // media errors are absorbed inside ServeOnce
-    }
-    req.serve_cycles += sys_.ctx().now() - serve_start;
-    sys_.ctx().SetCurrentCpu(0);
-    served = true;
-  } else if (shard.state == ShardState::kHung) {
-    report_.timeouts++;
-  }
-  if (served) {
-    report_.ops_ok++;
-    const uint64_t latency = sys_.ctx().now() - req.arrival_cycles;
-    if (req.attempts > 1) {
-      report_.disrupted.Record(latency);
-    } else if (FaultActive()) {
-      report_.recovery.Record(latency);
-    } else {
-      report_.nominal.Record(latency);
-    }
-    FinishRequest(req.is_put ? TraceKind::kKvPut : TraceKind::kKvGet, index, req.trace_id,
-                  req.arrival_cycles, req.wait_cycles, req.backoff_cycles, req.serve_cycles);
-    if (shard.awaiting_first_serve) {
-      shard.awaiting_first_serve = false;
-      const double ttfs = sys_.ctx().clock().CyclesToUs(sys_.ctx().now() - shard.down_cycles);
-      // Fill the newest recovery event covering this shard (per-shard or
-      // whole-machine).
-      for (auto it = report_.recoveries.rbegin(); it != report_.recoveries.rend(); ++it) {
-        if ((it->shard == index || it->shard == -1) && it->time_to_first_served_us == 0) {
-          it->time_to_first_served_us = ttfs;
-          break;
-        }
-      }
-    }
-    return true;
-  }
-  // Failed attempt: hung shards cost the client its deadline before it gives
-  // up; a known-dead shard fails fast.
-  if (req.attempts >= config_.retry.max_attempts) {
-    report_.ops_lost++;
-    if (sys_.ctx().obs() != nullptr) {
-      sys_.ctx().obs()->DropRequest(req.trace_id);  // lost: no root span
-    }
-    return true;
-  }
-  report_.retries++;
-  const uint64_t wait = (shard.state == ShardState::kHung ? config_.deadline_ticks : 0) +
-                        config_.retry.BackoffTicks(req.attempts, retry_rng_);
-  req.due_tick = tick + wait;
-  req.park_cycles = sys_.ctx().now();  // backoff window opens
-  return false;
-}
-
 void ShardedKvService::RecoverShard(int index, uint64_t tick, const char* cause) {
   Shard& shard = shards_[static_cast<size_t>(index)];
   RecoveryEvent event;
@@ -453,11 +420,9 @@ void ShardedKvService::RecoverShard(int index, uint64_t tick, const char* cause)
 
 void ShardedKvService::MachineCrashRecover(uint64_t tick) {
   report_.machine_crashes++;
-  if (arrival_ != nullptr) {
-    // In-flight queued requests die with the machine; clients retry.
-    for (int i = 0; i < config_.shards; ++i) {
-      FailQueued(i, tick);
-    }
+  // In-flight queued requests die with the machine; clients retry.
+  for (int i = 0; i < config_.shards; ++i) {
+    FailQueued(i, tick);
   }
   const uint64_t down_cycles = sys_.ctx().now();
   uint64_t down_tick_min = tick;
@@ -523,128 +488,7 @@ void ShardedKvService::MachineCrashRecover(uint64_t tick) {
   report_.recoveries.push_back(event);
 }
 
-ShardServiceReport ShardedKvService::Run() {
-  if (config_.arrival.enabled) {
-    return RunOpenLoop();
-  }
-  const uint64_t run_start = sys_.ctx().now();
-  SetupShards();
-  FaultInjector& injector = sys_.machine().fault_injector();
-  uint64_t next_arrival = 0;
-  uint64_t tick = 0;
-  // Generous runaway guard: every request resolves within max_attempts
-  // backoffs, so the queue must drain well before this.
-  const uint64_t max_ticks =
-      config_.ops + 1000 + static_cast<uint64_t>(config_.retry.max_attempts) *
-                               (config_.retry.max_delay_ticks + config_.deadline_ticks) * 64;
-  for (;; ++tick) {
-    O1_CHECK(tick < max_ticks);
-    sys_.ctx().Charge(config_.tick_cycles);
-    if (campaign_ != nullptr) {
-      for (const ChaosFiring& firing : campaign_->Poll(tick)) {
-        ApplyFiring(firing, tick);
-      }
-      // An armed torn-write/flush crash trips mid-op; the power actually
-      // fails at the next tick boundary.
-      if (injector.triggered()) {
-        campaign_->Note("t=" + std::to_string(tick) + " armed crash tripped");
-        MachineCrashRecover(tick);
-      }
-    }
-    // Hang expiry before the watchdog check: a shard whose hang was shorter
-    // than the watchdog allowance resumes beating and is never killed.
-    for (int i = 0; i < config_.shards; ++i) {
-      Shard& shard = shards_[static_cast<size_t>(i)];
-      if (shard.state == ShardState::kHung && tick >= shard.hang_until) {
-        shard.state = ShardState::kUp;
-        shard.awaiting_first_serve = false;
-        shard.dog.Beat(tick);
-        LogNote("t=" + std::to_string(tick) + " unhang shard=" + std::to_string(i));
-      }
-      if (shard.state != ShardState::kUp && shard.dog.Expired(tick)) {
-        RecoverShard(i, tick, shard.down_cause);
-        report_.watchdog_kills++;
-      }
-    }
-    // Heartbeats from live shards.
-    if (tick % config_.heartbeat_interval_ticks == 0) {
-      for (Shard& shard : shards_) {
-        if (shard.state == ShardState::kUp) {
-          shard.dog.Beat(tick);
-        }
-      }
-    }
-    // Due retries, in arrival order.
-    for (size_t i = 0; i < pending_.size();) {
-      if (pending_[i].due_tick <= tick && AttemptRequest(pending_[i], tick)) {
-        pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
-      } else {
-        ++i;
-      }
-    }
-    // One new client arrival per tick.
-    uint32_t tick_arrivals = 0;
-    if (next_arrival < config_.ops) {
-      Request req;
-      req.key = zipf_.Next(workload_rng_);
-      req.is_put = workload_rng_.NextBool(config_.write_fraction);
-      req.arrival_cycles = sys_.ctx().now();
-      req.trace_id = trace_rng_.Next() | 1;  // always drawn: obs-independent
-      if (sys_.ctx().obs() != nullptr) {
-        sys_.ctx().obs()->BeginRequest(req.trace_id);
-      }
-      report_.ops_attempted++;
-      next_arrival++;
-      tick_arrivals = 1;
-      if (!AttemptRequest(req, tick)) {
-        pending_.push_back(req);
-      }
-    }
-    PushTickMetric(tick, /*queue_depth=*/0, pending_.size(), tick_arrivals);
-    if (config_.tier_tick_every != 0 && sys_.tier() != nullptr &&
-        tick % config_.tier_tick_every == config_.tier_tick_every - 1) {
-      O1_CHECK(sys_.TierTick().ok());
-    }
-    if (injector.triggered()) {
-      // Tripped during this tick's ops (outside the campaign poll above).
-      LogNote("t=" + std::to_string(tick) + " armed crash tripped");
-      MachineCrashRecover(tick);
-    }
-    if (next_arrival >= config_.ops && pending_.empty()) {
-      // Drain: a shard recovered after the last client arrival would wait
-      // forever for its first serve. Health-check probes (one get of the
-      // shard's record 0) resolve time-to-first-served deterministically.
-      for (int i = 0; i < config_.shards; ++i) {
-        Shard& shard = shards_[static_cast<size_t>(i)];
-        if (shard.state == ShardState::kUp && shard.awaiting_first_serve) {
-          Request probe;
-          probe.key = static_cast<uint64_t>(i);  // key i routes to shard i
-          probe.arrival_cycles = sys_.ctx().now();
-          probe.trace_id = trace_rng_.Next() | 1;
-          if (sys_.ctx().obs() != nullptr) {
-            sys_.ctx().obs()->BeginRequest(probe.trace_id);
-          }
-          report_.ops_attempted++;
-          AttemptRequest(probe, tick);
-        }
-      }
-      if (!FaultActive()) {
-        break;
-      }
-    }
-  }
-  report_.ticks = tick + 1;
-  report_.run_us = sys_.ctx().clock().CyclesToUs(sys_.ctx().now() - run_start);
-  report_.degraded_reads = sys_.ctx().counters().degraded_reads;
-  report_.poison_quarantines = sys_.ctx().counters().poison_quarantines;
-  if (campaign_ != nullptr) {
-    report_.chaos_log = campaign_->LogString();
-  }
-  FinalizeTail();
-  return report_;
-}
-
-// --- open-loop overload mode -----------------------------------------------
+// --- serving ------------------------------------------------------------------
 
 void ShardedKvService::NoteBreakerTransitions(int index, uint64_t transitions_before,
                                               uint64_t tick) {
@@ -660,34 +504,47 @@ void ShardedKvService::NoteBreakerTransitions(int index, uint64_t transitions_be
           CircuitBreaker::StateName(breaker.state()));
 }
 
-void ShardedKvService::ClientRetryOrReject(OpenRequest req, uint64_t tick,
-                                           uint64_t extra_wait_ticks) {
-  OverloadReport& ov = report_.overload;
-  if (req.attempts >= config_.retry.max_attempts) {
-    // Every attempt got a clean, immediate rejection or a bounded timeout;
-    // the client ends with a 503, not a lost ack -- ops_lost stays for real
-    // losses (none in overload mode; campaigns keep asserting zero).
-    ov.rejected_final++;
-    if (sys_.ctx().obs() != nullptr) {
-      sys_.ctx().obs()->DropRequest(req.trace_id);  // clean 503: no root span
-    }
-    return;
+ShardedKvService::OpenRequest ShardedKvService::Arrive(uint64_t key, OpClass cls,
+                                                      uint64_t tick) {
+  OpenRequest req;
+  req.key = key;
+  req.cls = cls;
+  req.first_arrival_cycles = sys_.ctx().now();
+  req.first_arrival_tick = tick;
+  req.trace_id = trace_rng_.Next() | 1;  // always drawn: obs-independent
+  if (sys_.ctx().obs() != nullptr) {
+    sys_.ctx().obs()->BeginRequest(req.trace_id);
   }
-  if (!retry_budget_->TryConsume()) {
+  report_.ops_attempted++;
+  return req;
+}
+
+void ShardedKvService::ClientRetryOrReject(OpenRequest req, uint64_t tick, bool refused) {
+  OverloadReport& ov = report_.overload;
+  req.refused = req.refused || refused;
+  if (req.attempts < config_.retry.max_attempts) {
+    if (retry_budget_.TryConsume()) {
+      report_.retries++;
+      req.attempts++;
+      req.park_cycles = sys_.ctx().now();  // backoff window opens
+      retries_.Push(tick, tick + config_.retry.BackoffTicks(req.attempts - 1, retry_rng_), req);
+      return;
+    }
     ov.retry_budget_denials++;
     sys_.ctx().counters().retry_budget_denials++;
-    ov.rejected_final++;
-    if (sys_.ctx().obs() != nullptr) {
-      sys_.ctx().obs()->DropRequest(req.trace_id);
-    }
-    return;
+    req.refused = true;
   }
-  report_.retries++;
-  req.attempts++;
-  req.due_tick = tick + extra_wait_ticks +
-                 config_.retry.BackoffTicks(req.attempts - 1, retry_rng_);
-  req.park_cycles = sys_.ctx().now();  // backoff window opens
-  open_pending_.push_back(req);
+  // The give-up rule: a request the overload stack refused at least once
+  // ends as a clean 503. One that only ever failed -- timed out, or met a
+  // dead shard -- is lost, which campaigns assert never happens.
+  if (req.refused) {
+    ov.rejected_final++;
+  } else {
+    report_.ops_lost++;
+  }
+  if (sys_.ctx().obs() != nullptr) {
+    sys_.ctx().obs()->DropRequest(req.trace_id);  // given up: no root span
+  }
 }
 
 void ShardedKvService::OfferRequest(OpenRequest req, uint64_t tick) {
@@ -702,7 +559,7 @@ void ShardedKvService::OfferRequest(OpenRequest req, uint64_t tick) {
     st.breaker_rejects++;
     ov.sheds++;
     sys_.ctx().counters().breaker_fast_fails++;
-    ClientRetryOrReject(req, tick, 0);
+    ClientRetryOrReject(req, tick, /*refused=*/true);
     return;
   }
   NoteBreakerTransitions(index, breaker_before, tick);  // open -> half_open
@@ -714,7 +571,7 @@ void ShardedKvService::OfferRequest(OpenRequest req, uint64_t tick) {
     const uint64_t before = breaker.transitions();
     breaker.RecordFailure(tick);
     NoteBreakerTransitions(index, before, tick);
-    ClientRetryOrReject(req, tick, 0);
+    ClientRetryOrReject(req, tick, /*refused=*/false);
     return;
   }
   // A hung shard still accepts connections: requests queue and expire on
@@ -729,7 +586,7 @@ void ShardedKvService::OfferRequest(OpenRequest req, uint64_t tick) {
     ov.sheds++;
     sys_.ctx().counters().brownout_shed_scans++;
     ObsInstant(sys_.ctx(), TraceKind::kAdmissionShed, req.key);
-    ClientRetryOrReject(req, tick, 0);
+    ClientRetryOrReject(req, tick, /*refused=*/true);
     return;
   }
   if (level >= 4 && req.cls == OpClass::kWrite) {
@@ -738,7 +595,7 @@ void ShardedKvService::OfferRequest(OpenRequest req, uint64_t tick) {
     ov.sheds++;
     sys_.ctx().counters().brownout_shed_writes++;
     ObsInstant(sys_.ctx(), TraceKind::kAdmissionShed, req.key);
-    ClientRetryOrReject(req, tick, 0);
+    ClientRetryOrReject(req, tick, /*refused=*/true);
     return;
   }
 
@@ -756,7 +613,7 @@ void ShardedKvService::OfferRequest(OpenRequest req, uint64_t tick) {
       ov.sheds++;
       sys_.ctx().counters().admission_sheds++;
       ObsInstant(sys_.ctx(), TraceKind::kAdmissionShed, req.key);
-      ClientRetryOrReject(req, tick, 0);
+      ClientRetryOrReject(req, tick, /*refused=*/true);
       return;
     case AdmissionQueue<OpenRequest>::Verdict::kShedOverflow:
       st.shed_overflow++;
@@ -764,27 +621,24 @@ void ShardedKvService::OfferRequest(OpenRequest req, uint64_t tick) {
       ov.sheds++;
       sys_.ctx().counters().admission_overflow_sheds++;
       ObsInstant(sys_.ctx(), TraceKind::kAdmissionShed, req.key);
-      ClientRetryOrReject(req, tick, 0);
+      ClientRetryOrReject(req, tick, /*refused=*/true);
       return;
   }
 }
 
-Status ShardedKvService::ServeOpen(Shard& shard, const OpenRequest& req) {
-  if (req.cls != OpClass::kScan) {
-    Request one;
-    one.key = req.key;
-    one.is_put = (req.cls == OpClass::kWrite);
-    return ServeOnce(shard, one);
+void ShardedKvService::ServeRequest(int index, OpenRequest& req) {
+  sys_.ctx().SetCurrentCpu(index % num_cpus_);
+  const uint64_t serve_start = sys_.ctx().now();
+  {
+    // The whole service op -- spans from Serve down through faults,
+    // shootdowns, tier hits, and journal commits -- joins the span tree.
+    TraceScope scope(sys_.ctx().obs(), req.trace_id, &req.next_span);
+    Status s = Serve(shards_[static_cast<size_t>(index)], req);
+    O1_CHECK(s.ok());  // media errors are absorbed inside Serve
   }
-  // Scan: scan_records consecutive records of this shard (stride = shards in
-  // key space keeps every touched key on the same shard), wrapping.
-  for (uint64_t j = 0; j < config_.arrival.scan_records; ++j) {
-    Request one;
-    one.key = (req.key + j * static_cast<uint64_t>(config_.shards)) % client_version_.size();
-    one.is_put = false;
-    O1_RETURN_IF_ERROR(ServeOnce(shard, one));
-  }
-  return OkStatus();
+  req.serve_cycles += sys_.ctx().now() - serve_start;
+  sys_.ctx().SetCurrentCpu(0);
+  FinishRequest(index, req);
 }
 
 void ShardedKvService::FailQueued(int index, uint64_t tick) {
@@ -795,12 +649,11 @@ void ShardedKvService::FailQueued(int index, uint64_t tick) {
   while (!q.empty()) {
     OpenRequest req = q.PopFront();
     st.failed_fast++;
-    ClosePark(req.park_cycles, req.wait_cycles, req.trace_id, req.next_span,
-              TraceKind::kAdmissionWait);
+    ClosePark(req, req.wait_cycles, TraceKind::kAdmissionWait);
     const uint64_t before = breaker.transitions();
     breaker.RecordFailure(tick);
     NoteBreakerTransitions(index, before, tick);
-    ClientRetryOrReject(req, tick, 0);
+    ClientRetryOrReject(req, tick, /*refused=*/false);
   }
 }
 
@@ -815,15 +668,14 @@ void ShardedKvService::ServeTick(int index, uint64_t tick) {
   // is a real failure -- it burnt a full deadline -- so it feeds the breaker.
   while (!q.empty() && q.front().arrival_tick + config_.deadline_ticks <= tick) {
     OpenRequest req = q.PopFront();
-    ClosePark(req.park_cycles, req.wait_cycles, req.trace_id, req.next_span,
-              TraceKind::kAdmissionWait);
+    ClosePark(req, req.wait_cycles, TraceKind::kAdmissionWait);
     st.expired_in_queue++;
     report_.timeouts++;
     sys_.ctx().counters().admission_expired_drops++;
     const uint64_t before = breaker.transitions();
     breaker.RecordFailure(tick);
     NoteBreakerTransitions(index, before, tick);
-    ClientRetryOrReject(req, tick, 0);
+    ClientRetryOrReject(req, tick, /*refused=*/false);
   }
   if (shard.state != ShardState::kUp) {
     return;  // hung/down shards only expire; no serving
@@ -836,19 +688,7 @@ void ShardedKvService::ServeTick(int index, uint64_t tick) {
     OpenRequest req = q.PopFront();
     const uint64_t wait_ticks = tick - req.arrival_tick;
     q.ObserveWait(static_cast<double>(wait_ticks));
-    ClosePark(req.park_cycles, req.wait_cycles, req.trace_id, req.next_span,
-              TraceKind::kAdmissionWait);
-    sys_.ctx().SetCurrentCpu(index % num_cpus_);
-    const uint64_t serve_start = sys_.ctx().now();
-    {
-      // The whole service op -- spans from ServeOnce down through faults,
-      // shootdowns, tier hits, and journal commits -- joins the span tree.
-      TraceScope scope(sys_.ctx().obs(), req.trace_id, &req.next_span);
-      Status s = ServeOpen(shard, req);
-      O1_CHECK(s.ok());  // media errors are absorbed inside ServeOnce
-    }
-    req.serve_cycles += sys_.ctx().now() - serve_start;
-    sys_.ctx().SetCurrentCpu(0);
+    ClosePark(req, req.wait_cycles, TraceKind::kAdmissionWait);
     st.served++;
     ov.served++;
     // Goodput is END-TO-END: the expiry loop above only bounds the wait
@@ -860,35 +700,11 @@ void ShardedKvService::ServeTick(int index, uint64_t tick) {
     if (req.cls == OpClass::kScan) {
       ov.scan_ops++;
     }
-    report_.ops_ok++;
-    const uint64_t latency = sys_.ctx().now() - req.first_arrival_cycles;
-    ov.admitted_latency.Record(latency);
-    if (req.attempts > 1) {
-      report_.disrupted.Record(latency);
-    } else if (FaultActive()) {
-      report_.recovery.Record(latency);
-    } else {
-      report_.nominal.Record(latency);
-    }
-    const TraceKind root_kind = req.cls == OpClass::kScan  ? TraceKind::kKvScan
-                                : req.cls == OpClass::kWrite ? TraceKind::kKvPut
-                                                             : TraceKind::kKvGet;
-    FinishRequest(root_kind, index, req.trace_id, req.first_arrival_cycles, req.wait_cycles,
-                  req.backoff_cycles, req.serve_cycles);
-    retry_budget_->OnSuccess();
+    ServeRequest(index, req);
+    retry_budget_.OnSuccess();
     const uint64_t before = breaker.transitions();
     breaker.RecordSuccess(tick, wait_ticks);
     NoteBreakerTransitions(index, before, tick);
-    if (shard.awaiting_first_serve) {
-      shard.awaiting_first_serve = false;
-      const double ttfs = sys_.ctx().clock().CyclesToUs(sys_.ctx().now() - shard.down_cycles);
-      for (auto it = report_.recoveries.rbegin(); it != report_.recoveries.rend(); ++it) {
-        if ((it->shard == index || it->shard == -1) && it->time_to_first_served_us == 0) {
-          it->time_to_first_served_us = ttfs;
-          break;
-        }
-      }
-    }
   }
 }
 
@@ -949,12 +765,12 @@ void ShardedKvService::ApplyBrownoutLevels(uint64_t tick) {
   sys_.phys_manager().SetBrownout(max_level >= 2);
 }
 
-ShardServiceReport ShardedKvService::RunOpenLoop() {
+ShardServiceReport ShardedKvService::Run() {
   const uint64_t run_start = sys_.ctx().now();
   SetupShards();
   FaultInjector& injector = sys_.machine().fault_injector();
   OverloadReport& ov = report_.overload;
-  ov.enabled = true;
+  ov.enabled = config_.arrival.enabled;
   ov.capacity_per_tick = static_cast<double>(config_.shards) *
                          static_cast<double>(config_.overload.slots_per_tick);
 
@@ -986,6 +802,8 @@ ShardServiceReport ShardedKvService::RunOpenLoop() {
       for (const ChaosFiring& firing : campaign_->Poll(tick)) {
         ApplyFiring(firing, tick);
       }
+      // An armed torn-write/flush crash trips mid-op; the power actually
+      // fails at the next tick boundary.
       if (injector.triggered()) {
         campaign_->Note("t=" + std::to_string(tick) + " armed crash tripped");
         MachineCrashRecover(tick);
@@ -997,7 +815,8 @@ ShardServiceReport ShardedKvService::RunOpenLoop() {
         }
       }
     }
-    // Hang expiry before the watchdog check (see the closed-loop driver).
+    // Hang expiry before the watchdog check: a shard whose hang was shorter
+    // than the watchdog allowance resumes beating and is never killed.
     for (int i = 0; i < config_.shards; ++i) {
       Shard& shard = shards_[static_cast<size_t>(i)];
       if (shard.state == ShardState::kHung && tick >= shard.hang_until) {
@@ -1023,69 +842,42 @@ ShardServiceReport ShardedKvService::RunOpenLoop() {
       }
     }
     ApplyBrownoutLevels(tick);
-    // Due client retries re-offer in arrival order. New backoffs pushed by
-    // OfferRequest land at the back with due_tick > tick, so one pass is
-    // exact.
-    for (size_t i = 0; i < open_pending_.size();) {
-      if (open_pending_[i].due_tick <= tick) {
-        OpenRequest req = open_pending_[i];
-        open_pending_.erase(open_pending_.begin() + static_cast<std::ptrdiff_t>(i));
-        ClosePark(req.park_cycles, req.backoff_cycles, req.trace_id, req.next_span,
-                  TraceKind::kRetryWait);
-        OfferRequest(req, tick);
-      } else {
-        ++i;
-      }
-    }
-    // Open-loop arrivals: however many the process emits, whether or not
-    // the service kept up -- this is the loop the closed-loop driver closes.
-    const uint32_t arrivals = arrival_->ArrivalsAt(tick);
+    // Due client retries re-offer in push order (a retry closes the backoff
+    // window it waited out as a retry_wait span).
+    retries_.PopDue(tick, [&](OpenRequest req) {
+      ClosePark(req, req.backoff_cycles, TraceKind::kRetryWait);
+      OfferRequest(req, tick);
+    });
+    // Arrivals: however many the process emits, whether or not the service
+    // kept up.
+    const uint32_t arrivals = arrival_.ArrivalsAt(tick);
     for (uint32_t a = 0; a < arrivals; ++a) {
-      OpenRequest req;
-      req.key = zipf_.Next(workload_rng_);
+      const uint64_t key = zipf_.Next(workload_rng_);
+      OpClass cls = OpClass::kRead;
       if (config_.arrival.scan_fraction > 0 &&
           workload_rng_.NextBool(config_.arrival.scan_fraction)) {
-        req.cls = OpClass::kScan;
+        cls = OpClass::kScan;
       } else if (workload_rng_.NextBool(config_.write_fraction)) {
-        req.cls = OpClass::kWrite;
-      } else {
-        req.cls = OpClass::kRead;
+        cls = OpClass::kWrite;
       }
-      req.arrival_cycles = sys_.ctx().now();
-      req.first_arrival_cycles = req.arrival_cycles;
-      req.first_arrival_tick = tick;
-      req.trace_id = trace_rng_.Next() | 1;  // always drawn: obs-independent
-      if (sys_.ctx().obs() != nullptr) {
-        sys_.ctx().obs()->BeginRequest(req.trace_id);
-      }
-      report_.ops_attempted++;
       ov.arrivals++;
-      OfferRequest(req, tick);
+      OfferRequest(Arrive(key, cls, tick), tick);
     }
     for (int i = 0; i < config_.shards; ++i) {
       ServeTick(i, tick);
     }
-    {
-      uint64_t metric_depth = 0;
-      for (const auto& q : queues_) {
-        metric_depth += q.depth();
-      }
-      PushTickMetric(tick, metric_depth, open_pending_.size(), arrivals);
-    }
+    PushTickMetric(tick, QueuedRequests(), retries_.size(), arrivals);
     if (config_.tier_tick_every != 0 && sys_.tier() != nullptr &&
         tick % config_.tier_tick_every == config_.tier_tick_every - 1) {
       O1_CHECK(sys_.TierTick().ok());
     }
     if (injector.triggered()) {
+      // Tripped during this tick's ops (outside the campaign poll above).
       LogNote("t=" + std::to_string(tick) + " armed crash tripped");
       MachineCrashRecover(tick);
     }
-    if (!arrival_->done()) {
-      uint64_t depth = 0;
-      for (const auto& q : queues_) {
-        depth += q.depth();
-      }
-      window_depth_sum += depth;
+    if (!arrival_.done()) {
+      window_depth_sum += QueuedRequests();
       if (++window_count == window_ticks) {
         window_prev = window_last;
         window_last = static_cast<double>(window_depth_sum) /
@@ -1096,34 +888,20 @@ ShardServiceReport ShardedKvService::RunOpenLoop() {
       }
       arrival_end_tick = tick + 1;
     }
-    if (arrival_->done() && open_pending_.empty()) {
-      bool queues_empty = true;
-      for (const auto& q : queues_) {
-        if (!q.empty()) {
-          queues_empty = false;
-          break;
+    if (arrival_.done() && retries_.empty() && QueuedRequests() == 0) {
+      // Drain: a shard recovered after the last client arrival would wait
+      // forever for its first serve. Health-check probes (one get of the
+      // shard's record 0; key i routes to shard i) resolve
+      // time-to-first-served deterministically.
+      for (int i = 0; i < config_.shards; ++i) {
+        Shard& shard = shards_[static_cast<size_t>(i)];
+        if (shard.state == ShardState::kUp && shard.awaiting_first_serve) {
+          OpenRequest probe = Arrive(static_cast<uint64_t>(i), OpClass::kRead, tick);
+          ServeRequest(i, probe);
         }
       }
-      if (queues_empty) {
-        // Drain-phase health probes resolve time-to-first-served for shards
-        // recovered after the last arrival (see the closed-loop driver).
-        for (int i = 0; i < config_.shards; ++i) {
-          Shard& shard = shards_[static_cast<size_t>(i)];
-          if (shard.state == ShardState::kUp && shard.awaiting_first_serve) {
-            Request probe;
-            probe.key = static_cast<uint64_t>(i);
-            probe.arrival_cycles = sys_.ctx().now();
-            probe.trace_id = trace_rng_.Next() | 1;
-            if (sys_.ctx().obs() != nullptr) {
-              sys_.ctx().obs()->BeginRequest(probe.trace_id);
-            }
-            report_.ops_attempted++;
-            AttemptRequest(probe, tick);
-          }
-        }
-        if (!FaultActive()) {
-          break;
-        }
+      if (!FaultActive()) {
+        break;
       }
     }
   }

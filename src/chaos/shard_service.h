@@ -1,22 +1,35 @@
 // ShardedKvService: an N-shard KV service over FOM segments that keeps
-// serving through a chaos campaign -- the crash-kill-recover half of the
-// chaos subsystem (src/chaos/campaign.h schedules the faults; this applies
-// them and measures what the client sees).
+// serving through a chaos campaign and through overload (src/chaos/
+// campaign.h schedules the faults; this applies them and measures what the
+// client sees).
 //
 // Shape: shard k is one FOM process serving a persistent segment
-// /srv/shard<k>; request keys route key % N. The driver is tick-based (one
-// client arrival per tick, a fixed cycle charge per tick so client-perceived
-// time advances even while a shard is dead):
+// /srv/shard<k>; request keys route key % N. There is one serving loop, and
+// it is open: each tick charges a fixed cycle cost (so client-perceived time
+// advances even while a shard is dead), then the arrival process emits
+// however many requests it will, whether or not the service kept up.
+// ArrivalConfig.enabled == false means exactly one arrival per tick: the
+// steady, far-below-capacity load the fault campaigns run under. Every
+// request goes the same way:
 //
-//   * every request carries a deadline; a request to a hung shard times out
-//     after deadline_ticks, a request to a dead shard fails fast; either way
-//     the client retries with capped exponential backoff + full jitter
-//     (src/chaos/retry.h, seeded -- deterministic), up to max_attempts; a
-//     request that exhausts its attempts is LOST, and campaigns assert zero;
+//   * an offer passes the shard's circuit breaker and brownout ladder, then
+//     its bounded admission queue (src/chaos/admission.h, breaker.h; all
+//     off by default, so the default OverloadConfig is the unprotected
+//     service). A killed shard refuses it at once; a hung shard still
+//     queues it, and it expires after deadline_ticks;
+//   * each shard serves up to slots_per_tick queued requests per tick;
+//   * a client whose request failed, expired or was shed retries with
+//     capped exponential backoff + full jitter (src/chaos/retry.h, seeded --
+//     deterministic), up to max_attempts, if the retry budget allows. The
+//     give-up rule: a request the overload stack refused at least once
+//     (breaker reject, brownout shed, admission shed, retry-budget denial)
+//     ends as a clean rejection (rejected_final); one that only ever failed
+//     -- timeouts, fail-fasts -- is LOST, and campaigns assert zero lost;
 //   * every shard heartbeats its watchdog (src/chaos/watchdog.h) each
-//     heartbeat interval; the supervisor kills and recovers a shard whose
-//     watchdog expires (missed_beats full intervals without a beat), while
-//     the other shards keep serving;
+//     heartbeat interval, out of band, so a saturated shard still beats;
+//     the supervisor kills and recovers a shard whose watchdog expires
+//     (missed_beats full intervals without a beat), while the other shards
+//     keep serving;
 //   * recovery = exit the zombie (if any), PMFS scrub (journal replay +
 //     media patrol), relaunch, remap -- each leg timed separately so the
 //     recovery SLO decomposes (detect / scrub / remap / first-served);
@@ -28,9 +41,9 @@
 //     shard down and recover them all through the normal journal-replay
 //     boot.
 //
-// Client-perceived latency (arrival to success, retries included) lands in
-// three histograms: nominal (no fault active), recovery (first-try ops
-// served while some shard is down/recovering -- the "surviving shards"
+// Client-perceived latency (first arrival to success, retries included)
+// lands in three histograms: nominal (no fault active), recovery (first-try
+// ops served while some shard is down/recovering -- the "surviving shards"
 // SLO), and disrupted (ops that needed at least one retry). With
 // ChaosConfig.enabled == false no engine is built and no fault path runs.
 #ifndef O1MEM_SRC_CHAOS_SHARD_SERVICE_H_
@@ -54,19 +67,18 @@
 
 namespace o1mem {
 
-// Overload-serving defaults (open-loop mode): per-shard bounded admission
-// queues, retry budgets, circuit breakers, and a brownout ladder. All three
-// engage only when ArrivalConfig.enabled is set; the closed-loop campaign
-// mode of PR 5 runs byte-identically when it is not.
+// The overload protection stack: per-shard bounded admission queues, retry
+// budgets, circuit breakers, and a brownout ladder. Each is off by default:
+// the default OverloadConfig is the unprotected service.
 struct OverloadConfig {
   AdmissionConfig admission;
   RetryBudgetConfig retry_budget;
   BreakerConfig breaker;
   BrownoutConfig brownout;
 
-  // Per-shard service capacity in requests per tick (open-loop mode only).
-  // Offered load / (shards * slots) is the load factor the abl_overload
-  // sweep reports against.
+  // Per-shard service capacity in requests per tick. Offered load /
+  // (shards * slots) is the load factor the abl_overload sweep reports
+  // against.
   uint64_t slots_per_tick = 4;
 
   // Everything on, standard shape: how abl_overload and --arrival runs
@@ -85,7 +97,7 @@ struct ShardServiceConfig {
   int shards = 4;
   uint64_t shard_bytes = 8 * kMiB;
   uint64_t record_bytes = 1024;
-  uint64_t ops = 20000;  // client arrivals (one per tick)
+  uint64_t ops = 20000;  // client arrivals (the arrival budget)
   double write_fraction = 0.3;
   double zipf_theta = 0.99;
   uint64_t workload_seed = 7;  // key/op mix; independent of the chaos seed
@@ -101,8 +113,7 @@ struct ShardServiceConfig {
 
   ChaosConfig chaos;
 
-  // Open-loop overload mode (default off => closed-loop PR 5 behavior).
-  ArrivalConfig arrival;
+  ArrivalConfig arrival;  // disabled: one arrival per tick
   OverloadConfig overload;
 };
 
@@ -119,7 +130,7 @@ struct RecoveryEvent {
   uint64_t replay_records = 0;         // journal records checked by the scrub
 };
 
-// Per-shard overload accounting (open-loop mode).
+// Per-shard overload accounting.
 struct ShardOverloadStats {
   uint64_t admitted = 0;
   uint64_t served = 0;
@@ -137,18 +148,17 @@ struct ShardOverloadStats {
   std::array<uint64_t, BrownoutController::kMaxLevel + 1> brownout_ticks{};
 };
 
-// Whole-run overload accounting (open-loop mode; zeroed in closed loop).
+// Whole-run overload accounting.
 struct OverloadReport {
-  bool enabled = false;
-  uint64_t arrivals = 0;           // open-loop arrivals generated
+  bool enabled = false;            // driven by an enabled arrival process
+  uint64_t arrivals = 0;           // arrivals generated
   uint64_t admitted = 0;           // accepted into some shard queue
   uint64_t served = 0;             // completed service
   uint64_t served_in_deadline = 0; // completed before the client deadline
   uint64_t sheds = 0;              // all admission-time rejections
-  uint64_t rejected_final = 0;     // sheds the client did not retry (clean 503)
+  uint64_t rejected_final = 0;     // refused requests given up on (clean 503)
   uint64_t retry_budget_denials = 0;
   uint64_t scan_ops = 0;
-  LatencyHistogram admitted_latency;  // arrival -> completion, admitted reqs
   std::vector<ShardOverloadStats> per_shard;
   // Mean queue depth (all shards) over the last two measurement windows;
   // flat across them = no unbounded queue growth (the abl_overload gate).
@@ -161,9 +171,9 @@ struct OverloadReport {
 struct ShardServiceReport {
   uint64_t ops_attempted = 0;  // client arrivals
   uint64_t ops_ok = 0;
-  uint64_t ops_lost = 0;  // exhausted retries (campaign asserts zero)
+  uint64_t ops_lost = 0;  // unrefused requests out of retries (campaigns assert zero)
   uint64_t retries = 0;
-  uint64_t timeouts = 0;       // attempts that hit a hung shard
+  uint64_t timeouts = 0;       // offers that expired in a shard's queue
   uint64_t media_repairs = 0;  // gets that re-wrote a poisoned record
   uint64_t verify_failures = 0;
 
@@ -200,9 +210,7 @@ class ShardedKvService {
   ShardedKvService(System& sys, const ShardServiceConfig& config);
 
   // Builds the shards, runs the campaign to completion (all arrivals
-  // resolved, all shards back up), and reports. Call once. With
-  // config.arrival.enabled the run is open-loop (RunOpenLoop below);
-  // otherwise the closed-loop PR 5 driver runs unchanged.
+  // resolved, all shards back up), and reports. Call once.
   ShardServiceReport Run();
 
  private:
@@ -224,32 +232,16 @@ class ShardedKvService {
         : dog(config.heartbeat_interval_ticks, config.missed_beats) {}
   };
 
-  struct Request {
-    uint64_t key = 0;
-    bool is_put = false;
-    int attempts = 0;
-    uint64_t arrival_cycles = 0;
-    uint64_t due_tick = 0;
-    // Causal tracing + blame accounting (see OpenRequest).
-    uint64_t trace_id = 0;
-    uint32_t next_span = 2;
-    uint64_t wait_cycles = 0;
-    uint64_t backoff_cycles = 0;
-    uint64_t serve_cycles = 0;
-    uint64_t park_cycles = 0;  // stamp of the current backoff start
-  };
-
-  // Open-loop request: op class, arrival stamp, client deadline.
+  // A client request: op class, arrival stamps, client deadline.
   enum class OpClass : uint8_t { kRead, kWrite, kScan };
   struct OpenRequest {
     uint64_t key = 0;
     OpClass cls = OpClass::kRead;
     int attempts = 1;  // admission attempts (first offer included)
-    uint64_t arrival_cycles = 0;
+    bool refused = false;  // refused by the overload stack at least once
     uint64_t arrival_tick = 0;   // of the *current* offer (deadline base)
     uint64_t first_arrival_cycles = 0;  // of the original arrival (latency base)
-    uint64_t due_tick = 0;            // retry queue: earliest re-offer tick
-    uint64_t first_arrival_tick = 0;  // end-to-end deadline reference
+    uint64_t first_arrival_tick = 0;    // end-to-end deadline reference
     // Causal tracing: trace id drawn at arrival from the dedicated seeded
     // stream (drawn whether or not observability is on, so the clock and
     // every counter stay bit-identical either way), plus the request's
@@ -259,7 +251,7 @@ class ShardedKvService {
     // Blame accounting (pure host-side bookkeeping, never charged cycles):
     // where this request's latency went, accumulated across attempts.
     uint64_t wait_cycles = 0;     // admission-queue time
-    uint64_t backoff_cycles = 0;  // client retry backoff (incl. hung deadline)
+    uint64_t backoff_cycles = 0;  // client retry backoff
     uint64_t serve_cycles = 0;    // actual service time
     uint64_t park_cycles = 0;     // stamp of the current queue/backoff start
   };
@@ -267,9 +259,6 @@ class ShardedKvService {
   void SetupShards();
   void ApplyFiring(const ChaosFiring& firing, uint64_t tick);
   void PoisonShard(int shard, bool sticky, bool dram_cache, uint64_t tick);
-  // True when the request is finished (served or lost); false = retry queued.
-  bool AttemptRequest(Request& req, uint64_t tick);
-  Status ServeOnce(Shard& shard, const Request& req);
   void RecoverShard(int index, uint64_t tick, const char* cause);
   void MachineCrashRecover(uint64_t tick);
   void LogNote(const std::string& line) {
@@ -279,20 +268,24 @@ class ShardedKvService {
   }
   void BringUp(int index);  // launch + open + map (no timing)
   bool FaultActive() const;
+  uint64_t QueuedRequests() const;  // summed over every shard's admission queue
 
-  // --- open-loop mode ------------------------------------------------------
-  ShardServiceReport RunOpenLoop();
+  // A new client request: stamps its arrival and draws its trace id.
+  OpenRequest Arrive(uint64_t key, OpClass cls, uint64_t tick);
   // Routes one offer through breaker + brownout + admission. Sheds go back
   // to the client (retry budget permitting) or become clean rejections.
   void OfferRequest(OpenRequest req, uint64_t tick);
-  // Client-side failure handling shared by every shed/fail path.
-  void ClientRetryOrReject(OpenRequest req, uint64_t tick, uint64_t extra_wait_ticks);
+  // Client-side handling shared by every shed (`refused`) and failure path:
+  // retry, or give up by the rule in the header comment.
+  void ClientRetryOrReject(OpenRequest req, uint64_t tick, bool refused);
   // One shard's serving tick: expire overdue queue heads, then serve up to
   // slots_per_tick requests. Heartbeats are NOT sent here -- they are
   // out-of-band in the supervisor loop, so a saturated or shedding shard
   // still beats (the watchdog-vs-overload regression, tests/chaos/).
   void ServeTick(int index, uint64_t tick);
-  Status ServeOpen(Shard& shard, const OpenRequest& req);
+  // Serves `req` on shard `index` (which must be up), then completes it.
+  void ServeRequest(int index, OpenRequest& req);
+  Status Serve(Shard& shard, const OpenRequest& req);
   // Drains a dead shard's queue back to the clients (fail-fast).
   void FailQueued(int index, uint64_t tick);
   double BrownoutSignal(int index) const;
@@ -303,23 +296,22 @@ class ShardedKvService {
     return (key / static_cast<uint64_t>(config_.shards)) * config_.record_bytes;
   }
 
-  // --- causal tracing + tail attribution -----------------------------------
-  // Completes one request: root span + exemplar decision (observer), latency
-  // histograms, and the per-shard slowest-sample pool the blame table is
-  // computed from. `kind` is the root op (kv_get/kv_put/kv_scan).
-  void FinishRequest(TraceKind kind, int shard, uint64_t trace_id, uint64_t first_arrival_cycles,
-                     uint64_t wait_cycles, uint64_t backoff_cycles, uint64_t serve_cycles);
+  // --- completion, causal tracing + tail attribution ------------------------
+  // Completes one served request: latency histograms, the per-shard
+  // slowest-sample pool the blame table is computed from, the root span +
+  // exemplar decision (observer), and the shard's time-to-first-served.
+  void FinishRequest(int index, const OpenRequest& req);
   // Reduces the sample pools into report_.tail and publishes it to the
   // observer for the procfs `tailstat` section.
   void FinalizeTail();
-  // One MetricSample per supervisor tick (no-op unless obs metrics are on).
+  // One MetricSample per supervisor tick (no-op unless tracing is on).
   void PushTickMetric(uint64_t tick, uint64_t queue_depth, uint64_t pending_retries,
                       uint32_t arrivals);
-  // Closes an open park window (admission queue or retry backoff): folds the
-  // elapsed cycles into `acc_cycles` and records an admission_wait/retry_wait
-  // child span under the request's root. `park_cycles` is reset to 0.
-  void ClosePark(uint64_t& park_cycles, uint64_t& acc_cycles, uint64_t trace_id,
-                 uint32_t& next_span, TraceKind kind);
+  // Closes the request's open park window (admission queue or retry
+  // backoff): folds the elapsed cycles into `acc_cycles` (one of its blame
+  // fields) and records an admission_wait/retry_wait child span under its
+  // root. `req.park_cycles` is reset to 0.
+  void ClosePark(OpenRequest& req, uint64_t& acc_cycles, TraceKind kind);
 
   System& sys_;
   ShardServiceConfig config_;
@@ -333,13 +325,12 @@ class ShardedKvService {
   // streams, and the same (workload, seed) replays the same ids bit-for-bit.
   Rng trace_rng_;
   ZipfGenerator zipf_;
-  std::vector<Request> pending_;  // retry queue, arrival order preserved
   ShardServiceReport report_;
   int num_cpus_ = 1;
 
-  // Open-loop state (built only when config.arrival.enabled).
-  std::unique_ptr<ArrivalProcess> arrival_;
-  std::unique_ptr<RetryBudget> retry_budget_;
+  ArrivalProcess arrival_;
+  RetryBudget retry_budget_;
+  RetryWheel<OpenRequest> retries_;  // client retries awaiting re-offer
   std::vector<AdmissionQueue<OpenRequest>> queues_;   // one per shard
   std::vector<CircuitBreaker> breakers_;              // one per shard
   std::vector<BrownoutController> brownouts_;         // one per shard
@@ -354,7 +345,6 @@ class ShardedKvService {
     double shed_ewma = 0.0;
   };
   std::vector<ShardPressure> pressure_;
-  std::vector<OpenRequest> open_pending_;  // client retries awaiting re-offer
 
   // Tail-attribution pools: per-shard completed-request latency histograms
   // plus a fixed pool of the slowest samples per shard (replace-the-minimum,

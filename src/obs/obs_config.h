@@ -7,7 +7,9 @@
 // The two switches are independent:
 //   * `trace`      -- typed events go into a fixed-capacity overwrite-oldest
 //                     ring (TraceRing); memory is bounded by `ring_capacity`
-//                     regardless of run length.
+//                     regardless of run length. It also keeps the exemplar
+//                     reservoir of slow requests' span trees and the
+//                     per-tick service metrics ring, both fixed-size.
 //   * `histograms` -- per-(op kind, operand-size class) log2-bucket cycle
 //                     histograms (HistogramRegistry); fixed-size arrays, so
 //                     O(1) memory and O(1) per-sample cost.
@@ -41,18 +43,17 @@ struct ObsConfig {
   uint32_t ring_capacity = 1u << 16;
   // Master switch for the latency-histogram registry.
   bool histograms = false;
-  // Exemplar reservoir (request-scoped causal tracing): retain the full span
-  // trees of the slowest requests per (root op, size class), overwrite-oldest.
-  // Requires `trace` (trees are staged off the emit path). All memory is
-  // fixed at construction: per_bucket * max_events trace slots per bucket
-  // plus stage_slots * max_events staging slots.
-  bool exemplars = false;
+  // Exemplar reservoir (request-scoped causal tracing, kept with `trace`):
+  // the full span trees of the slowest requests per (root op, size class),
+  // overwrite-oldest, staged off the emit path. All memory is fixed at
+  // construction: per_bucket * max_events trace slots per bucket plus
+  // stage_slots * max_events staging slots.
   uint32_t exemplar_per_bucket = 4;     // K slowest trees kept per bucket
   uint32_t exemplar_max_events = 96;    // span-tree events retained per tree
   uint32_t exemplar_stage_slots = 1024; // in-flight requests staged at once
-  // Per-tick service metrics ring (queue depth, brownout level, breaker
-  // state, tier occupancy over time) -- same overwrite-oldest discipline.
-  bool metrics = false;
+  // Per-tick service metrics ring (kept with `trace`: queue depth, brownout
+  // level, breaker state, tier occupancy over time) -- same overwrite-oldest
+  // discipline.
   uint32_t metrics_capacity = 1u << 14;
 };
 

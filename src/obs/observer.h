@@ -29,26 +29,20 @@ class Observer {
   explicit Observer(const ObsConfig& config) : config_(config) {
     if (config_.trace) {
       ring_ = std::make_unique<TraceRing>(config_.ring_capacity);
-    }
-    if (config_.histograms) {
-      hist_ = std::make_unique<HistogramRegistry>();
-    }
-    if (config_.exemplars && config_.trace) {
       stager_ = std::make_unique<TraceStager>(config_.exemplar_stage_slots,
                                               config_.exemplar_max_events);
       exemplars_ = std::make_unique<ExemplarReservoir>(config_.exemplar_per_bucket,
                                                        config_.exemplar_max_events);
-    }
-    if (config_.metrics) {
       metrics_ = std::make_unique<MetricsRing>(config_.metrics_capacity);
+    }
+    if (config_.histograms) {
+      hist_ = std::make_unique<HistogramRegistry>();
     }
   }
 
   const ObsConfig& config() const { return config_; }
   bool trace_enabled() const { return ring_ != nullptr; }
   bool hist_enabled() const { return hist_ != nullptr; }
-  bool exemplars_enabled() const { return exemplars_ != nullptr; }
-  bool metrics_enabled() const { return metrics_ != nullptr; }
 
   // True when a span of `kind` would be recorded anywhere (ring or
   // histogram) -- the one branch every disabled instrumentation site costs.
@@ -169,11 +163,10 @@ class Observer {
   // Null when histograms are off.
   HistogramRegistry* hist() { return hist_.get(); }
   const HistogramRegistry* hist() const { return hist_.get(); }
-  // Null when exemplars are off.
+  // Null when tracing is off (as are the stager and the metrics ring).
   ExemplarReservoir* exemplars() { return exemplars_.get(); }
   const ExemplarReservoir* exemplars() const { return exemplars_.get(); }
   const TraceStager* stager() const { return stager_.get(); }
-  // Null when metrics are off.
   MetricsRing* metrics() { return metrics_.get(); }
   const MetricsRing* metrics() const { return metrics_.get(); }
 

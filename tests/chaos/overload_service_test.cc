@@ -1,6 +1,7 @@
-// ShardedKvService in open-loop overload mode: saturation never trips the
+// ShardedKvService under open-loop overload: saturation never trips the
 // watchdog (heartbeats are out-of-band), admission bounds queue depth and
-// sojourn, the protected service loses nothing (sheds are clean rejects),
+// sojourn, the protected service loses nothing (sheds are clean rejects)
+// while the naive one loses the requests it lets expire,
 // brownout climbs under load and restores in reverse, runs replay
 // bit-identically per (arrival, campaign, seed), and the brownout hooks
 // never touch durability (tier writeback of dirty data still runs).
@@ -75,6 +76,22 @@ TEST(OverloadServiceTest, ProtectedOverloadLosesNothing) {
   for (const ShardOverloadStats& st : ov.per_shard) {
     EXPECT_EQ(st.breaker_transitions, 0u) << st.breaker_timeline;
   }
+}
+
+TEST(OverloadServiceTest, NaiveOverloadCountsGiveUpsAsLost) {
+  // 3x capacity with every protection off: nothing refuses a request, so
+  // queued requests expire, retry and expire again until their attempts run
+  // out -- and each of those give-ups is a lost request, not a clean reject.
+  // 6000 arrivals build a backlog that outlasts all eight attempts' backoffs.
+  ShardServiceConfig config = OverloadService(36.0);
+  config.ops = 6000;
+  config.overload = OverloadConfig{};
+  ShardServiceReport report = RunService(ServiceMachine(), config);
+  const OverloadReport& ov = report.overload;
+  EXPECT_GT(report.ops_lost, 0u);
+  EXPECT_EQ(ov.rejected_final, 0u);  // no refusals without a protection stack
+  EXPECT_EQ(ov.served + ov.rejected_final + report.ops_lost, ov.arrivals);
+  EXPECT_EQ(report.verify_failures, 0u);
 }
 
 TEST(OverloadServiceTest, LightLoadShedsNothing) {
@@ -175,8 +192,8 @@ TEST(OverloadServiceTest, SameSeedReplaysBitIdentically) {
   EXPECT_EQ(oa.sheds, ob.sheds);
   EXPECT_EQ(oa.rejected_final, ob.rejected_final);
   EXPECT_EQ(oa.retry_budget_denials, ob.retry_budget_denials);
-  EXPECT_EQ(oa.admitted_latency.count(), ob.admitted_latency.count());
-  EXPECT_EQ(oa.admitted_latency.Percentile(99), ob.admitted_latency.Percentile(99));
+  EXPECT_EQ(a.all_latency.count(), b.all_latency.count());
+  EXPECT_EQ(a.all_latency.Percentile(99), b.all_latency.Percentile(99));
   ASSERT_EQ(oa.per_shard.size(), ob.per_shard.size());
   for (size_t i = 0; i < oa.per_shard.size(); ++i) {
     // Shed decisions and the breaker timeline replay bit-identically.

@@ -116,8 +116,6 @@ SystemConfig ServiceMachine(bool traced) {
   if (traced) {
     config.machine.obs.histograms = true;
     config.machine.obs.trace = true;
-    config.machine.obs.exemplars = true;
-    config.machine.obs.metrics = true;
   }
   return config;
 }

@@ -19,7 +19,9 @@
 namespace o1mem {
 namespace {
 
-enum class FsKind { kTmpfs, kPmfsEager, kPmfsEpoch };
+// 64-bit so Param has no padding: gtest prints a Param's raw bytes into each
+// case's listed name, and padding bytes would make that name vary per run.
+enum class FsKind : uint64_t { kTmpfs, kPmfsEager, kPmfsEpoch };
 
 struct Param {
   FsKind fs;
