@@ -198,10 +198,22 @@ Result<PrecreatedTables> FomManager::LoadSidecar(InodeId inode, uint64_t file_by
   return RehydratePrecreatedTables(page_paddrs, file_bytes);
 }
 
+const PrecreatedTables* FomManager::CacheTables(InodeId inode, PrecreatedTables tables) {
+  auto generation = pmfs_->ExtentGeneration(inode);
+  O1_CHECK(generation.ok());
+  tables.extent_generation = *generation;
+  return &tables_.insert_or_assign(inode, std::move(tables)).first->second;
+}
+
 Result<const PrecreatedTables*> FomManager::TablesFor(InodeId inode) {
-  auto it = tables_.find(inode);
-  if (it != tables_.end()) {
-    return const_cast<const PrecreatedTables*>(&it->second);
+  if (auto it = tables_.find(inode); it != tables_.end()) {
+    auto generation = pmfs_->ExtentGeneration(inode);
+    if (generation.ok() && *generation == it->second.extent_generation) {
+      return const_cast<const PrecreatedTables*>(&it->second);
+    }
+    // The file was resized since: the set would splice in blocks it no
+    // longer owns, or miss the ones it gained.
+    tables_.erase(it);
   }
   auto extents = pmfs_->Extents(inode);
   if (!extents.ok()) {
@@ -215,9 +227,7 @@ Result<const PrecreatedTables*> FomManager::TablesFor(InodeId inode) {
   if (stat->persistent) {
     // O(1) first map after reboot: rehydrate the NVM-resident tables.
     if (auto loaded = LoadSidecar(inode, file_bytes, *extents); loaded.ok()) {
-      auto [inserted, ok] = tables_.emplace(inode, std::move(loaded).value());
-      O1_CHECK(ok);
-      return const_cast<const PrecreatedTables*>(&inserted->second);
+      return CacheTables(inode, std::move(loaded).value());
     }
   }
   auto tables = BuildPrecreatedTables(&machine_->ctx(), &machine_->phys(), *extents,
@@ -225,12 +235,11 @@ Result<const PrecreatedTables*> FomManager::TablesFor(InodeId inode) {
   if (!tables.ok()) {
     return tables.status();
   }
-  auto [inserted, ok] = tables_.emplace(inode, std::move(tables).value());
-  O1_CHECK(ok);
+  const PrecreatedTables* cached = CacheTables(inode, std::move(tables).value());
   if (stat->persistent) {
-    WriteSidecar(inode, inserted->second);
+    WriteSidecar(inode, *cached);
   }
-  return const_cast<const PrecreatedTables*>(&inserted->second);
+  return cached;
 }
 
 Result<Vaddr> FomManager::PickVaddr(FomProcess& proc, uint64_t bytes, const MapOptions& options,
@@ -473,6 +482,11 @@ Status FomManager::Protect(FomProcess& proc, Vaddr vaddr, Prot prot) {
       if (!tables.ok()) {
         return tables.status();
       }
+      // A segment shrunk since it was mapped has no table nodes for the
+      // mapping's tail; refuse before unsplicing anything.
+      if ((*tables)->file_bytes < m.bytes) {
+        return NotFound("segment shrank under its splice mapping");
+      }
       const std::vector<NodeRef>& l1 = (*tables)->ForProt(prot);
       const std::vector<NodeRef>& l2 = (*tables)->ForProtL2(prot);
       for (const auto& [at, level] : m.splices) {
@@ -553,7 +567,7 @@ Status FomManager::OnCrash() {
     }
     const uint64_t file_bytes = AlignUp(stat->size, kPageSize);
     if (auto loaded = LoadSidecar(segment, file_bytes, *extents); loaded.ok()) {
-      tables_.emplace(segment, std::move(loaded).value());
+      CacheTables(segment, std::move(loaded).value());
       continue;
     }
     // Checksum or extent mismatch: rebuild transparently. The rebuilt set
@@ -564,10 +578,9 @@ Status FomManager::OnCrash() {
     if (!rebuilt.ok()) {
       continue;
     }
-    auto [inserted, ok] = tables_.emplace(segment, std::move(rebuilt).value());
-    O1_CHECK(ok);
+    const PrecreatedTables* cached = CacheTables(segment, std::move(rebuilt).value());
     if (!read_only) {
-      WriteSidecar(segment, inserted->second);
+      WriteSidecar(segment, *cached);
     }
   }
   return OkStatus();

@@ -192,7 +192,11 @@ class FomManager {
   Result<const PrecreatedTables*> Tables(InodeId inode) { return TablesFor(inode); }
 
  private:
+  // Returns the cached set while the file's extents are unchanged since it
+  // was built; otherwise loads the sidecar or rebuilds.
   Result<const PrecreatedTables*> TablesFor(InodeId inode);
+  // Caches `tables` for `inode`, stamped with the file's extent generation.
+  const PrecreatedTables* CacheTables(InodeId inode, PrecreatedTables tables);
 
   // --- NVM table sidecars --------------------------------------------------
   // A persistent segment's pre-created tables are serialized into a

@@ -34,6 +34,9 @@ struct PrecreatedTables {
   std::vector<NodeRef> read_only_l2;
   std::vector<NodeRef> read_write_l2;
   uint64_t file_bytes = 0;
+  // The file's Pmfs extent generation when the set was built or loaded; a
+  // set whose file has since changed extents is stale.
+  uint64_t extent_generation = 0;
 
   size_t window_count() const { return read_write.size(); }
   size_t l2_group_count() const { return read_write_l2.size(); }

@@ -5,7 +5,10 @@
 //
 // Extent allocation uses next-fit with a roving hint, which keeps typical
 // allocations O(1)-ish when the device is far from full -- exactly the
-// regime the paper says file systems are optimized for.
+// regime the paper says file systems are optimized for. The bits are packed
+// into 64-bit words and every scan, mark and check runs a word at a time, so
+// the host cost of an extent operation follows its word count, not its
+// block count.
 #ifndef O1MEM_SRC_FS_BLOCK_BITMAP_H_
 #define O1MEM_SRC_FS_BLOCK_BITMAP_H_
 
@@ -50,21 +53,24 @@ class BlockBitmap {
   // the surviving extent trees). Linear scan cost charged.
   Status Reset(const std::vector<bool>& allocated);
   uint64_t free_blocks() const { return free_blocks_; }
-  uint64_t block_count() const { return bits_.size(); }
+  uint64_t block_count() const { return block_count_; }
 
-  // Longest free run (O(n); diagnostics and fragmentation studies only).
+  // Longest free run (a full scan; diagnostics and fragmentation studies
+  // only).
   uint64_t LargestFreeRun() const;
 
  private:
-  // Scans [from, limit) for a free run of `count`; returns start or nullopt.
+  // Scans [from, limit) for the lowest free run of `count`; returns its
+  // start or nullopt.
   std::optional<uint64_t> FindRun(uint64_t from, uint64_t limit, uint64_t count) const;
-  // Longest free run starting in [from, limit), capped at `cap`.
+  // Longest free run in [from, limit) (the lowest on ties), capped at `cap`.
   BlockExtent BestRun(uint64_t from, uint64_t limit, uint64_t cap) const;
 
   void Mark(BlockExtent extent, bool allocated);
 
   SimContext* ctx_;
-  std::vector<bool> bits_;  // true = allocated
+  uint64_t block_count_;
+  std::vector<uint64_t> words_;  // bit b of word w set = block 64w+b allocated
   uint64_t free_blocks_;
   uint64_t hint_ = 0;  // next-fit roving pointer
 };

@@ -40,6 +40,7 @@ Status ExtentTree::Insert(uint64_t file_offset, Paddr paddr, uint64_t bytes) {
   }
   extents_.emplace(merged.file_offset, merged);
   mapped_bytes_ += bytes;
+  ++generation_;
   return OkStatus();
 }
 
@@ -81,6 +82,9 @@ std::vector<FileExtent> ExtentTree::TruncateFrom(uint64_t file_offset) {
     released.push_back(it->second);
     mapped_bytes_ -= it->second.bytes;
     it = extents_.erase(it);
+  }
+  if (!released.empty()) {
+    ++generation_;
   }
   return released;
 }

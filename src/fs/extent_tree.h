@@ -53,11 +53,15 @@ class ExtentTree {
 
   size_t extent_count() const { return extents_.size(); }
   uint64_t mapped_bytes() const { return mapped_bytes_; }
+  // Bumped by every change to the mapping: an Insert, or a TruncateFrom
+  // that releases something.
+  uint64_t generation() const { return generation_; }
 
  private:
   SimContext* ctx_;
   std::map<uint64_t, FileExtent> extents_;  // keyed by file_offset
   uint64_t mapped_bytes_ = 0;
+  uint64_t generation_ = 0;
 };
 
 }  // namespace o1mem

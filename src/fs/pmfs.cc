@@ -984,6 +984,11 @@ Result<std::vector<FileExtentView>> Pmfs::Extents(InodeId id) {
   return out;
 }
 
+Result<uint64_t> Pmfs::ExtentGeneration(InodeId id) {
+  O1_ASSIGN_OR_RETURN(Inode * inode, Get(id));
+  return inode->extents.generation();
+}
+
 Result<FileStat> Pmfs::Stat(InodeId id) {
   O1_ASSIGN_OR_RETURN(Inode * inode, Get(id));
   FileStat st;

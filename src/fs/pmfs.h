@@ -137,6 +137,10 @@ class Pmfs : public FileSystem {
 
   Result<BackingProvider*> Provider(InodeId id) override;
   Result<std::vector<FileExtentView>> Extents(InodeId id) override;
+  // Changes whenever the file's extents do (grow, shrink, journal replay),
+  // so a structure built from Extents() can tell in O(1) that it went
+  // stale. Uncharged.
+  Result<uint64_t> ExtentGeneration(InodeId id);
 
   Result<FileStat> Stat(InodeId id) override;
   uint64_t free_bytes() const override;

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "src/sim/fault_injector.h"
+#include "src/support/bits.h"
 
 namespace o1mem {
 
@@ -123,16 +124,7 @@ PhysicalMemory::DirNode& PhysicalMemory::EnsureNode(uint64_t node_idx) {
 }
 
 void PhysicalMemory::MaterializeFrames(DirNode& node, uint64_t first, uint64_t count) {
-  while (count > 0) {
-    const uint64_t word = first >> 6;
-    const uint64_t bit = first & 63;
-    const uint64_t take = std::min<uint64_t>(count, 64 - bit);
-    const uint64_t mask = (take == 64 ? ~uint64_t{0} : ((uint64_t{1} << take) - 1) << bit);
-    materialized_ += static_cast<uint64_t>(std::popcount(mask & ~node.live[word]));
-    node.live[word] |= mask;
-    first += take;
-    count -= take;
-  }
+  materialized_ += AssignBits(node.live, first, count, true);
 }
 
 const uint8_t* PhysicalMemory::FindPage(Paddr paddr) const {
@@ -250,20 +242,39 @@ Status PhysicalMemory::ZeroUncharged(Paddr paddr, uint64_t len) {
   }
   ShadowBeforeWrite(paddr, len, NoteNvmWrite(paddr, len));
   ctx_->counters().bytes_zeroed += len;
-  uint64_t done = 0;
-  while (done < len) {
-    const Paddr cur = paddr + done;
-    const uint64_t in_page = std::min<uint64_t>(kPageSize - (cur & (kPageSize - 1)), len - done);
-    // Whole never-materialized pages can stay unmaterialized: they already
-    // read as zero. Partially covered pages materialize (the slab bytes are
-    // already zero by invariant); existing pages are cleared in place.
-    uint8_t* page = FindPageMut(cur);
-    if (page != nullptr) {
-      std::memset(page + (cur & (kPageSize - 1)), 0, in_page);
-    } else if (in_page != kPageSize) {
-      (void)EnsurePage(cur);
+  // Partially covered pages materialize (the slab bytes are already zero by
+  // invariant); existing ones are cleared in place.
+  auto zero_partial = [this](Paddr at, uint64_t bytes) {
+    if (bytes == 0) {
+      return;
     }
-    done += in_page;
+    if (uint8_t* page = FindPageMut(at); page != nullptr) {
+      std::memset(page + (at & (kPageSize - 1)), 0, bytes);
+    } else {
+      (void)EnsurePage(at);
+    }
+  };
+  const Paddr end = paddr + len;
+  const Paddr whole_begin = std::min(AlignUp(paddr, kPageSize), end);
+  const Paddr whole_end = std::max(AlignDown(end, kPageSize), whole_begin);
+  zero_partial(paddr, whole_begin - paddr);
+  zero_partial(whole_end, end - whole_end);
+  // Whole never-materialized pages can stay unmaterialized: they already
+  // read as zero. So each node's live words pick out the runs of frames to
+  // clear, and absent nodes are skipped outright.
+  const uint64_t last = whole_end >> kPageShift;
+  for (uint64_t frame = whole_begin >> kPageShift; frame < last;) {
+    const uint64_t node_first = AlignDown(frame, kDirFanout);
+    const uint64_t node_end = std::min(node_first + kDirFanout, last);
+    if (DirNode* node = dir_[frame >> kDirShift].get(); node != nullptr) {
+      const uint64_t limit = node_end - node_first;
+      for (uint64_t f = FindBit(node->live, frame - node_first, limit, true); f < limit;) {
+        const uint64_t run_end = FindBit(node->live, f, limit, false);
+        std::memset(node->data.get() + (f << kPageShift), 0, (run_end - f) << kPageShift);
+        f = FindBit(node->live, run_end, limit, true);
+      }
+    }
+    frame = node_end;
   }
   return OkStatus();
 }

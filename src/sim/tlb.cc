@@ -1,5 +1,7 @@
 #include "src/sim/tlb.h"
 
+#include <algorithm>
+
 #include "src/support/check.h"
 
 namespace o1mem {
@@ -57,6 +59,13 @@ void Tlb::Insert(Asid asid, Vaddr vbase, Paddr pbase, uint64_t page_bytes, Prot 
       victim = base + static_cast<size_t>(w);
     }
   }
+  if (slots_[victim].valid) {
+    --valid_per_asid_[slots_[victim].asid];
+  }
+  if (asid >= valid_per_asid_.size()) {
+    valid_per_asid_.resize(static_cast<size_t>(asid) + 1, 0);
+  }
+  ++valid_per_asid_[asid];
   slots_[victim] = TlbEntry{.valid = true,
                             .asid = asid,
                             .vbase = vbase,
@@ -75,6 +84,7 @@ int Tlb::InvalidatePage(Asid asid, Vaddr vaddr) {
       TlbEntry& e = slots_[base + static_cast<size_t>(w)];
       if (e.valid && e.asid == asid && e.page_bytes == page_bytes && e.vbase == vbase) {
         e.valid = false;
+        --valid_per_asid_[asid];
         ++dropped;
       }
     }
@@ -83,10 +93,17 @@ int Tlb::InvalidatePage(Asid asid, Vaddr vaddr) {
 }
 
 int Tlb::InvalidateRange(Asid asid, Vaddr vaddr, uint64_t len) {
+  if (ValidCount(asid) == 0) {
+    return 0;
+  }
+  // The scan stops once the ASID has no valid entry left to drop.
+  uint32_t& remaining = valid_per_asid_[asid];
   int dropped = 0;
-  for (TlbEntry& e : slots_) {
+  for (auto it = slots_.begin(); remaining > 0 && it != slots_.end(); ++it) {
+    TlbEntry& e = *it;
     if (e.valid && e.asid == asid && e.vbase < vaddr + len && vaddr < e.vbase + e.page_bytes) {
       e.valid = false;
+      --remaining;
       ++dropped;
     }
   }
@@ -94,17 +111,22 @@ int Tlb::InvalidateRange(Asid asid, Vaddr vaddr, uint64_t len) {
 }
 
 void Tlb::InvalidateAsid(Asid asid) {
+  if (ValidCount(asid) == 0) {
+    return;
+  }
   for (TlbEntry& e : slots_) {
     if (e.asid == asid) {
       e.valid = false;
     }
   }
+  valid_per_asid_[asid] = 0;
 }
 
 void Tlb::InvalidateAll() {
   for (TlbEntry& e : slots_) {
     e.valid = false;
   }
+  std::fill(valid_per_asid_.begin(), valid_per_asid_.end(), 0);
 }
 
 RangeTlb::RangeTlb(int entries) {

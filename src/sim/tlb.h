@@ -42,7 +42,9 @@ class Tlb {
 
   // Invalidation (shootdown targets). InvalidatePage removes any entry whose
   // page contains `vaddr`; InvalidateRange removes entries overlapping the
-  // span; both return the number of entries dropped.
+  // span; both return the number of entries dropped. InvalidateRange and
+  // InvalidateAsid return at once for an ASID holding no valid entry, so a
+  // shootdown costs the host nothing on a TLB holding none of its entries.
   int InvalidatePage(Asid asid, Vaddr vaddr);
   int InvalidateRange(Asid asid, Vaddr vaddr, uint64_t len);
   void InvalidateAsid(Asid asid);
@@ -52,11 +54,18 @@ class Tlb {
 
  private:
   size_t SetBase(Vaddr vbase, uint64_t page_bytes) const;
+  uint32_t ValidCount(Asid asid) const {
+    return asid < valid_per_asid_.size() ? valid_per_asid_[asid] : 0;
+  }
 
   int ways_;
   int sets_;
   uint64_t tick_ = 0;
   std::vector<TlbEntry> slots_;
+  // Valid entries held per ASID, indexed by ASID (Machine hands ASIDs out
+  // densely from 1). Kept exact by Insert, including when it evicts another
+  // ASID's entry, and by every invalidation.
+  std::vector<uint32_t> valid_per_asid_;
 };
 
 // Fully associative, LRU-replaced cache of range-table entries (the "range

@@ -168,6 +168,67 @@ TEST_F(FomEdgeTest, SpliceFixedVaddrMisalignmentRejected) {
   EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
 }
 
+// A resize changes the file's extents, so a splice map must not reuse the
+// table set cached for the old ones: a shrunk segment must not translate
+// into the blocks it freed, and a grown one must translate its new tail.
+TEST_F(FomEdgeTest, SpliceAfterShrinkDoesNotReachFreedBlocks) {
+  auto inode = fom_.CreateSegment("/resize/shrunk", 4 * kMiB,
+                                  SegmentOptions{.flags = FileFlags{.persistent = true}});
+  ASSERT_TRUE(inode.ok());
+  const MapOptions splice{.mechanism = MapMechanism::kPtSplice};
+  auto before = fom_.Map(*proc_, *inode, Prot::kReadWrite, splice);
+  ASSERT_TRUE(before.ok());
+  ASSERT_TRUE(fom_.Unmap(*proc_, *before).ok());
+  ASSERT_TRUE(pmfs_.Resize(*inode, 8 * kKiB).ok());
+
+  auto vaddr = fom_.Map(*proc_, *inode, Prot::kReadWrite, splice);
+  ASSERT_TRUE(vaddr.ok());
+  const Paddr base = pmfs_.Extents(*inode)->front().paddr;
+  auto kept =
+      machine_.mmu().Translate(proc_->address_space(), *vaddr + kPageSize, AccessType::kRead);
+  ASSERT_TRUE(kept.ok());
+  EXPECT_EQ(kept->paddr, base + kPageSize);
+  auto freed = machine_.mmu().Translate(proc_->address_space(), *vaddr + kMiB, AccessType::kRead);
+  EXPECT_FALSE(freed.ok()) << "translated into a freed block at paddr " << freed->paddr;
+  // The persistent segment's sidecar was validated and rewritten for the
+  // new size: header plus one paddr per page.
+  auto sidecar = pmfs_.LookupPath("/.fom/tables/" + std::to_string(*inode));
+  ASSERT_TRUE(sidecar.ok());
+  EXPECT_EQ(pmfs_.Stat(*sidecar)->size, 40u + 2 * 8);
+}
+
+TEST_F(FomEdgeTest, SpliceAfterGrowMapsTheNewTail) {
+  auto inode = fom_.CreateSegment("/resize/grown", 4 * kMiB);
+  ASSERT_TRUE(inode.ok());
+  const MapOptions splice{.mechanism = MapMechanism::kPtSplice};
+  auto before = fom_.Map(*proc_, *inode, Prot::kReadWrite, splice);
+  ASSERT_TRUE(before.ok());
+  ASSERT_TRUE(fom_.Unmap(*proc_, *before).ok());
+  ASSERT_TRUE(pmfs_.Resize(*inode, 6 * kMiB).ok());
+
+  auto vaddr = fom_.Map(*proc_, *inode, Prot::kReadWrite, splice);
+  ASSERT_TRUE(vaddr.ok());
+  auto tail =
+      machine_.mmu().Translate(proc_->address_space(), *vaddr + 5 * kMiB, AccessType::kRead);
+  ASSERT_TRUE(tail.ok());
+  const auto extents = pmfs_.Extents(*inode).value();
+  for (const FileExtentView& e : extents) {
+    if (e.file_offset <= 5 * kMiB && 5 * kMiB < e.file_offset + e.bytes) {
+      EXPECT_EQ(tail->paddr, e.paddr + (5 * kMiB - e.file_offset));
+    }
+  }
+}
+
+TEST_F(FomEdgeTest, ProtectAfterShrinkUnderSpliceMappingIsRejected) {
+  auto inode = fom_.CreateSegment("/resize/mapped", 4 * kMiB);
+  ASSERT_TRUE(inode.ok());
+  auto vaddr = fom_.Map(*proc_, *inode, Prot::kReadWrite,
+                        MapOptions{.mechanism = MapMechanism::kPtSplice});
+  ASSERT_TRUE(vaddr.ok());
+  ASSERT_TRUE(pmfs_.Resize(*inode, 8 * kKiB).ok());
+  EXPECT_EQ(fom_.Protect(*proc_, *vaddr, Prot::kRead).code(), StatusCode::kNotFound);
+}
+
 TEST_F(FomEdgeTest, ExitProcessIdempotentOnEmptyProcess) {
   auto fresh = fom_.CreateProcess();
   EXPECT_TRUE(fom_.ExitProcess(*fresh).ok());

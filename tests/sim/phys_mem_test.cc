@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "src/sim/context.h"
@@ -110,6 +111,36 @@ TEST_F(PhysMemTest, PeekPokeUncharged) {
   mem_.PokeByte(77, 5);
   EXPECT_EQ(mem_.PeekByte(77), 5);
   EXPECT_EQ(ctx_.now(), t0);
+}
+
+// ZeroUncharged walks whole pages through each 2 MiB node's live bits. A
+// span from node 0 into the never-touched node 1, with live and
+// never-written frames interleaved, must still read back all zero, count
+// every byte, and materialize only the partial pages that were not live.
+TEST_F(PhysMemTest, ZeroAcrossIntoAbsentNodeClearsLiveFramesOnly) {
+  constexpr uint64_t kNode = 2 * kMiB;
+  const Paddr start = kNode - 5 * kPageSize - 100;  // last 100 bytes of frame 506
+  const Paddr end = kNode + 3 * kPageSize + 200;    // first 200 bytes of frame 515
+  const std::vector<uint8_t> pattern(kPageSize, 0xab);
+  for (const uint64_t frame : {506u, 507u, 509u}) {  // 508, 510, 511: never written
+    ASSERT_TRUE(mem_.Write(frame * kPageSize, pattern).ok());
+  }
+  const uint64_t materialized = mem_.materialized_pages();
+  const uint64_t zeroed = ctx_.counters().bytes_zeroed;
+
+  ASSERT_TRUE(mem_.ZeroUncharged(start, end - start).ok());
+
+  std::vector<uint8_t> out(end - start, 0xff);
+  ASSERT_TRUE(mem_.Read(start, out).ok());
+  EXPECT_EQ(std::count(out.begin(), out.end(), 0), static_cast<std::ptrdiff_t>(out.size()));
+  EXPECT_EQ(ctx_.counters().bytes_zeroed - zeroed, end - start);
+  // The live head page keeps its bytes before the span; only the tail
+  // page (partial and never written) became materialized.
+  EXPECT_EQ(mem_.PeekByte(start - 1), 0xab);
+  EXPECT_EQ(mem_.materialized_pages(), materialized + 1);
+  EXPECT_NE(mem_.FastSpan(end, 1, AccessType::kRead), nullptr);
+  EXPECT_EQ(mem_.FastSpan(508 * kPageSize, 1, AccessType::kRead), nullptr);
+  EXPECT_EQ(mem_.FastSpan(kNode, 1, AccessType::kRead), nullptr);
 }
 
 }  // namespace

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <span>
+#include <vector>
+
+#include "src/support/rng.h"
+
 namespace o1mem {
 namespace {
 
@@ -112,6 +118,200 @@ TEST(RangeTlbTest, InvalidateRange) {
   EXPECT_EQ(rtlb.InvalidateRange(1, kMiB / 2, kMiB), 1);
   EXPECT_FALSE(rtlb.Lookup(1, kMiB / 2).has_value());
   EXPECT_TRUE(rtlb.Lookup(1, 2 * kMiB).has_value());
+}
+
+// Tlb keeps a count of valid entries per ASID and skips invalidations for an
+// ASID with none. An ASID whose last entry was evicted by another ASID's
+// Insert reads zero; once re-inserted, both invalidations must drop it.
+TEST(TlbTest, AsidEvictedByAnotherAsidIsStillInvalidatedAfterReinsert) {
+  Tlb tlb(4, 4);  // one set, four ways
+  tlb.Insert(1, 0, 0x1000, kPageSize, Prot::kRead);
+  for (int i = 1; i <= 4; ++i) {
+    tlb.Insert(2, static_cast<Vaddr>(i) * kPageSize, 0, kPageSize, Prot::kRead);
+  }
+  EXPECT_FALSE(tlb.Lookup(1, 0).has_value());
+  EXPECT_EQ(tlb.InvalidateRange(1, 0, kGiB), 0);
+
+  tlb.Insert(1, 0, 0x1000, kPageSize, Prot::kRead);  // evicts one of ASID 2's
+  EXPECT_EQ(tlb.InvalidateRange(1, 0, kPageSize), 1);
+  EXPECT_FALSE(tlb.Lookup(1, 0).has_value());
+
+  tlb.Insert(1, 0, 0x1000, kPageSize, Prot::kRead);
+  tlb.InvalidateAsid(1);
+  EXPECT_FALSE(tlb.Lookup(1, 0).has_value());
+  EXPECT_EQ(tlb.InvalidateRange(2, 0, kGiB), 3);
+}
+
+// Brute-force model: the same set-associative LRU TLB with every
+// invalidation scanning every slot, as Tlb did before it counted entries.
+class BruteForceTlb {
+ public:
+  BruteForceTlb(int entries, int ways)
+      : ways_(ways), sets_(entries / ways), slots_(static_cast<size_t>(entries)) {}
+
+  std::optional<TlbEntry> Lookup(Asid asid, Vaddr vaddr) {
+    ++tick_;
+    for (uint64_t page_bytes : {kPageSize, kLargePageSize, kHugePageSize}) {
+      const Vaddr vbase = AlignDown(vaddr, page_bytes);
+      for (TlbEntry& e : Set(vbase, page_bytes)) {
+        if (e.valid && e.asid == asid && e.page_bytes == page_bytes && e.vbase == vbase) {
+          e.lru_tick = tick_;
+          return e;
+        }
+      }
+    }
+    return std::nullopt;
+  }
+
+  void Insert(Asid asid, Vaddr vbase, Paddr pbase, uint64_t page_bytes, Prot prot) {
+    ++tick_;
+    const std::span<TlbEntry> set = Set(vbase, page_bytes);
+    TlbEntry* victim = &set.front();
+    uint64_t oldest = UINT64_MAX;
+    for (TlbEntry& e : set) {
+      if (e.valid && e.asid == asid && e.page_bytes == page_bytes && e.vbase == vbase) {
+        victim = &e;
+        break;
+      }
+      if (!e.valid) {
+        victim = &e;
+        oldest = 0;
+        continue;
+      }
+      if (e.lru_tick < oldest) {
+        oldest = e.lru_tick;
+        victim = &e;
+      }
+    }
+    *victim = TlbEntry{.valid = true,
+                       .asid = asid,
+                       .vbase = vbase,
+                       .pbase = pbase,
+                       .page_bytes = page_bytes,
+                       .prot = prot,
+                       .lru_tick = tick_};
+  }
+
+  int InvalidatePage(Asid asid, Vaddr vaddr) {
+    int dropped = 0;
+    for (TlbEntry& e : slots_) {
+      if (e.valid && e.asid == asid && e.vbase == AlignDown(vaddr, e.page_bytes)) {
+        e.valid = false;
+        ++dropped;
+      }
+    }
+    return dropped;
+  }
+
+  int InvalidateRange(Asid asid, Vaddr vaddr, uint64_t len) {
+    int dropped = 0;
+    for (TlbEntry& e : slots_) {
+      if (e.valid && e.asid == asid && e.vbase < vaddr + len && vaddr < e.vbase + e.page_bytes) {
+        e.valid = false;
+        ++dropped;
+      }
+    }
+    return dropped;
+  }
+
+  void InvalidateAsid(Asid asid) {
+    for (TlbEntry& e : slots_) {
+      e.valid = e.valid && e.asid != asid;
+    }
+  }
+
+  void InvalidateAll() {
+    for (TlbEntry& e : slots_) {
+      e.valid = false;
+    }
+  }
+
+ private:
+  std::span<TlbEntry> Set(Vaddr vbase, uint64_t page_bytes) {
+    const uint64_t set =
+        ((vbase / page_bytes) ^ (page_bytes >> kPageShift)) % static_cast<uint64_t>(sets_);
+    return std::span<TlbEntry>(slots_).subspan(set * static_cast<uint64_t>(ways_),
+                                               static_cast<size_t>(ways_));
+  }
+
+  int ways_;
+  int sets_;
+  uint64_t tick_ = 0;
+  std::vector<TlbEntry> slots_;
+};
+
+void ExpectSameEntry(const std::optional<TlbEntry>& got, const std::optional<TlbEntry>& want) {
+  ASSERT_EQ(got.has_value(), want.has_value());
+  if (want.has_value()) {
+    ASSERT_EQ(got->asid, want->asid);
+    ASSERT_EQ(got->vbase, want->vbase);
+    ASSERT_EQ(got->pbase, want->pbase);
+    ASSERT_EQ(got->page_bytes, want->page_bytes);
+    ASSERT_EQ(got->prot, want->prot);
+    ASSERT_EQ(got->lru_tick, want->lru_tick);
+  }
+}
+
+// The op mix maps 4 KiB pages in the first 48 pages and 2 MiB pages at 2 and
+// 4 MiB, so the sets stay full and inserts evict across ASIDs.
+constexpr uint64_t kSmallPages = 48;
+
+// Every translation either TLB could hold, probed on copies so the probes
+// leave the LRU state of the originals alone.
+void ExpectSameContents(const Tlb& tlb, const BruteForceTlb& model) {
+  Tlb probe = tlb;
+  BruteForceTlb probe_model = model;
+  for (Asid asid = 1; asid <= 3; ++asid) {
+    for (uint64_t page = 0; page < kSmallPages + 2; ++page) {
+      const Vaddr vaddr =
+          page < kSmallPages ? page * kPageSize : (page - kSmallPages + 1) * kLargePageSize;
+      ASSERT_NO_FATAL_FAILURE(
+          ExpectSameEntry(probe.Lookup(asid, vaddr), probe_model.Lookup(asid, vaddr)));
+    }
+  }
+}
+
+TEST(TlbTest, SeededOpMixOverThreeAsidsMatchesBruteForceModel) {
+  for (const uint64_t seed : {1u, 2u, 3u}) {
+    Tlb tlb(16, 4);
+    BruteForceTlb model(16, 4);
+    Rng rng(seed);
+    auto pick_page = [&rng](uint64_t& page_bytes) {
+      page_bytes = rng.NextBool(0.15) ? kLargePageSize : kPageSize;
+      return page_bytes == kPageSize ? rng.NextBelow(kSmallPages) * kPageSize
+                                     : rng.NextInRange(1, 2) * kLargePageSize;
+    };
+    for (int op = 0; op < 2000; ++op) {
+      SCOPED_TRACE(::testing::Message() << "seed " << seed << " op " << op);
+      const Asid asid = static_cast<Asid>(rng.NextInRange(1, 3));
+      uint64_t page_bytes = 0;
+      const Vaddr vbase = pick_page(page_bytes);
+      const uint64_t kind = rng.NextBelow(100);
+      if (kind < 50) {
+        const Paddr pbase = rng.NextBelow(1024) * kLargePageSize;
+        const Prot prot = rng.NextBool(0.5) ? Prot::kRead : Prot::kReadWrite;
+        tlb.Insert(asid, vbase, pbase, page_bytes, prot);
+        model.Insert(asid, vbase, pbase, page_bytes, prot);
+      } else if (kind < 70) {
+        const Vaddr vaddr = vbase + rng.NextBelow(page_bytes);
+        ASSERT_NO_FATAL_FAILURE(
+            ExpectSameEntry(tlb.Lookup(asid, vaddr), model.Lookup(asid, vaddr)));
+      } else if (kind < 80) {
+        const Vaddr vaddr = vbase + rng.NextBelow(page_bytes);
+        ASSERT_EQ(tlb.InvalidatePage(asid, vaddr), model.InvalidatePage(asid, vaddr));
+      } else if (kind < 95) {
+        const uint64_t len = rng.NextInRange(1, 3 * kLargePageSize);
+        ASSERT_EQ(tlb.InvalidateRange(asid, vbase, len), model.InvalidateRange(asid, vbase, len));
+      } else if (kind < 99) {
+        tlb.InvalidateAsid(asid);
+        model.InvalidateAsid(asid);
+      } else {
+        tlb.InvalidateAll();
+        model.InvalidateAll();
+      }
+      ASSERT_NO_FATAL_FAILURE(ExpectSameContents(tlb, model));
+    }
+  }
 }
 
 }  // namespace
