@@ -61,13 +61,7 @@ ForkCosts MeasureFom(uint64_t bytes) {
   return costs;
 }
 
-}  // namespace
-}  // namespace o1mem
-
-int main(int argc, char** argv) {
-  using namespace o1mem;
-  BenchJson json("abl_fork", argc, argv);
-  InitBenchObs(argc, argv);
+void Run(BenchJson& json, const BenchArgs&) {
   Table table(
       "Ablation: fork() cost vs resident size -- baseline COW fork (O(pages)) vs FOM "
       "share-on-fork (O(mappings))");
@@ -77,37 +71,20 @@ int main(int argc, char** argv) {
     uint64_t size;
     ForkCosts baseline, fom;
   };
-  std::vector<Row> rows;
   for (uint64_t size : MaybeShrink({4 * kMiB, 16 * kMiB, 64 * kMiB, 256 * kMiB, 1 * kGiB})) {
     Row row{.size = size, .baseline = MeasureBaseline(size), .fom = MeasureFom(size)};
-    rows.push_back(row);
     table.AddRow({SizeLabel(size), Table::Num(row.baseline.fork_us),
                   Table::Num(row.fom.fork_us),
                   Table::Num(row.fom.fork_us > 0 ? row.baseline.fork_us / row.fom.fork_us : 0),
                   Table::Num(row.baseline.first_writes_us),
                   Table::Num(row.fom.first_writes_us)});
   }
-  table.Print();
-  MaybePrintCsv(table);
-  json.AddTable(table);
+  json.Emit(table);
+}
 
-  for (const Row& row : rows) {
-    const std::string label = SizeLabel(row.size);
-    benchmark::RegisterBenchmark(("abl_fork/baseline/" + label).c_str(),
-                                 [us = row.baseline.fork_us](benchmark::State& s) {
-                                   ReportManualTime(s, us);
-                                 })
-        ->UseManualTime();
-    benchmark::RegisterBenchmark(("abl_fork/fom/" + label).c_str(),
-                                 [us = row.fom.fork_us](benchmark::State& s) {
-                                   ReportManualTime(s, us);
-                                 })
-        ->UseManualTime();
-  }
-  RecordOccupancy(json);
-  json.Write();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+}  // namespace
+}  // namespace o1mem
+
+int main(int argc, char** argv) {
+  return o1mem::BenchMain(argc, argv, "abl_fork", {}, o1mem::Run);
 }

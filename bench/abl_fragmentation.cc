@@ -148,14 +148,7 @@ std::vector<ClassStats> RunMode(bool cma) {
   return stats;
 }
 
-}  // namespace
-}  // namespace o1mem
-
-int main(int argc, char** argv) {
-  using namespace o1mem;
-  BenchJson json("abl_fragmentation", argc, argv);
-  InitBenchObs(argc, argv);
-
+void Run(BenchJson& json, const BenchArgs&) {
   // CMA first, GCMA second: the occupancy snapshot in the JSON (last writer
   // wins) then shows the guaranteed mode's area accounting.
   std::vector<ClassStats> cma = RunMode(/*cma=*/true);
@@ -170,9 +163,7 @@ int main(int argc, char** argv) {
                   Table::Num(cma[i].Percentile(99)),
                   Table::Num(100 * cma[i].SuccessRate())});
   }
-  table.Print();
-  MaybePrintCsv(table);
-  json.AddTable(table);
+  json.Emit(table);
 
   // Acceptance gates, self-checked: the guaranteed path never fails below
   // the guarantee, and its p99 grows <= 8x from the 2 MiB class to 1 GiB.
@@ -199,24 +190,11 @@ int main(int argc, char** argv) {
   json.Metric("contig_success_rate", gn > 0 ? gok / gn : 0);
   json.Metric("cma_p99_us", cma.back().Percentile(99));
   json.Metric("cma_success_rate", cn > 0 ? cok / cn : 0);
+}
 
-  for (size_t i = 0; i < gcma.size(); ++i) {
-    const std::string label = SizeLabel(gcma[i].size);
-    benchmark::RegisterBenchmark(("abl_fragmentation/gcma/" + label).c_str(),
-                                 [us = gcma[i].Percentile(99)](benchmark::State& s) {
-                                   ReportManualTime(s, us);
-                                 })
-        ->UseManualTime();
-    benchmark::RegisterBenchmark(("abl_fragmentation/cma/" + label).c_str(),
-                                 [us = cma[i].Percentile(99)](benchmark::State& s) {
-                                   ReportManualTime(s, us);
-                                 })
-        ->UseManualTime();
-  }
-  RecordOccupancy(json);
-  json.Write();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+}  // namespace
+}  // namespace o1mem
+
+int main(int argc, char** argv) {
+  return o1mem::BenchMain(argc, argv, "abl_fragmentation", {}, o1mem::Run);
 }

@@ -106,13 +106,7 @@ SwapCosts MeasureSwap(bool large) {
                    .ptes_written = sys.ctx().counters().Delta(before).ptes_written};
 }
 
-}  // namespace
-}  // namespace o1mem
-
-int main(int argc, char** argv) {
-  using namespace o1mem;
-  BenchJson json("abl_hugepages", argc, argv);
-  InitBenchObs(argc, argv);
+void Run(BenchJson& json, const BenchArgs&) {
   constexpr uint64_t kBytes = 512 * kMiB;
   const TouchCosts small = MeasureBaseline(kBytes, false);
   const TouchCosts large = MeasureBaseline(kBytes, true);
@@ -129,9 +123,7 @@ int main(int argc, char** argv) {
                 Table::Num(fom.touch_us), Table::Int(fom.tlb_misses)});
   table.AddRow({"fom range (bg zero)", Table::Num(fom_bg.populate_us), Table::Int(fom_bg.ptes),
                 Table::Num(fom_bg.touch_us), Table::Int(fom_bg.tlb_misses)});
-  table.Print();
-  MaybePrintCsv(table);
-  json.AddTable(table);
+  json.Emit(table);
 
   const SwapCosts swap4k = MeasureSwap(false);
   const SwapCosts swap2m = MeasureSwap(true);
@@ -140,29 +132,12 @@ int main(int argc, char** argv) {
   swap_table.AddRow({"config", "evict us", "PTEs written during eviction"});
   swap_table.AddRow({"4K pages", Table::Num(swap4k.evict_us), Table::Int(swap4k.ptes_written)});
   swap_table.AddRow({"2M pages", Table::Num(swap2m.evict_us), Table::Int(swap2m.ptes_written)});
-  swap_table.Print();
-  MaybePrintCsv(swap_table);
-  json.AddTable(swap_table);
+  json.Emit(swap_table);
+}
 
-  benchmark::RegisterBenchmark("abl_hugepages/populate_4k",
-                               [us = small.populate_us](benchmark::State& s) {
-                                 ReportManualTime(s, us);
-                               })
-      ->UseManualTime();
-  benchmark::RegisterBenchmark("abl_hugepages/populate_2m",
-                               [us = large.populate_us](benchmark::State& s) {
-                                 ReportManualTime(s, us);
-                               })
-      ->UseManualTime();
-  benchmark::RegisterBenchmark("abl_hugepages/populate_fom",
-                               [us = fom.populate_us](benchmark::State& s) {
-                                 ReportManualTime(s, us);
-                               })
-      ->UseManualTime();
-  RecordOccupancy(json);
-  json.Write();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+}  // namespace
+}  // namespace o1mem
+
+int main(int argc, char** argv) {
+  return o1mem::BenchMain(argc, argv, "abl_hugepages", {}, o1mem::Run);
 }

@@ -13,6 +13,8 @@
 // --workers=N round-robins operations over N simulated CPUs, exercising the
 // per-CPU bin protocol (batch refill/flush against the shared buddy
 // backend). Same seed + same N reproduces bit-identical counters and trace.
+#include <climits>
+
 #include "bench/common.h"
 
 #include "src/support/rng.h"
@@ -173,38 +175,30 @@ void LadderScenario(BenchJson& json, int workers, Table& table) {
                 Table::Int(c.malloc_buddy_merges), Table::Int(c.malloc_chunks_recycled)});
 }
 
-}  // namespace
-}  // namespace o1mem
-
-int main(int argc, char** argv) {
-  using namespace o1mem;
-  BenchJson json("abl_malloc_wcet", argc, argv);
-  InitBenchObs(argc, argv);
-  const auto workers_flag = ExtractFlag(argc, argv, "workers");
-  const int workers = workers_flag.has_value() ? std::atoi(workers_flag->c_str()) : 1;
+void Run(BenchJson& json, const BenchArgs& args) {
+  const int workers =
+      static_cast<int>(std::min<uint64_t>(args.Number("workers").value_or(1), INT_MAX));
   O1_CHECK(workers >= 1);
   json.Config("workers", static_cast<double>(workers));
 
   Table sweep("WCET sweep: alloc/free simulated cycles per op, by request size");
   sweep.AddRow({"size", "ops", "alloc ns/op", "free ns/op"});
   SweepScenario(json, workers, sweep);
-  sweep.Print();
-  MaybePrintCsv(sweep);
-  json.AddTable(sweep);
+  json.Emit(sweep);
 
   Table adversarial("WCET adversarial interleavings (simulated cycles per op + backend work)");
   adversarial.AddRow({"scenario", "ops", "ns/op", "refills", "flushes", "splits", "merges",
                       "chunks recycled"});
   ChurnScenario(json, workers, adversarial);
   LadderScenario(json, workers, adversarial);
-  adversarial.Print();
-  MaybePrintCsv(adversarial);
-  json.AddTable(adversarial);
+  json.Emit(adversarial);
+}
 
-  RecordOccupancy(json);
-  json.Write();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+}  // namespace
+}  // namespace o1mem
+
+int main(int argc, char** argv) {
+  using namespace o1mem;
+  return BenchMain(argc, argv, "abl_malloc_wcet", {{"workers", BenchFlag::Kind::kWholeNumber}},
+                   Run);
 }

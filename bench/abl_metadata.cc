@@ -52,13 +52,7 @@ Row Measure(uint64_t dram_bytes) {
   return row;
 }
 
-}  // namespace
-}  // namespace o1mem
-
-int main(int argc, char** argv) {
-  using namespace o1mem;
-  BenchJson json("abl_metadata", argc, argv);
-  InitBenchObs(argc, argv);
+void Run(BenchJson& json, const BenchArgs&) {
   Table table(
       "Ablation: metadata to manage M bytes -- per-page struct page vs FOM per-file "
       "(64 files)");
@@ -74,28 +68,18 @@ int main(int argc, char** argv) {
                              static_cast<double>(row.fom_meta_bytes)),
                   Table::Int(row.precreated_table_bytes)});
   }
-  table.Print();
-  MaybePrintCsv(table);
-  json.AddTable(table);
+  json.Emit(table);
   std::printf(
       "\nExtrapolation: at 6 TB (the paper's 2-socket 3D XPoint server) struct page costs "
       "%.1f GiB of DRAM and %.1f ms of boot-time init; FOM's per-file metadata for the same "
       "bytes is O(files).\n",
       64.0 * (6.0 * 1024 * 1024 * 1024 * 1024 / 4096) / (1024 * 1024 * 1024),
       rows.back().struct_page_init_us / 1000.0 * (6.0 * kTiB / static_cast<double>(rows.back().dram)));
+}
 
-  for (const Row& row : rows) {
-    const std::string label = SizeLabel(row.dram);
-    benchmark::RegisterBenchmark(("abl_metadata/memmap_init/" + label).c_str(),
-                                 [us = row.struct_page_init_us](benchmark::State& s) {
-                                   ReportManualTime(s, us);
-                                 })
-        ->UseManualTime();
-  }
-  RecordOccupancy(json);
-  json.Write();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+}  // namespace
+}  // namespace o1mem
+
+int main(int argc, char** argv) {
+  return o1mem::BenchMain(argc, argv, "abl_metadata", {}, o1mem::Run);
 }

@@ -123,21 +123,9 @@ Point RunPoint(double factor, bool protected_mode, const std::string& campaign_s
   return p;
 }
 
-}  // namespace
-}  // namespace o1mem
-
-int main(int argc, char** argv) {
-  using namespace o1mem;
-  BenchJson json("abl_overload", argc, argv);
-  InitBenchObs(argc, argv);
-  std::string campaign_spec;
-  if (auto c = ExtractFlag(argc, argv, "campaign")) {
-    campaign_spec = *c;
-  }
-  uint64_t chaos_seed = 1;
-  if (auto s = ExtractFlag(argc, argv, "chaos-seed")) {
-    chaos_seed = std::strtoull(s->c_str(), nullptr, 10);
-  }
+void Run(BenchJson& json, const BenchArgs& args) {
+  const std::string campaign_spec = args.Text("campaign").value_or("");
+  const uint64_t chaos_seed = args.Number("chaos-seed").value_or(1);
   json.Config("campaign", campaign_spec.empty() ? "off" : campaign_spec);
   json.Config("chaos_seed", static_cast<double>(chaos_seed));
 
@@ -160,9 +148,7 @@ int main(int argc, char** argv) {
                     std::to_string(p.brownout_shard_ticks)});
     }
   }
-  table.Print();
-  MaybePrintCsv(table);
-  json.AddTable(table);
+  json.Emit(table);
 
   auto find = [&points](double factor, bool protected_mode) -> const Point& {
     for (const Point& p : points) {
@@ -219,19 +205,13 @@ int main(int argc, char** argv) {
       "p99 admitted %.1f us vs %.1f us nominal, shed rate %.1f%%, queue windows %.1f -> %.1f\n",
       peak.goodput_ratio, naive_peak.goodput_ratio, peak.p99_admitted_us,
       nominal.p99_admitted_us, peak.shed_rate * 100.0, peak.window_a, peak.window_b);
+}
 
-  for (const Point& p : points) {
-    benchmark::RegisterBenchmark(
-        ("abl_overload/" + std::string(p.protected_mode ? "protected" : "naive") + "/x" +
-         Table::Num(p.factor))
-            .c_str(),
-        [ratio = p.goodput_ratio](benchmark::State& s) { ReportManualTime(s, ratio); })
-        ->UseManualTime();
-  }
-  RecordOccupancy(json);
-  json.Write();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+}  // namespace
+}  // namespace o1mem
+
+int main(int argc, char** argv) {
+  using namespace o1mem;
+  return BenchMain(argc, argv, "abl_overload",
+                   {{"campaign"}, {"chaos-seed", BenchFlag::Kind::kWholeNumber}}, Run);
 }

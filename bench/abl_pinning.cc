@@ -88,29 +88,19 @@ double ContigPinUs(uint64_t bytes) {
   return us;
 }
 
-}  // namespace
-}  // namespace o1mem
-
-int main(int argc, char** argv) {
-  using namespace o1mem;
-  BenchJson json("abl_pinning", argc, argv);
-  InitBenchObs(argc, argv);
+void Run(BenchJson& json, const BenchArgs&) {
   Table table("Ablation: pin a DMA buffer -- per-page mlock vs FOM implicit pinning");
   table.AddRow({"size", "baseline mlock us", "fom pin us", "speedup"});
   struct Row {
     uint64_t size;
     double baseline, fom;
   };
-  std::vector<Row> rows;
   for (uint64_t size : MaybeShrink({1 * kMiB, 16 * kMiB, 64 * kMiB, 256 * kMiB})) {
     Row row{.size = size, .baseline = BaselinePinUs(size), .fom = FomPinUs(size)};
-    rows.push_back(row);
     table.AddRow({SizeLabel(size), Table::Num(row.baseline), Table::Num(row.fom),
                   Table::Num(row.fom > 0 ? row.baseline / row.fom : 0)});
   }
-  table.Print();
-  MaybePrintCsv(table);
-  json.AddTable(table);
+  json.Emit(table);
 
   Table churned(
       "Post-churn contiguous DMA buffer: per-page mlock vs contig-area claim");
@@ -124,42 +114,14 @@ int main(int argc, char** argv) {
     churned.AddRow({SizeLabel(size), Table::Num(row.baseline), Table::Num(row.fom),
                     Table::Num(row.fom > 0 ? row.baseline / row.fom : 0)});
   }
-  churned.Print();
-  MaybePrintCsv(churned);
-  json.AddTable(churned);
+  json.Emit(churned);
   json.Metric("churn_baseline_pin_us", churn_rows.back().baseline);
   json.Metric("churn_contig_pin_us", churn_rows.back().fom);
+}
 
-  for (const Row& row : rows) {
-    const std::string label = SizeLabel(row.size);
-    benchmark::RegisterBenchmark(("abl_pinning/baseline/" + label).c_str(),
-                                 [us = row.baseline](benchmark::State& s) {
-                                   ReportManualTime(s, us);
-                                 })
-        ->UseManualTime();
-    benchmark::RegisterBenchmark(("abl_pinning/fom/" + label).c_str(),
-                                 [us = row.fom](benchmark::State& s) {
-                                   ReportManualTime(s, us);
-                                 })
-        ->UseManualTime();
-  }
-  for (const Row& row : churn_rows) {
-    const std::string label = SizeLabel(row.size);
-    benchmark::RegisterBenchmark(("abl_pinning/churn_baseline/" + label).c_str(),
-                                 [us = row.baseline](benchmark::State& s) {
-                                   ReportManualTime(s, us);
-                                 })
-        ->UseManualTime();
-    benchmark::RegisterBenchmark(("abl_pinning/churn_contig/" + label).c_str(),
-                                 [us = row.fom](benchmark::State& s) {
-                                   ReportManualTime(s, us);
-                                 })
-        ->UseManualTime();
-  }
-  RecordOccupancy(json);
-  json.Write();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+}  // namespace
+}  // namespace o1mem
+
+int main(int argc, char** argv) {
+  return o1mem::BenchMain(argc, argv, "abl_pinning", {}, o1mem::Run);
 }

@@ -103,13 +103,7 @@ ShootdownTraffic MeasureShootdownTraffic(uint64_t bytes, bool batched) {
                           .swapped = delta.pages_swapped_out};
 }
 
-}  // namespace
-}  // namespace o1mem
-
-int main(int argc, char** argv) {
-  using namespace o1mem;
-  BenchJson json("abl_reclaim", argc, argv);
-  InitBenchObs(argc, argv);
+void Run(BenchJson& json, const BenchArgs&) {
   Table table(
       "Ablation: reclaim half of W resident bytes -- page scanning + swap (clock/2Q) vs "
       "FOM file deletion (simulated)");
@@ -120,22 +114,18 @@ int main(int argc, char** argv) {
     BaselineResult clock, two_q;
     FomResult fom;
   };
-  std::vector<Row> rows;
   for (uint64_t size : MaybeShrink({16 * kMiB, 64 * kMiB, 256 * kMiB, 1 * kGiB})) {
     Row row{.size = size,
             .clock = MeasureBaseline(size, System::ReclaimPolicy::kClock),
             .two_q = MeasureBaseline(size, System::ReclaimPolicy::kTwoQueue),
             .fom = MeasureFom(size)};
-    rows.push_back(row);
     table.AddRow({SizeLabel(size), Table::Num(row.clock.us), Table::Int(row.clock.scanned),
                   Table::Int(row.clock.swapped), Table::Num(row.two_q.us),
                   Table::Int(row.two_q.scanned), Table::Num(row.fom.us),
                   Table::Int(row.fom.files_deleted), Table::Int(row.fom.scanned),
                   Table::Num(row.fom.us > 0 ? row.clock.us / row.fom.us : 0)});
   }
-  table.Print();
-  MaybePrintCsv(table);
-  json.AddTable(table);
+  json.Emit(table);
 
   Table traffic(
       "Reclaim shootdown traffic at 4 CPUs: per-page IPIs vs batched+lazy invalidation "
@@ -152,27 +142,12 @@ int main(int argc, char** argv) {
                                                    static_cast<double>(t.swapped)
                                              : 0)});
   }
-  traffic.Print();
-  MaybePrintCsv(traffic);
-  json.AddTable(traffic);
+  json.Emit(traffic);
+}
 
-  for (const Row& row : rows) {
-    const std::string label = SizeLabel(row.size);
-    benchmark::RegisterBenchmark(("abl_reclaim/clock/" + label).c_str(),
-                                 [us = row.clock.us](benchmark::State& s) {
-                                   ReportManualTime(s, us);
-                                 })
-        ->UseManualTime();
-    benchmark::RegisterBenchmark(("abl_reclaim/fom/" + label).c_str(),
-                                 [us = row.fom.us](benchmark::State& s) {
-                                   ReportManualTime(s, us);
-                                 })
-        ->UseManualTime();
-  }
-  RecordOccupancy(json);
-  json.Write();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+}  // namespace
+}  // namespace o1mem
+
+int main(int argc, char** argv) {
+  return o1mem::BenchMain(argc, argv, "abl_reclaim", {}, o1mem::Run);
 }

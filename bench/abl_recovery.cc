@@ -161,41 +161,26 @@ RecoverySlo MeasureRecoverySlo() {
   return slo;
 }
 
-}  // namespace
-}  // namespace o1mem
-
-int main(int argc, char** argv) {
-  using namespace o1mem;
-  BenchJson json("abl_recovery", argc, argv);
-  InitBenchObs(argc, argv);
-
+void Run(BenchJson& json, const BenchArgs&) {
   Table by_journal("Ablation: recovery and online scrub latency vs journal length "
                    "(8 files, simulated us)");
   by_journal.AddRow({"journal records", "recover us", "scrub us"});
-  std::vector<Row> journal_rows;
   for (uint64_t records : {16ull, 64ull, 256ull, 1024ull, 4096ull}) {
     Row row = MeasureJournalLength(records);
-    journal_rows.push_back(row);
     by_journal.AddRow({Table::Int(row.x), Table::Num(row.recover_us),
                        Table::Num(row.scrub_us)});
   }
-  by_journal.Print();
-  MaybePrintCsv(by_journal);
-  json.AddTable(by_journal);
+  json.Emit(by_journal);
 
   Table by_files("\nAblation: recovery and online scrub latency vs persistent FOM "
                  "segments (4 KiB each; sidecar revalidation included)");
   by_files.AddRow({"files", "recover us", "scrub us"});
-  std::vector<Row> file_rows;
   for (uint64_t files : {8ull, 32ull, 128ull, 512ull}) {
     Row row = MeasureFileCount(files);
-    file_rows.push_back(row);
     by_files.AddRow({Table::Int(row.x), Table::Num(row.recover_us),
                      Table::Num(row.scrub_us)});
   }
-  by_files.Print();
-  MaybePrintCsv(by_files);
-  json.AddTable(by_files);
+  json.Emit(by_files);
 
   const RecoverySlo slo = MeasureRecoverySlo();
   Table slo_table("\nAblation: crash-to-serving SLO decomposition (16 MiB state, " +
@@ -205,9 +190,7 @@ int main(int argc, char** argv) {
   slo_table.AddRow({"FOM sidecar revalidation", Table::Num(slo.sidecar_us)});
   slo_table.AddRow({"online scrub (media patrol)", Table::Num(slo.scrub_us)});
   slo_table.AddRow({"launch + map + first read", Table::Num(slo.to_serving_us)});
-  slo_table.Print();
-  MaybePrintCsv(slo_table);
-  json.AddTable(slo_table);
+  json.Emit(slo_table);
   json.Metric("recovery_replay_records", static_cast<double>(slo.replay_records));
   json.Metric("recovery_replay_us", slo.replay_us);
   json.Metric("recovery_sidecar_us", slo.sidecar_us);
@@ -217,23 +200,11 @@ int main(int argc, char** argv) {
   std::printf(
       "\nReplay is linear in journal records; scrub adds a fixed full-region media "
       "patrol, so it dominates at short journals and amortizes at long ones.\n");
+}
 
-  for (const Row& row : journal_rows) {
-    benchmark::RegisterBenchmark(
-        ("abl_recovery/journal/" + std::to_string(row.x)).c_str(),
-        [us = row.recover_us](benchmark::State& s) { ReportManualTime(s, us); })
-        ->UseManualTime();
-  }
-  for (const Row& row : file_rows) {
-    benchmark::RegisterBenchmark(
-        ("abl_recovery/files/" + std::to_string(row.x)).c_str(),
-        [us = row.recover_us](benchmark::State& s) { ReportManualTime(s, us); })
-        ->UseManualTime();
-  }
-  RecordOccupancy(json);
-  json.Write();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+}  // namespace
+}  // namespace o1mem
+
+int main(int argc, char** argv) {
+  return o1mem::BenchMain(argc, argv, "abl_recovery", {}, o1mem::Run);
 }

@@ -158,13 +158,7 @@ void MeasureHotObjects(uint64_t ops, HostAgg& host_rw) {
   host_rw.ops += ops;
 }
 
-}  // namespace
-}  // namespace o1mem
-
-int main(int argc, char** argv) {
-  using namespace o1mem;
-  BenchJson json("abl_runtime", argc, argv);
-  InitBenchObs(argc, argv);
+void Run(BenchJson& json, const BenchArgs&) {
   Table frees("Ablation: free N 96-byte objects -- per-object free vs O(1) arena reset");
   frees.AddRow({"objects", "per-object free us", "arena reset us", "ratio"});
   HostAgg host_free;
@@ -180,9 +174,7 @@ int main(int argc, char** argv) {
                                  ? costs.malloc_free_us / costs.arena_reset_us
                                  : 0)});
   }
-  frees.Print();
-  MaybePrintCsv(frees);
-  json.AddTable(frees);
+  json.Emit(frees);
 
   Table restart(
       "Ablation: restart latency -- reopen persistent heap vs reload a snapshot file");
@@ -200,9 +192,7 @@ int main(int argc, char** argv) {
                                    ? costs.snapshot_reload_us / costs.heap_reopen_us
                                    : 0)});
   }
-  restart.Print();
-  MaybePrintCsv(restart);
-  json.AddTable(restart);
+  json.Emit(restart);
 
   // Host-throughput gates: how fast the simulator itself executes the hot
   // loops (free sweep, snapshot-reload copy, hot-object updates).
@@ -212,11 +202,11 @@ int main(int argc, char** argv) {
   json.HostRegion("free_sweep", host_free.ops, host_free.secs);
   json.HostRegion("snapshot_reload_mib", host_reload.ops, host_reload.secs);
   json.HostRegion("hot_object_rw", host_rw.ops, host_rw.secs);
+}
 
-  RecordOccupancy(json);
-  json.Write();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+}  // namespace
+}  // namespace o1mem
+
+int main(int argc, char** argv) {
+  return o1mem::BenchMain(argc, argv, "abl_runtime", {}, o1mem::Run);
 }

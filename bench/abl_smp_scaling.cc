@@ -161,13 +161,7 @@ ShootdownResult MeasureShootdown(int cpus, bool batched) {
   return r;
 }
 
-}  // namespace
-}  // namespace o1mem
-
-int main(int argc, char** argv) {
-  using namespace o1mem;
-  BenchJson json("abl_smp_scaling", argc, argv);
-  InitBenchObs(argc, argv);
+void Run(BenchJson& json, const BenchArgs&) {
   const std::vector<int> cpu_counts = {1, 2, 4, 8, 16};
   json.Config("region_bytes", static_cast<double>(RegionBytes()));
 
@@ -176,7 +170,6 @@ int main(int argc, char** argv) {
                 "prezero hit rate"});
   double fom_min = 0, fom_max = 0;
   double pcp_rate_8 = 0, prezero_rate_8 = 0;
-  std::vector<std::pair<int, TouchResult>> touch_rows;
   for (int cpus : cpu_counts) {
     const TouchResult stock = TouchBaseline(cpus, /*fast_paths=*/false);
     const TouchResult fast = TouchBaseline(cpus, /*fast_paths=*/true);
@@ -190,11 +183,8 @@ int main(int argc, char** argv) {
       pcp_rate_8 = fast.pcp_rate;
       prezero_rate_8 = fast.prezero_rate;
     }
-    touch_rows.emplace_back(cpus, fast);
   }
-  touch.Print();
-  MaybePrintCsv(touch);
-  json.AddTable(touch);
+  json.Emit(touch);
 
   Table shoot("SMP sweep: shootdown cost per munmap'd page (4 MiB unmap, simulated cycles)");
   shoot.AddRow({"cpus", "eager (IPI/page)", "batched+lazy", "amortization", "eager IPIs",
@@ -212,9 +202,7 @@ int main(int argc, char** argv) {
       ratio_8 = ratio;
     }
   }
-  shoot.Print();
-  MaybePrintCsv(shoot);
-  json.AddTable(shoot);
+  json.Emit(shoot);
 
   // Determinism: the interleave is simulated, so a same-seed rerun must give
   // bit-identical global and per-CPU cycle totals.
@@ -235,17 +223,11 @@ int main(int argc, char** argv) {
   json.Metric("shootdown_amortization_8cpu", ratio_8);
   json.Metric("deterministic", 1.0);
   json.HostRegion("touch", HostTouch().ops, HostTouch().secs);
+}
 
-  for (const auto& [cpus, fast] : touch_rows) {
-    benchmark::RegisterBenchmark(
-        ("abl_smp_scaling/touch_pcp/" + std::to_string(cpus) + "cpu").c_str(),
-        [us = fast.us_per_op](benchmark::State& s) { ReportManualTime(s, us); })
-        ->UseManualTime();
-  }
-  RecordOccupancy(json);
-  json.Write();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+}  // namespace
+}  // namespace o1mem
+
+int main(int argc, char** argv) {
+  return o1mem::BenchMain(argc, argv, "abl_smp_scaling", {}, o1mem::Run);
 }

@@ -195,14 +195,7 @@ Overhead MeasureOverhead(uint64_t bytes) {
   return o;
 }
 
-}  // namespace
-}  // namespace o1mem
-
-int main(int argc, char** argv) {
-  using namespace o1mem;
-  BenchJson json("abl_tiering", argc, argv);
-  InitBenchObs(argc, argv);
-
+void Run(BenchJson& json, const BenchArgs&) {
   Table conv(
       "Tiering convergence: hot-extent access vs pure DRAM / NVM home under zipf "
       "traffic (ns per access, " +
@@ -225,9 +218,7 @@ int main(int argc, char** argv) {
                    Table::Num(row.c.vs_dram), Table::Num(row.c.vs_nvm)});
     }
   }
-  conv.Print();
-  MaybePrintCsv(conv);
-  json.AddTable(conv);
+  json.Emit(conv);
 
   Table over(
       "Tiering overhead: monitoring + migration cycles per op vs mapped size "
@@ -250,9 +241,7 @@ int main(int argc, char** argv) {
                  Table::Num(row.o.monitor_per_op), Table::Num(row.o.migration_per_op),
                  Table::Num(row.o.total_per_op), SizeLabel(row.o.migrated_bytes)});
   }
-  over.Print();
-  MaybePrintCsv(over);
-  json.AddTable(over);
+  json.Emit(over);
 
   // Headline metrics for bench_diff / dashboards.
   json.Metric("hot_vs_dram_worst",
@@ -271,26 +260,11 @@ int main(int argc, char** argv) {
                 }
                 return worst;
               }());
+}
 
-  for (const ConvRow& row : conv_rows) {
-    const std::string label =
-        SizeLabel(row.cache) + "/zipf" + Table::Num(row.theta);
-    benchmark::RegisterBenchmark(("abl_tiering/hot_access/" + label).c_str(),
-                                 [ns = row.c.hot_ns](benchmark::State& s) {
-                                   ReportManualTime(s, ns * 1e-3);
-                                 })
-        ->UseManualTime();
-  }
-  for (const OverRow& row : over_rows) {
-    benchmark::RegisterBenchmark(
-        ("abl_tiering/overhead/" + SizeLabel(row.size)).c_str(),
-        [us = row.o.total_per_op / 2000.0](benchmark::State& s) { ReportManualTime(s, us); })
-        ->UseManualTime();
-  }
-  RecordOccupancy(json);
-  json.Write();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+}  // namespace
+}  // namespace o1mem
+
+int main(int argc, char** argv) {
+  return o1mem::BenchMain(argc, argv, "abl_tiering", {}, o1mem::Run);
 }

@@ -69,13 +69,7 @@ WalkCosts MeasureRange(bool virtualized) {
       .walk_refs = 0};
 }
 
-}  // namespace
-}  // namespace o1mem
-
-int main(int argc, char** argv) {
-  using namespace o1mem;
-  BenchJson json("abl_virt_walks", argc, argv);
-  InitBenchObs(argc, argv);
+void Run(BenchJson& json, const BenchArgs&) {
   const WalkCosts native4 = MeasurePageWalks(4, false);
   const WalkCosts native5 = MeasurePageWalks(5, false);
   const WalkCosts virt4 = MeasurePageWalks(4, true);
@@ -99,23 +93,12 @@ int main(int argc, char** argv) {
                 Table::Num(range.ns_per_access)});
   table.AddRow({"range translation, virtualized", Table::Int(range_virt.walk_refs),
                 Table::Num(range_virt.ns_per_access)});
-  table.Print();
-  MaybePrintCsv(table);
-  json.AddTable(table);
+  json.Emit(table);
+}
 
-  benchmark::RegisterBenchmark("abl_virt/native4", [&](benchmark::State& s) {
-    ReportManualTime(s, native4.ns_per_access * 1e-3);
-  })->UseManualTime();
-  benchmark::RegisterBenchmark("abl_virt/virt5", [&](benchmark::State& s) {
-    ReportManualTime(s, virt5.ns_per_access * 1e-3);
-  })->UseManualTime();
-  benchmark::RegisterBenchmark("abl_virt/range", [&](benchmark::State& s) {
-    ReportManualTime(s, range.ns_per_access * 1e-3);
-  })->UseManualTime();
-  RecordOccupancy(json);
-  json.Write();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+}  // namespace
+}  // namespace o1mem
+
+int main(int argc, char** argv) {
+  return o1mem::BenchMain(argc, argv, "abl_virt_walks", {}, o1mem::Run);
 }

@@ -94,13 +94,7 @@ AnonZeroing MeasureAnonFaults(uint64_t bytes, bool fast_paths) {
           sys.ctx().clock().CyclesToUs(sys.phys_manager().background_zero_cycles())};
 }
 
-}  // namespace
-}  // namespace o1mem
-
-int main(int argc, char** argv) {
-  using namespace o1mem;
-  BenchJson json("abl_zeroing", argc, argv);
-  InitBenchObs(argc, argv);
+void Run(BenchJson& json, const BenchArgs&) {
   Table table(
       "Ablation: eager zeroing vs zero-epoch (O(1) erase) on recycled NVM blocks "
       "(simulated us)");
@@ -110,12 +104,10 @@ int main(int argc, char** argv) {
     uint64_t size;
     Costs eager, epoch;
   };
-  std::vector<Row> rows;
   for (uint64_t size : MaybeShrink({4 * kMiB, 16 * kMiB, 64 * kMiB, 256 * kMiB, 1 * kGiB})) {
     Row row{.size = size,
             .eager = Measure(size, ZeroPolicy::kEagerZero),
             .epoch = Measure(size, ZeroPolicy::kZeroEpoch)};
-    rows.push_back(row);
     table.AddRow({SizeLabel(size), Table::Num(row.eager.alloc_us),
                   Table::Num(row.epoch.alloc_us),
                   Table::Num(row.epoch.alloc_us > 0 ? row.eager.alloc_us / row.epoch.alloc_us
@@ -124,9 +116,7 @@ int main(int argc, char** argv) {
                   Table::Num(row.epoch.alloc_plus_touch_us),
                   Table::Num(row.epoch.background_us)});
   }
-  table.Print();
-  MaybePrintCsv(table);
-  json.AddTable(table);
+  json.Emit(table);
 
   Table anon(
       "DRAM-side zeroing: anonymous fault path, inline Zero() vs per-CPU cache + "
@@ -145,27 +135,12 @@ int main(int argc, char** argv) {
                                        : 0),
                  Table::Num(a.background_us)});
   }
-  anon.Print();
-  MaybePrintCsv(anon);
-  json.AddTable(anon);
+  json.Emit(anon);
+}
 
-  for (const Row& row : rows) {
-    const std::string label = SizeLabel(row.size);
-    benchmark::RegisterBenchmark(("abl_zeroing/eager_alloc/" + label).c_str(),
-                                 [us = row.eager.alloc_us](benchmark::State& s) {
-                                   ReportManualTime(s, us);
-                                 })
-        ->UseManualTime();
-    benchmark::RegisterBenchmark(("abl_zeroing/epoch_alloc/" + label).c_str(),
-                                 [us = row.epoch.alloc_us](benchmark::State& s) {
-                                   ReportManualTime(s, us);
-                                 })
-        ->UseManualTime();
-  }
-  RecordOccupancy(json);
-  json.Write();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+}  // namespace
+}  // namespace o1mem
+
+int main(int argc, char** argv) {
+  return o1mem::BenchMain(argc, argv, "abl_zeroing", {}, o1mem::Run);
 }

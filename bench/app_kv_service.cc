@@ -19,6 +19,8 @@
 // during the recovery window, retries/op, degraded-mode ops -- land in
 // --json for tools/bench_diff.py gating. Without these flags the legacy
 // single-process comparison below runs exactly as before.
+#include <climits>
+
 #include "bench/common.h"
 
 #include "src/chaos/shard_service.h"
@@ -330,8 +332,8 @@ ChaosMetrics RunChaosService(int shards, const std::string& campaign_spec,
   return m;
 }
 
-int ChaosMain(BenchJson& json, int shards, const std::string& campaign_spec,
-              const std::string& arrival_spec, uint64_t seed, bool tier, bool print_log) {
+void ChaosMain(BenchJson& json, int shards, const std::string& campaign_spec,
+               const std::string& arrival_spec, uint64_t seed, bool tier, bool print_log) {
   json.Config("mode", arrival_spec.empty() ? "chaos" : "overload");
   json.Config("shards", static_cast<double>(shards));
   json.Config("campaign", campaign_spec.empty() ? "off" : campaign_spec);
@@ -358,9 +360,7 @@ int ChaosMain(BenchJson& json, int shards, const std::string& campaign_spec,
                   Table::Num(e.scrub_us), Table::Num(e.remap_us),
                   Table::Num(e.time_to_first_served_us), std::to_string(e.replay_records)});
   }
-  table.Print();
-  MaybePrintCsv(table);
-  json.AddTable(table);
+  json.Emit(table);
 
   double ttfs_max_us = 0;
   double scrub_max_us = 0;
@@ -410,9 +410,7 @@ int ChaosMain(BenchJson& json, int shards, const std::string& campaign_spec,
     ttable.AddRow({std::to_string(st.shard), std::to_string(st.requests), Table::Num(st.p999_us),
                    st.top_component.empty() ? "-" : st.top_component, Table::Num(st.top_share)});
   }
-  ttable.Print();
-  MaybePrintCsv(ttable);
-  json.AddTable(ttable);
+  json.Emit(ttable);
 
   if (r.overload.enabled) {
     const OverloadReport& ov = r.overload;
@@ -434,9 +432,7 @@ int ChaosMain(BenchJson& json, int shards, const std::string& campaign_spec,
                      std::to_string(st.breaker_rejects), std::to_string(st.breaker_transitions),
                      std::to_string(st.max_queue_depth), residency});
     }
-    otable.Print();
-    MaybePrintCsv(otable);
-    json.AddTable(otable);
+    json.Emit(otable);
 
     uint64_t breaker_transitions = 0;
     uint64_t brownout_ticks = 0;  // ticks any shard spent above L0
@@ -488,58 +484,31 @@ int ChaosMain(BenchJson& json, int shards, const std::string& campaign_spec,
   if (print_log && !r.chaos_log.empty()) {
     std::printf("--- chaos log ---\n%s", r.chaos_log.c_str());
   }
-
-  RecordOccupancy(json);
-  json.Write();
-  return 0;
 }
 
-}  // namespace
-}  // namespace o1mem
-
-int main(int argc, char** argv) {
-  using namespace o1mem;
-  BenchJson json("app_kv_service", argc, argv);
-  InitBenchObs(argc, argv);
-  int workers = 1;
-  if (auto w = ExtractFlag(argc, argv, "workers")) {
-    workers = std::max(1, std::atoi(w->c_str()));
-  }
-  bool tier = false;
-  if (auto t = ExtractFlag(argc, argv, "tier")) {
-    tier = (*t == "on");
-  }
-  g_procfs_dump = ExtractBoolFlag(argc, argv, "procfs-dump");
+void Run(BenchJson& json, const BenchArgs& args) {
+  const int workers =
+      static_cast<int>(std::clamp<uint64_t>(args.Number("workers").value_or(1), 1, INT_MAX));
+  const bool tier = args.Text("tier") == "on";
+  g_procfs_dump = args.Switch("procfs-dump");
   // Chaos-serving mode: engaged only by its own flags, so the legacy
   // comparison below stays cycle-identical when they are absent.
   int shards = 0;
-  if (auto s = ExtractFlag(argc, argv, "shards")) {
-    shards = std::max(1, std::atoi(s->c_str()));
+  if (auto s = args.Number("shards")) {
+    shards = static_cast<int>(std::clamp<uint64_t>(*s, 1, INT_MAX));
   }
-  std::string campaign_spec;
-  if (auto c = ExtractFlag(argc, argv, "campaign")) {
-    campaign_spec = *c;
-  }
+  const std::string campaign_spec = args.Text("campaign").value_or("");
   // --arrival=poisson:<rate>|burst:<rate>x<len>|ramp:<lo>-<hi> sets the
   // shard service's arrival rate (default: one per tick) and turns on its
   // overload protection (admission + breakers + brownout); combinable with
   // --campaign.
-  std::string arrival_spec;
-  if (auto a = ExtractFlag(argc, argv, "arrival")) {
-    arrival_spec = *a;
-  }
-  uint64_t chaos_seed = 1;
-  if (auto s = ExtractFlag(argc, argv, "chaos-seed")) {
-    chaos_seed = std::strtoull(s->c_str(), nullptr, 10);
-  }
-  const bool chaos_log = ExtractBoolFlag(argc, argv, "chaos-log");
+  const std::string arrival_spec = args.Text("arrival").value_or("");
+  const uint64_t chaos_seed = args.Number("chaos-seed").value_or(1);
+  const bool chaos_log = args.Switch("chaos-log");
   if (shards > 0 || !campaign_spec.empty() || !arrival_spec.empty()) {
-    const int rc = ChaosMain(json, shards > 0 ? shards : 4, campaign_spec, arrival_spec,
-                             chaos_seed, tier, chaos_log);
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    return rc;
+    ChaosMain(json, shards > 0 ? shards : 4, campaign_spec, arrival_spec, chaos_seed, tier,
+              chaos_log);
+    return;
   }
   json.Config("workers", static_cast<double>(workers));
   json.Config("tier", tier ? "on" : "off");
@@ -558,20 +527,30 @@ int main(int argc, char** argv) {
   row("checkpoint/persist", baseline.checkpoint_us, fom.checkpoint_us);
   row("crash restart", baseline.restart_us, fom.restart_us);
   row("pressure response", baseline.pressure_us, fom.pressure_us);
-  table.Print();
-  MaybePrintCsv(table);
-  json.AddTable(table);
+  json.Emit(table);
   if (tier) {
     json.Metric("tier_promoted_bytes", static_cast<double>(fom.tier_promoted_bytes));
     json.Metric("tier_hit_rate", fom.tier_hit_rate);
     std::printf("\ntier: %s promoted at end of steady state, %.1f%% of ops served from DRAM cache\n",
                 SizeLabel(fom.tier_promoted_bytes).c_str(), fom.tier_hit_rate * 100.0);
   }
+}
 
-  RecordOccupancy(json);
-  json.Write();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+}  // namespace
+}  // namespace o1mem
+
+int main(int argc, char** argv) {
+  using namespace o1mem;
+  constexpr BenchFlag::Kind kNumber = BenchFlag::Kind::kWholeNumber;
+  constexpr BenchFlag::Kind kSwitch = BenchFlag::Kind::kSwitch;
+  return BenchMain(argc, argv, "app_kv_service",
+                   {{"workers", kNumber},
+                    {"tier"},
+                    {"procfs-dump", kSwitch},
+                    {"shards", kNumber},
+                    {"campaign"},
+                    {"arrival"},
+                    {"chaos-seed", kNumber},
+                    {"chaos-log", kSwitch}},
+                   Run);
 }

@@ -4,17 +4,19 @@
 //   * measurement functions return *simulated* microseconds (the Machine's
 //     cycle clock converted at the configured frequency) -- deterministic,
 //     host-independent;
-//   * main() prints the paper's series as an aligned table (plus CSV when
-//     O1MEM_BENCH_CSV is set), then hands remaining flags to
-//     google-benchmark, whose registered counterparts report the same
-//     measurements via manual timing.
+//   * a body `void Run(BenchJson&, const BenchArgs&)` prints the paper's
+//     series as aligned tables via json.Emit(table), which also mirrors each
+//     one into the --json file;
+//   * main() is one call to BenchMain (below), which parses the flags, runs
+//     the body and writes the artifacts.
 #ifndef O1MEM_BENCH_COMMON_H_
 #define O1MEM_BENCH_COMMON_H_
 
-#include <benchmark/benchmark.h>
-
+#include <algorithm>
+#include <charconv>
 #include <cstdlib>
 #include <functional>
+#include <map>
 #include <optional>
 #include <string>
 #include <utility>
@@ -82,13 +84,6 @@ struct BenchObsState {
 inline BenchObsState& BenchObs() {
   static BenchObsState state;
   return state;
-}
-
-// Call first in main (before BenchConfig() is used): pulls --trace=<path>
-// out of argv -- google-benchmark aborts on flags it does not know -- and
-// arms the trace ring for every System built via BenchConfig().
-inline void InitBenchObs(int& argc, char** argv) {
-  BenchObs().trace_path = ExtractFlag(argc, argv, "trace");
 }
 
 // Drains `sys`'s observer into the bench-wide state: histograms merge,
@@ -164,10 +159,9 @@ inline std::string SizeLabel(uint64_t bytes) {
 // Per-tier occupancy in every BENCH_*.json: the slot is stamped while a
 // System is still alive (SimTimer does it automatically on destruction;
 // helpers without a timer call CaptureOccupancy(sys) themselves -- last
-// writer wins), and main calls RecordOccupancy(json) once before
-// json.Write(). Makes tier pressure visible in the artifacts next to the
-// timing tables. Benches that drive a bare Machine report all-zero
-// occupancy.
+// writer wins), and BenchMain records it after the body ran. Makes tier
+// pressure visible in the artifacts next to the timing tables. Benches that
+// drive a bare Machine report all-zero occupancy.
 inline TierOccupancy& LastOccupancy() {
   static TierOccupancy occupancy;
   return occupancy;
@@ -191,15 +185,18 @@ inline void RecordLatency(BenchJson& json) {
   json.AddTable(table);
 }
 
-// Writes the merged Chrome trace when --trace=<path> was passed.
-inline void WriteBenchTrace() {
+// Writes the merged Chrome trace when --trace=<path> was passed. False when
+// the file cannot be written.
+inline bool WriteBenchTrace() {
   const BenchObsState& state = BenchObs();
   if (!state.trace_path.has_value()) {
-    return;
+    return true;
   }
   if (!WriteChromeTraceFile(*state.trace_path, state.groups, state.cpu_ghz)) {
     std::fprintf(stderr, "cannot write trace %s\n", state.trace_path->c_str());
+    return false;
   }
+  return true;
 }
 
 inline void RecordOccupancy(BenchJson& json) {
@@ -218,11 +215,6 @@ inline void RecordOccupancy(BenchJson& json) {
   json.Metric("contig_lent_file_bytes", static_cast<double>(o.contig_lent_file_bytes));
   json.Metric("contig_lent_tier_bytes", static_cast<double>(o.contig_lent_tier_bytes));
   json.Metric("contig_free_bytes", static_cast<double>(o.contig_free_bytes));
-  // Every main calls RecordOccupancy once right before json.Write(); ride
-  // along so each bench also gets the latency table and its --trace file
-  // without per-bench wiring.
-  RecordLatency(json);
-  WriteBenchTrace();
 }
 
 // RAII stopwatch over the simulated clock.
@@ -244,19 +236,117 @@ class SimTimer {
   uint64_t start_;
 };
 
-// Registers a google-benchmark that reports `us` (already measured,
-// deterministic) as manual time. Keeps the gbench output consistent with
-// the printed tables without re-simulating inside the timing loop.
-inline void ReportManualTime(benchmark::State& state, double us) {
-  for (auto _ : state) {
-    state.SetIterationTime(us * 1e-6);
+// A flag one bench reads besides --json=<path> and --trace=<path>, which
+// every bench takes.
+struct BenchFlag {
+  enum class Kind {
+    kText,         // --name=<value>
+    kWholeNumber,  // --name=<digits>
+    kSwitch,       // bare --name
+  };
+  std::string name;
+  Kind kind = Kind::kText;
+};
+
+inline std::optional<uint64_t> ParseWholeNumber(const std::string& text) {
+  uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || ptr != end) {
+    return std::nullopt;
   }
+  return value;
 }
 
-inline void MaybePrintCsv(const Table& table) {
-  if (std::getenv("O1MEM_BENCH_CSV") != nullptr) {
-    table.PrintCsv();
+// The flags one run passed, checked against the bench's declarations.
+class BenchArgs {
+ public:
+  // Value of --name=<value>, if passed.
+  std::optional<std::string> Text(const std::string& name) const {
+    const auto it = values_.find(name);
+    return it == values_.end() ? std::nullopt : std::optional<std::string>(it->second);
   }
+  // Value of a kWholeNumber flag, if passed.
+  std::optional<uint64_t> Number(const std::string& name) const {
+    const std::optional<std::string> text = Text(name);
+    return text.has_value() ? ParseWholeNumber(*text) : std::nullopt;
+  }
+  // Whether the kSwitch flag --name was passed.
+  bool Switch(const std::string& name) const { return values_.count(name) != 0; }
+
+  // Parses argv[1..argc) against `flags`. On an argument none of them reads
+  // -- unknown or repeated, a valued flag without =<value>, a switch with
+  // one, a kWholeNumber value that is not all digits -- prints it and why,
+  // then the accepted flags, to stderr and returns nullopt.
+  static std::optional<BenchArgs> Parse(int argc, char** argv, const std::string& bench,
+                                        const std::vector<BenchFlag>& flags) {
+    BenchArgs args;
+    bool ok = true;
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      const size_t eq = arg.find('=');
+      const bool has_value = eq != std::string::npos;
+      const auto flag = std::find_if(flags.begin(), flags.end(), [&](const BenchFlag& f) {
+        return arg.substr(0, eq) == "--" + f.name;
+      });
+      const char* error = nullptr;
+      if (flag == flags.end()) {
+        error = "unknown flag";
+      } else if (args.values_.count(flag->name) != 0) {
+        error = "flag given twice";
+      } else if ((flag->kind == BenchFlag::Kind::kSwitch) == has_value) {
+        error = has_value ? "switch takes no value" : "flag needs =<value>";
+      } else if (flag->kind == BenchFlag::Kind::kWholeNumber &&
+                 !ParseWholeNumber(arg.substr(eq + 1)).has_value()) {
+        error = "value is not a whole number";
+      }
+      if (error != nullptr) {
+        std::fprintf(stderr, "%s: %s: %s\n", bench.c_str(), error, arg.c_str());
+        ok = false;
+        continue;
+      }
+      args.values_[flag->name] = has_value ? arg.substr(eq + 1) : "";
+    }
+    if (!ok) {
+      std::string usage;
+      for (const BenchFlag& f : flags) {
+        usage += " [--" + f.name + (f.kind == BenchFlag::Kind::kSwitch ? "]" : "=...]");
+      }
+      std::fprintf(stderr, "usage: %s%s\n", bench.c_str(), usage.c_str());
+      return std::nullopt;
+    }
+    return args;
+  }
+
+ private:
+  std::map<std::string, std::string> values_;
+};
+
+// The whole main of a bench binary:
+//
+//   int main(int argc, char** argv) { return BenchMain(argc, argv, "name", {}, Run); }
+//
+// Parses --json, --trace and the bench's own `flags` before any System is
+// built (BenchConfig() reads --trace) and exits 2 on an argument none of
+// them reads, without running the body. Then runs `body`, records the
+// occupancy metrics and the latency table, and writes the trace and the
+// JSON; returns 1 when either file cannot be written.
+inline int BenchMain(int argc, char** argv, const std::string& bench,
+                     std::vector<BenchFlag> flags,
+                     const std::function<void(BenchJson&, const BenchArgs&)>& body) {
+  flags.insert(flags.begin(), {{"json"}, {"trace"}});
+  const std::optional<BenchArgs> args = BenchArgs::Parse(argc, argv, bench, flags);
+  if (!args.has_value()) {
+    return 2;
+  }
+  BenchObs().trace_path = args->Text("trace");
+  BenchJson json(bench, args->Text("json"));
+  body(json, *args);
+  RecordOccupancy(json);
+  RecordLatency(json);
+  const bool trace_written = WriteBenchTrace();
+  const bool json_written = json.Write();
+  return trace_written && json_written ? 0 : 1;
 }
 
 }  // namespace o1mem

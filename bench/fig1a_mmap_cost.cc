@@ -57,34 +57,7 @@ std::vector<Row> RunSweep() {
   return rows;
 }
 
-void RegisterGbench(const std::vector<Row>& rows) {
-  for (const Row& row : rows) {
-    const std::string label = SizeLabel(row.size);
-    benchmark::RegisterBenchmark(("fig1a/tmpfs_demand/" + label).c_str(),
-                                 [us = row.tmpfs_demand](benchmark::State& s) {
-                                   ReportManualTime(s, us);
-                                 })
-        ->UseManualTime();
-    benchmark::RegisterBenchmark(("fig1a/tmpfs_populate/" + label).c_str(),
-                                 [us = row.tmpfs_populate](benchmark::State& s) {
-                                   ReportManualTime(s, us);
-                                 })
-        ->UseManualTime();
-    benchmark::RegisterBenchmark(("fig1a/fom_range/" + label).c_str(),
-                                 [us = row.fom_range](benchmark::State& s) {
-                                   ReportManualTime(s, us);
-                                 })
-        ->UseManualTime();
-  }
-}
-
-}  // namespace
-}  // namespace o1mem
-
-int main(int argc, char** argv) {
-  using namespace o1mem;
-  BenchJson json("fig1a_mmap_cost", argc, argv);
-  InitBenchObs(argc, argv);
+void Run(BenchJson& json, const BenchArgs&) {
   const std::vector<Row> rows = RunSweep();
   Table table(
       "Figure 1a/6a: mmap() cost vs file size (simulated us; paper: demand flat, populate "
@@ -97,15 +70,12 @@ int main(int argc, char** argv) {
                   Table::Num(row.dax_populate), Table::Num(row.fom_range),
                   Table::Num(row.fom_splice)});
   }
-  table.Print();
-  MaybePrintCsv(table);
-  json.AddTable(table);
+  json.Emit(table);
+}
 
-  RegisterGbench(rows);
-  RecordOccupancy(json);
-  json.Write();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+}  // namespace
+}  // namespace o1mem
+
+int main(int argc, char** argv) {
+  return o1mem::BenchMain(argc, argv, "fig1a_mmap_cost", {}, o1mem::Run);
 }

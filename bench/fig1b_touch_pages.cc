@@ -60,13 +60,7 @@ struct Row {
   TouchResult demand, populate, fom;
 };
 
-}  // namespace
-}  // namespace o1mem
-
-int main(int argc, char** argv) {
-  using namespace o1mem;
-  BenchJson json("fig1b_touch_pages", argc, argv);
-  InitBenchObs(argc, argv);
+void Run(BenchJson& json, const BenchArgs&) {
   std::vector<Row> rows;
   for (uint64_t size : FileSizeSweep()) {
     rows.push_back(Row{.size = size,
@@ -87,32 +81,12 @@ int main(int argc, char** argv) {
                   Table::Int(row.demand.faults), Table::Int(row.populate.faults),
                   Table::Int(row.fom.faults)});
   }
-  table.Print();
-  MaybePrintCsv(table);
-  json.AddTable(table);
+  json.Emit(table);
+}
 
-  for (const Row& row : rows) {
-    const std::string label = SizeLabel(row.size);
-    benchmark::RegisterBenchmark(("fig1b/demand_read/" + label).c_str(),
-                                 [us = row.demand.us](benchmark::State& s) {
-                                   ReportManualTime(s, us);
-                                 })
-        ->UseManualTime();
-    benchmark::RegisterBenchmark(("fig1b/populate_read/" + label).c_str(),
-                                 [us = row.populate.us](benchmark::State& s) {
-                                   ReportManualTime(s, us);
-                                 })
-        ->UseManualTime();
-    benchmark::RegisterBenchmark(("fig1b/fom_read/" + label).c_str(),
-                                 [us = row.fom.us](benchmark::State& s) {
-                                   ReportManualTime(s, us);
-                                 })
-        ->UseManualTime();
-  }
-  RecordOccupancy(json);
-  json.Write();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+}  // namespace
+}  // namespace o1mem
+
+int main(int argc, char** argv) {
+  return o1mem::BenchMain(argc, argv, "fig1b_touch_pages", {}, o1mem::Run);
 }

@@ -101,13 +101,7 @@ struct Row {
   PhysAllocCosts phys;
 };
 
-}  // namespace
-}  // namespace o1mem
-
-int main(int argc, char** argv) {
-  using namespace o1mem;
-  BenchJson json("fig2_alloc_anon_vs_pmfs", argc, argv);
-  InitBenchObs(argc, argv);
+void Run(BenchJson& json, const BenchArgs&) {
   std::vector<Row> rows;
   for (int pages : {1, 2, 4, 16, 64, 256, 1024, 4096, 16384}) {
     const auto n = static_cast<uint64_t>(pages);
@@ -128,32 +122,12 @@ int main(int argc, char** argv) {
                   Table::Num(row.phys.extent_us), Table::Num(row.phys.slab_us),
                   Table::Num(row.phys.buddy_us)});
   }
-  table.Print();
-  MaybePrintCsv(table);
-  json.AddTable(table);
+  json.Emit(table);
+}
 
-  for (const Row& row : rows) {
-    const std::string label = std::to_string(row.pages) + "pages";
-    benchmark::RegisterBenchmark(("fig2/anon/" + label).c_str(),
-                                 [us = row.anon](benchmark::State& s) {
-                                   ReportManualTime(s, us);
-                                 })
-        ->UseManualTime();
-    benchmark::RegisterBenchmark(("fig2/pmfs/" + label).c_str(),
-                                 [us = row.pmfs](benchmark::State& s) {
-                                   ReportManualTime(s, us);
-                                 })
-        ->UseManualTime();
-    benchmark::RegisterBenchmark(("fig2/fom/" + label).c_str(),
-                                 [us = row.fom](benchmark::State& s) {
-                                   ReportManualTime(s, us);
-                                 })
-        ->UseManualTime();
-  }
-  RecordOccupancy(json);
-  json.Write();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+}  // namespace
+}  // namespace o1mem
+
+int main(int argc, char** argv) {
+  return o1mem::BenchMain(argc, argv, "fig2_alloc_anon_vs_pmfs", {}, o1mem::Run);
 }

@@ -23,13 +23,7 @@ struct Row {
   uint64_t fom_ptes;
 };
 
-}  // namespace
-}  // namespace o1mem
-
-int main(int argc, char** argv) {
-  using namespace o1mem;
-  BenchJson json("fig3_shared_mappings", argc, argv);
-  InitBenchObs(argc, argv);
+void Run(BenchJson& json, const BenchArgs&) {
   const std::vector<int> proc_counts = {1, 2, 4, 8, 16, 32};
   std::vector<Row> rows;
 
@@ -112,27 +106,12 @@ int main(int argc, char** argv) {
                   Table::Num(row.fom_us), Table::Int(row.fom_nodes),
                   Table::Int(row.fom_ptes)});
   }
-  table.Print();
-  MaybePrintCsv(table);
-  json.AddTable(table);
+  json.Emit(table);
+}
 
-  for (const Row& row : rows) {
-    const std::string label = "P" + std::to_string(row.procs);
-    benchmark::RegisterBenchmark(("fig3/baseline_map/" + label).c_str(),
-                                 [us = row.baseline_us](benchmark::State& s) {
-                                   ReportManualTime(s, us);
-                                 })
-        ->UseManualTime();
-    benchmark::RegisterBenchmark(("fig3/fom_splice_map/" + label).c_str(),
-                                 [us = row.fom_us](benchmark::State& s) {
-                                   ReportManualTime(s, us);
-                                 })
-        ->UseManualTime();
-  }
-  RecordOccupancy(json);
-  json.Write();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+}  // namespace
+}  // namespace o1mem
+
+int main(int argc, char** argv) {
+  return o1mem::BenchMain(argc, argv, "fig3_shared_mappings", {}, o1mem::Run);
 }

@@ -100,13 +100,7 @@ Row RunOne(int procs, int files) {
   return row;
 }
 
-}  // namespace
-}  // namespace o1mem
-
-int main(int argc, char** argv) {
-  using namespace o1mem;
-  BenchJson json("fig8_pbm", argc, argv);
-  InitBenchObs(argc, argv);
+void Run(BenchJson& json, const BenchArgs&) {
   std::vector<Row> rows;
   for (int procs : {1, 2, 4, 8, 16}) {
     rows.push_back(RunOne(procs, /*files=*/16));
@@ -123,27 +117,12 @@ int main(int argc, char** argv) {
                   Table::Int(row.pbm_collisions), Table::Num(row.regular_map_us_total),
                   Table::Int(row.regular_distinct_vas)});
   }
-  table.Print();
-  MaybePrintCsv(table);
-  json.AddTable(table);
+  json.Emit(table);
+}
 
-  for (const Row& row : rows) {
-    const std::string label = "P" + std::to_string(row.procs);
-    benchmark::RegisterBenchmark(("fig8/pbm_map/" + label).c_str(),
-                                 [us = row.pbm_map_us_total](benchmark::State& s) {
-                                   ReportManualTime(s, us);
-                                 })
-        ->UseManualTime();
-    benchmark::RegisterBenchmark(("fig8/regular_map/" + label).c_str(),
-                                 [us = row.regular_map_us_total](benchmark::State& s) {
-                                   ReportManualTime(s, us);
-                                 })
-        ->UseManualTime();
-  }
-  RecordOccupancy(json);
-  json.Write();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+}  // namespace
+}  // namespace o1mem
+
+int main(int argc, char** argv) {
+  return o1mem::BenchMain(argc, argv, "fig8_pbm", {}, o1mem::Run);
 }

@@ -75,14 +75,7 @@ AccessCosts MeasureAccess(MapMechanism mech) {
   return costs;
 }
 
-}  // namespace
-}  // namespace o1mem
-
-int main(int argc, char** argv) {
-  using namespace o1mem;
-  BenchJson json("fig9_range_translation", argc, argv);
-  InitBenchObs(argc, argv);
-
+void Run(BenchJson& json, const BenchArgs&) {
   Table ops(
       "Figure 9 (part 1): map/protect/unmap cost vs size (simulated us) -- per-page vs "
       "splice vs range entry");
@@ -92,22 +85,18 @@ int main(int argc, char** argv) {
     uint64_t size;
     OpCosts perpage, splice, range;
   };
-  std::vector<OpRow> op_rows;
   for (uint64_t size : MaybeShrink({16 * kMiB, 64 * kMiB, 256 * kMiB, 1 * kGiB, 4 * kGiB})) {
     OpRow row{.size = size,
               .perpage = MeasureOps(size, MapMechanism::kPerPage),
               .splice = MeasureOps(size, MapMechanism::kPtSplice),
               .range = MeasureOps(size, MapMechanism::kRangeTable)};
-    op_rows.push_back(row);
     ops.AddRow({SizeLabel(size), Table::Num(row.perpage.map_us), Table::Num(row.splice.map_us),
                 Table::Num(row.range.map_us), Table::Num(row.perpage.protect_us),
                 Table::Num(row.splice.protect_us), Table::Num(row.range.protect_us),
                 Table::Num(row.perpage.unmap_us), Table::Num(row.splice.unmap_us),
                 Table::Num(row.range.unmap_us)});
   }
-  ops.Print();
-  MaybePrintCsv(ops);
-  json.AddTable(ops);
+  json.Emit(ops);
 
   Table access(
       "Figure 9 (part 2): 64k random 64B reads over 1 GiB -- page TLB vs range TLB");
@@ -120,27 +109,12 @@ int main(int argc, char** argv) {
   access.AddRow({"range translation", Table::Num(range_costs.ns_per_access),
                  Table::Int(range_costs.tlb_misses), Table::Int(range_costs.range_hits),
                  Table::Int(range_costs.page_walks)});
-  access.Print();
-  MaybePrintCsv(access);
-  json.AddTable(access);
+  json.Emit(access);
+}
 
-  for (const OpRow& row : op_rows) {
-    const std::string label = SizeLabel(row.size);
-    benchmark::RegisterBenchmark(("fig9/map_perpage/" + label).c_str(),
-                                 [us = row.perpage.map_us](benchmark::State& s) {
-                                   ReportManualTime(s, us);
-                                 })
-        ->UseManualTime();
-    benchmark::RegisterBenchmark(("fig9/map_range/" + label).c_str(),
-                                 [us = row.range.map_us](benchmark::State& s) {
-                                   ReportManualTime(s, us);
-                                 })
-        ->UseManualTime();
-  }
-  RecordOccupancy(json);
-  json.Write();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+}  // namespace
+}  // namespace o1mem
+
+int main(int argc, char** argv) {
+  return o1mem::BenchMain(argc, argv, "fig9_range_translation", {}, o1mem::Run);
 }

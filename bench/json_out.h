@@ -6,8 +6,8 @@
 //    "config": {...},                      // knobs the run used
 //    "metrics": {..., "tables": [...]}}    // scalars + every printed table
 //
-// The flag is extracted from argv before google-benchmark sees it (gbench
-// aborts on unknown flags). bench/run_all.sh collects one file per binary.
+// BenchMain (bench/common.h) parses the flag and writes the file after the
+// bench body ran. bench/run_all.sh collects one file per binary.
 #ifndef O1MEM_BENCH_JSON_OUT_H_
 #define O1MEM_BENCH_JSON_OUT_H_
 
@@ -23,37 +23,6 @@
 #include "src/support/table.h"
 
 namespace o1mem {
-
-// Removes `--name=value` from argv and returns the value, if present.
-inline std::optional<std::string> ExtractFlag(int& argc, char** argv, const std::string& name) {
-  const std::string prefix = "--" + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind(prefix, 0) == 0) {
-      for (int j = i; j + 1 < argc; ++j) {
-        argv[j] = argv[j + 1];
-      }
-      --argc;
-      return arg.substr(prefix.size());
-    }
-  }
-  return std::nullopt;
-}
-
-// Removes a bare `--name` from argv; true when it was present.
-inline bool ExtractBoolFlag(int& argc, char** argv, const std::string& name) {
-  const std::string flag = "--" + name;
-  for (int i = 1; i < argc; ++i) {
-    if (argv[i] == flag) {
-      for (int j = i; j + 1 < argc; ++j) {
-        argv[j] = argv[j + 1];
-      }
-      --argc;
-      return true;
-    }
-  }
-  return false;
-}
 
 inline std::string JsonEscape(const std::string& s) {
   std::string out;
@@ -101,10 +70,10 @@ class HostTimer {
 
 class BenchJson {
  public:
-  // Extracts --json=<path> from argv; without the flag every call below is a
-  // cheap no-op and nothing is written.
-  BenchJson(std::string bench, int& argc, char** argv)
-      : bench_(std::move(bench)), path_(ExtractFlag(argc, argv, "json")) {
+  // `path` is --json's value; without it every call below is a cheap no-op
+  // and nothing is written.
+  BenchJson(std::string bench, std::optional<std::string> path)
+      : bench_(std::move(bench)), path_(std::move(path)) {
     config_.emplace_back("small", std::getenv("O1MEM_BENCH_SMALL") != nullptr ? "true" : "false");
   }
 
@@ -132,7 +101,13 @@ class BenchJson {
     Metric("host_ops_per_sec_" + name, static_cast<double>(ops) / seconds);
   }
 
-  // Mirrors a printed table (header row = columns) under metrics.tables.
+  // Prints `table` on stdout and mirrors it under metrics.tables.
+  void Emit(const Table& table) {
+    table.Print();
+    AddTable(table);
+  }
+
+  // Mirrors a table (header row = columns) under metrics.tables.
   void AddTable(const Table& table) {
     const auto& rows = table.rows();
     std::string out = "{\"title\":\"" + JsonEscape(table.title()) + "\",\"columns\":[";
@@ -153,15 +128,16 @@ class BenchJson {
     tables_.push_back(std::move(out));
   }
 
-  // Writes the collected JSON (call once, after all tables/metrics).
-  void Write() const {
+  // Writes the collected JSON (call once, after all tables/metrics). False
+  // when the file cannot be written.
+  bool Write() const {
     if (!path_.has_value()) {
-      return;
+      return true;
     }
     std::FILE* f = std::fopen(path_->c_str(), "w");
     if (f == nullptr) {
       std::fprintf(stderr, "cannot write %s\n", path_->c_str());
-      return;
+      return false;
     }
     std::fprintf(f, "{\"bench\":\"%s\",\"config\":{", JsonEscape(bench_).c_str());
     WritePairs(f, config_);
@@ -172,7 +148,12 @@ class BenchJson {
       std::fprintf(f, "%s%s", i != 0 ? "," : "", tables_[i].c_str());
     }
     std::fprintf(f, "]}}\n");
-    std::fclose(f);
+    const bool ok = std::ferror(f) == 0;
+    if (std::fclose(f) != 0 || !ok) {
+      std::fprintf(stderr, "cannot write %s\n", path_->c_str());
+      return false;
+    }
+    return true;
   }
 
  private:

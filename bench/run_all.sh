@@ -40,11 +40,9 @@ for bench in "${BENCHES[@]}"; do
     exit 1
   fi
   echo "=== $bench ==="
-  # The tables are simulated and already measured; skip the google-benchmark
-  # re-run (filter matches nothing) so the sweep stays fast. app_kv_service,
-  # abl_malloc_wcet and abl_fragmentation also write Chrome traces
-  # (TRACE_*.json, Perfetto-loadable); the malloc and fragmentation ones
-  # double as inputs for trace_report.py's --check-o1 verdicts in CI.
+  # app_kv_service, abl_malloc_wcet and abl_fragmentation also write Chrome
+  # traces (TRACE_*.json, Perfetto-loadable); the malloc and fragmentation
+  # ones double as inputs for trace_report.py's --check-o1 verdicts in CI.
   extra=()
   if [[ "$bench" == "app_kv_service" || "$bench" == "abl_malloc_wcet" ||
         "$bench" == "abl_fragmentation" ]]; then
@@ -57,7 +55,7 @@ for bench in "${BENCHES[@]}"; do
   if [[ "$bench" == "app_kv_service" ]]; then
     extra+=("--arrival=burst:24x40")
   fi
-  "$bin" "--json=$OUT_DIR/BENCH_$bench.json" "${extra[@]}" '--benchmark_filter=^$'
+  "$bin" "--json=$OUT_DIR/BENCH_$bench.json" "${extra[@]}"
 done
 
 echo "wrote ${#BENCHES[@]} JSON files to $OUT_DIR"

@@ -83,13 +83,7 @@ double MappedStreamingUs() {
   return timer.ElapsedUs() / kOps;
 }
 
-}  // namespace
-}  // namespace o1mem
-
-int main(int argc, char** argv) {
-  using namespace o1mem;
-  BenchJson json("sec43_read_vs_mmap", argc, argv);
-  InitBenchObs(argc, argv);
+void Run(BenchJson& json, const BenchArgs&) {
   const double read_us = ReadSyscallUs();
   const double chased_us = MappedChasedUs();
   const double streaming_us = MappedStreamingUs();
@@ -103,30 +97,15 @@ int main(int argc, char** argv) {
                 Table::Num(chased_us / read_us)});
   table.AddRow({"mapped, warm streaming", Table::Num(streaming_us),
                 Table::Num(streaming_us / read_us)});
-  table.Print();
-  MaybePrintCsv(table);
-  json.AddTable(table);
+  json.Emit(table);
   std::printf("\nClaim %s: read() (%.3f us) %s mapped TLB-missing access (%.3f us)\n",
               chased_us > read_us ? "REPRODUCED" : "NOT reproduced", read_us,
               chased_us > read_us ? "beats" : "does not beat", chased_us);
+}
 
-  benchmark::RegisterBenchmark("sec43/read_syscall",
-                               [read_us](benchmark::State& s) { ReportManualTime(s, read_us); })
-      ->UseManualTime();
-  benchmark::RegisterBenchmark("sec43/mapped_chased",
-                               [chased_us](benchmark::State& s) {
-                                 ReportManualTime(s, chased_us);
-                               })
-      ->UseManualTime();
-  benchmark::RegisterBenchmark("sec43/mapped_streaming",
-                               [streaming_us](benchmark::State& s) {
-                                 ReportManualTime(s, streaming_us);
-                               })
-      ->UseManualTime();
-  RecordOccupancy(json);
-  json.Write();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+}  // namespace
+}  // namespace o1mem
+
+int main(int argc, char** argv) {
+  return o1mem::BenchMain(argc, argv, "sec43_read_vs_mmap", {}, o1mem::Run);
 }
