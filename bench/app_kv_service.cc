@@ -545,7 +545,7 @@ int main(int argc, char** argv) {
   constexpr BenchFlag::Kind kSwitch = BenchFlag::Kind::kSwitch;
   return BenchMain(argc, argv, "app_kv_service",
                    {{"workers", kNumber},
-                    {"tier"},
+                    {"tier", BenchFlag::Kind::kText, {"on", "off"}},
                     {"procfs-dump", kSwitch},
                     {"shards", kNumber},
                     {"campaign"},

@@ -246,6 +246,8 @@ struct BenchFlag {
   };
   std::string name;
   Kind kind = Kind::kText;
+  // kText only: when not empty, the only values the flag accepts.
+  std::vector<std::string> choices;
 };
 
 inline std::optional<uint64_t> ParseWholeNumber(const std::string& text) {
@@ -276,8 +278,9 @@ class BenchArgs {
 
   // Parses argv[1..argc) against `flags`. On an argument none of them reads
   // -- unknown or repeated, a valued flag without =<value>, a switch with
-  // one, a kWholeNumber value that is not all digits -- prints it and why,
-  // then the accepted flags, to stderr and returns nullopt.
+  // one, a kWholeNumber value that is not all digits, a value outside the
+  // flag's choices -- prints it and why, then the accepted flags, to stderr
+  // and returns nullopt.
   static std::optional<BenchArgs> Parse(int argc, char** argv, const std::string& bench,
                                         const std::vector<BenchFlag>& flags) {
     BenchArgs args;
@@ -299,6 +302,10 @@ class BenchArgs {
       } else if (flag->kind == BenchFlag::Kind::kWholeNumber &&
                  !ParseWholeNumber(arg.substr(eq + 1)).has_value()) {
         error = "value is not a whole number";
+      } else if (!flag->choices.empty() &&
+                 std::find(flag->choices.begin(), flag->choices.end(), arg.substr(eq + 1)) ==
+                     flag->choices.end()) {
+        error = "value is not one the flag accepts";
       }
       if (error != nullptr) {
         std::fprintf(stderr, "%s: %s: %s\n", bench.c_str(), error, arg.c_str());
@@ -310,7 +317,11 @@ class BenchArgs {
     if (!ok) {
       std::string usage;
       for (const BenchFlag& f : flags) {
-        usage += " [--" + f.name + (f.kind == BenchFlag::Kind::kSwitch ? "]" : "=...]");
+        std::string value = f.choices.empty() ? "..." : f.choices.front();
+        for (size_t i = 1; i < f.choices.size(); ++i) {
+          value += "|" + f.choices[i];
+        }
+        usage += " [--" + f.name + (f.kind == BenchFlag::Kind::kSwitch ? "]" : "=" + value + "]");
       }
       std::fprintf(stderr, "usage: %s%s\n", bench.c_str(), usage.c_str());
       return std::nullopt;

@@ -1,22 +1,89 @@
 #include "src/mm/buddy_allocator.h"
 
+#include <bit>
+
 namespace o1mem {
+
+namespace {
+
+uint64_t WordsFor(uint64_t bits) { return (bits + 63) / 64; }
+uint64_t Bit(uint64_t i) { return uint64_t{1} << (i & 63); }
+
+}  // namespace
+
+BuddyAllocator::FreeBitmap::FreeBitmap(uint64_t blocks)
+    : words_(WordsFor(blocks)),
+      summary_(WordsFor(words_.size())),
+      top_(WordsFor(summary_.size())) {}
+
+bool BuddyAllocator::FreeBitmap::Contains(uint64_t block) const {
+  // The buddy of the last block may lie past the end.
+  return block / 64 < words_.size() && (words_[block / 64] & Bit(block)) != 0;
+}
+
+void BuddyAllocator::FreeBitmap::Insert(uint64_t block) {
+  uint64_t& word = words_[block / 64];
+  if ((word & Bit(block)) != 0) {
+    return;
+  }
+  ++count_;
+  if (word == 0) {
+    const uint64_t w = block / 64;
+    if (summary_[w / 64] == 0) {
+      top_[w / 4096] |= Bit(w / 64);
+    }
+    summary_[w / 64] |= Bit(w);
+  }
+  word |= Bit(block);
+}
+
+void BuddyAllocator::FreeBitmap::Erase(uint64_t block) {
+  uint64_t& word = words_[block / 64];
+  if ((word & Bit(block)) == 0) {
+    return;
+  }
+  --count_;
+  word &= ~Bit(block);
+  if (word == 0) {
+    const uint64_t w = block / 64;
+    summary_[w / 64] &= ~Bit(w);
+    if (summary_[w / 64] == 0) {
+      top_[w / 4096] &= ~Bit(w / 64);
+    }
+  }
+}
+
+uint64_t BuddyAllocator::FreeBitmap::First() const {
+  O1_CHECK(count_ > 0);
+  uint64_t t = 0;
+  while (top_[t] == 0) {
+    ++t;
+  }
+  const uint64_t s = t * 64 + static_cast<uint64_t>(std::countr_zero(top_[t]));
+  const uint64_t w = s * 64 + static_cast<uint64_t>(std::countr_zero(summary_[s]));
+  return w * 64 + static_cast<uint64_t>(std::countr_zero(words_[w]));
+}
 
 BuddyAllocator::BuddyAllocator(SimContext* ctx, Paddr base, uint64_t bytes)
     : ctx_(ctx), base_(base), bytes_(bytes) {
   O1_CHECK(ctx != nullptr);
   O1_CHECK(IsAligned(base, kPageSize));
   O1_CHECK(IsAligned(bytes, kPageSize));
+  const uint64_t frames = bytes >> kPageShift;
+  // Block numbers at `order` stay below (frames >> order) + 1.
+  free_lists_.reserve(kMaxOrder);
+  for (int order = 0; order < kMaxOrder; ++order) {
+    free_lists_.emplace_back((frames >> order) + 1);
+  }
   // Seed free lists greedily with the largest aligned blocks that fit.
   uint64_t index = 0;
-  const uint64_t frames = bytes >> kPageShift;
   while (index < frames) {
     int order = kMaxOrder - 1;
     while (order > 0 && (index % (uint64_t{1} << order) != 0 ||
                          index + (uint64_t{1} << order) > frames)) {
       --order;
     }
-    free_lists_[static_cast<size_t>(order)].insert(index);
+    free_lists_[static_cast<size_t>(order)].Insert(index >> order);
     index += uint64_t{1} << order;
   }
   free_bytes_ = bytes;
@@ -47,13 +114,15 @@ Result<Paddr> BuddyAllocator::AllocOrderLocked(int order) {
   if (have == kMaxOrder) {
     return OutOfMemory("buddy allocator exhausted");
   }
-  uint64_t index = *free_lists_[static_cast<size_t>(have)].begin();
-  free_lists_[static_cast<size_t>(have)].erase(free_lists_[static_cast<size_t>(have)].begin());
+  FreeBitmap& list = free_lists_[static_cast<size_t>(have)];
+  const uint64_t block = list.First();
+  list.Erase(block);
+  const uint64_t index = block << have;
   // Split down to the requested order, returning the upper halves.
   while (have > order) {
     --have;
     ctx_->Charge(ctx_->cost().buddy_split_cycles);
-    free_lists_[static_cast<size_t>(have)].insert(index + (uint64_t{1} << have));
+    free_lists_[static_cast<size_t>(have)].Insert((index >> have) + 1);
   }
   free_bytes_ -= kPageSize << order;
   ctx_->counters().frames_allocated += uint64_t{1} << order;
@@ -78,18 +147,17 @@ Status BuddyAllocator::FreeOrderLocked(Paddr paddr, int order) {
   free_bytes_ += kPageSize << order;
   // Merge with the buddy while possible.
   while (order < kMaxOrder - 1) {
-    const uint64_t buddy = index ^ (uint64_t{1} << order);
-    auto& list = free_lists_[static_cast<size_t>(order)];
-    auto it = list.find(buddy);
-    if (it == list.end()) {
+    FreeBitmap& list = free_lists_[static_cast<size_t>(order)];
+    const uint64_t buddy = (index >> order) ^ 1;
+    if (!list.Contains(buddy)) {
       break;
     }
-    list.erase(it);
+    list.Erase(buddy);
     ctx_->Charge(ctx_->cost().buddy_split_cycles);
     index &= ~(uint64_t{1} << order);
     ++order;
   }
-  free_lists_[static_cast<size_t>(order)].insert(index);
+  free_lists_[static_cast<size_t>(order)].Insert(index >> order);
   return OkStatus();
 }
 

@@ -9,9 +9,7 @@
 #ifndef O1MEM_SRC_MM_BUDDY_ALLOCATOR_H_
 #define O1MEM_SRC_MM_BUDDY_ALLOCATOR_H_
 
-#include <array>
 #include <cstdint>
-#include <set>
 #include <span>
 #include <vector>
 
@@ -64,6 +62,30 @@ class BuddyAllocator {
   size_t FreeBlocksAt(int order) const;
 
  private:
+  // The free blocks of one order, as a three-level bitmap over the block
+  // number (frame index >> order): one bit per block, one summary bit per
+  // nonzero word, and one top bit per nonzero summary word (4096 words).
+  // Insert, Erase, Contains and First touch one word per level and allocate
+  // nothing; First is the lowest free block, as std::set::begin() was, so
+  // allocation stays lowest-address-first and runs stay reproducible.
+  class FreeBitmap {
+   public:
+    explicit FreeBitmap(uint64_t blocks);
+
+    bool empty() const { return count_ == 0; }
+    size_t size() const { return count_; }
+    bool Contains(uint64_t block) const;
+    void Insert(uint64_t block);
+    void Erase(uint64_t block);
+    uint64_t First() const;  // requires !empty()
+
+   private:
+    std::vector<uint64_t> words_;
+    std::vector<uint64_t> summary_;
+    std::vector<uint64_t> top_;
+    size_t count_ = 0;
+  };
+
   // Models the zone-lock round trip: with N simulated CPUs the lock costs
   // (N-1) * zone_lock_contention_cycles extra. Zero extra at N == 1, so the
   // single-CPU seed is unchanged.
@@ -81,9 +103,8 @@ class BuddyAllocator {
   Paddr base_;
   uint64_t bytes_;
   uint64_t free_bytes_ = 0;
-  // Free lists per order, keyed by frame index; std::set gives deterministic
-  // lowest-address-first allocation, which keeps runs reproducible.
-  std::array<std::set<uint64_t>, kMaxOrder> free_lists_;
+  // Free lists per order.
+  std::vector<FreeBitmap> free_lists_;
 };
 
 }  // namespace o1mem

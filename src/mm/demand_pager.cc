@@ -118,6 +118,7 @@ Status DemandPager::InstallAnonLargePage(const Vma& vma, Vaddr page_base) {
   m.Set(PageFlag::kReferenced);
   m.Set(PageFlag::kUptodate);
   m.order = 9;
+  m.refcount = 1;
   m.mapcount = 1;
   O1_RETURN_IF_ERROR(
       as_->page_table().MapPage(page_base, block.value(), kLargePageSize, vma.prot));
@@ -230,14 +231,13 @@ Status DemandPager::ForkInto(DemandPager& child) {
     if (vma.anonymous()) {
       continue;
     }
-    for (Vaddr page = vma.start; page < vma.end; page += kPageSize) {
-      auto t = as_->page_table().Lookup(page);
-      if (t.has_value()) {
-        O1_RETURN_IF_ERROR(child.as_->page_table().MapPage(
-            page, t->paddr, kPageSize, vma.prot));
-        ctx.Charge(ctx.cost().page_meta_update_cycles);  // file mapcount bump
-      }
-    }
+    Status copied = as_->page_table().ForEachLeaf(vma.start, vma.end, [&](const PtLeaf& leaf) {
+      O1_RETURN_IF_ERROR(child.as_->page_table().MapPage(leaf.vaddr, leaf.entry->paddr,
+                                                         kPageSize, vma.prot));
+      ctx.Charge(ctx.cost().page_meta_update_cycles);  // file mapcount bump
+      return OkStatus();
+    });
+    O1_RETURN_IF_ERROR(copied);
   }
   // The parent's cached writable translations are now stale everywhere.
   machine_->mmu().ShootdownAsid(as_->asid());
@@ -261,48 +261,61 @@ Status DemandPager::Populate(const Vma& vma) {
 
 Status DemandPager::UnmapRange(const Vma& piece) {
   SimContext& ctx = machine_->ctx();
-  for (Vaddr page = piece.start; page < piece.end; page += kPageSize) {
-    auto it = pages_.find(page);
-    if (it != pages_.end() && it->second.page_bytes == kLargePageSize) {
-      // Whole 2 MiB page (System::Munmap guarantees it is fully covered).
-      const Paddr block = it->second.frame;
-      O1_RETURN_IF_ERROR(as_->page_table().UnmapPage(page, kLargePageSize));
-      LruRemove(page);
-      phys_mgr_->meta().Of(block).mapcount--;
-      O1_RETURN_IF_ERROR(phys_mgr_->ReleaseContiguous(block, 9));
-      page += kLargePageSize - kPageSize;
-      continue;
-    }
-    if (it != pages_.end()) {
-      // Anonymous resident page: drop this address space's reference; the
-      // frame itself is freed once no forked sibling still shares it.
-      const Paddr frame = it->second.frame;
-      O1_RETURN_IF_ERROR(as_->page_table().UnmapPage(page, kPageSize));
-      LruRemove(page);
-      PageMeta& m = phys_mgr_->meta().Of(frame);
-      m.mapcount--;
-      if (m.Test(PageFlag::kMlocked)) {
-        // Implicit munlock on unmap: drop the pin's reference too.
-        m.refcount--;
-        m.Clear(PageFlag::kMlocked);
-        m.Clear(PageFlag::kUnevictable);
-      }
-      O1_RETURN_IF_ERROR(phys_mgr_->ReleaseFrame(frame));
-      continue;
-    }
-    if (auto slot = swap_slots_.find(page); slot != swap_slots_.end()) {
-      O1_RETURN_IF_ERROR(swap_->Discard(slot->second));
-      swap_slots_.erase(slot);
-      continue;
-    }
-    // File-backed: drop the PTE only; the backing page stays in the file.
-    if (as_->page_table().Lookup(page).has_value()) {
-      O1_RETURN_IF_ERROR(as_->page_table().UnmapPage(page, kPageSize));
+  PageTable& pt = as_->page_table();
+  O1_RETURN_IF_ERROR(pt.ForEachLeaf(piece.start, piece.end, [&](const PtLeaf& leaf) {
+    pt.UnmapLeaf(leaf);
+    auto it = pages_.find(leaf.vaddr);
+    if (it == pages_.end()) {
+      // File-backed: the backing page stays in the file.
       ctx.Charge(ctx.cost().page_meta_update_cycles);  // mapcount drop in the file
+      return OkStatus();
     }
+    const Paddr frame = it->second.frame;
+    const bool large = it->second.page_bytes == kLargePageSize;
+    LruRemove(it);
+    PageMeta& m = phys_mgr_->meta().Of(frame);
+    m.mapcount--;
+    if (large) {
+      // Whole 2 MiB page (System::Munmap guarantees it is fully covered).
+      return phys_mgr_->ReleaseContiguous(frame, 9);
+    }
+    // Anonymous resident page: drop this address space's reference; the
+    // frame itself is freed once no forked sibling still shares it.
+    if (m.Test(PageFlag::kMlocked)) {
+      // Implicit munlock on unmap: drop the pin's reference too.
+      m.refcount--;
+      m.Clear(PageFlag::kMlocked);
+      m.Clear(PageFlag::kUnevictable);
+    }
+    return phys_mgr_->ReleaseFrame(frame);
+  }));
+  for (auto slot = swap_slots_.lower_bound(piece.start);
+       slot != swap_slots_.end() && slot->first < piece.end;) {
+    O1_RETURN_IF_ERROR(swap_->Discard(slot->second));
+    slot = swap_slots_.erase(slot);
   }
   machine_->mmu().ShootdownRange(as_->asid(), piece.start, piece.bytes());
   return OkStatus();
+}
+
+Status DemandPager::ProtectRange(Vaddr vaddr, uint64_t len, Prot prot) {
+  if (!IsAligned(vaddr, kPageSize) || !IsAligned(len, kPageSize)) {
+    return InvalidArgument("mprotect range not page aligned");
+  }
+  SimContext& ctx = machine_->ctx();
+  const bool writable = HasProt(prot, Prot::kWrite);
+  return as_->page_table().ForEachLeaf(vaddr, vaddr + len, [&](const PtLeaf& leaf) {
+    Prot leaf_prot = prot;
+    if (writable) {
+      auto it = pages_.find(leaf.vaddr);
+      if (it != pages_.end() && phys_mgr_->meta().Peek(it->second.frame).mapcount > 1) {
+        leaf_prot = prot & Prot::kReadExec;
+      }
+    }
+    leaf.entry->prot = leaf_prot;
+    ctx.Charge(ctx.cost().pte_write_cycles);
+    return OkStatus();
+  });
 }
 
 void DemandPager::MarkAccessed(Vaddr vaddr) {
@@ -493,9 +506,12 @@ void DemandPager::LruInsert(Vaddr page_base, Paddr frame, uint64_t page_bytes) {
 
 void DemandPager::LruRemove(Vaddr page_base) {
   auto it = pages_.find(page_base);
-  if (it == pages_.end()) {
-    return;
+  if (it != pages_.end()) {
+    LruRemove(it);
   }
+}
+
+void DemandPager::LruRemove(std::unordered_map<Vaddr, PageState>::iterator it) {
   machine_->ctx().Charge(machine_->ctx().cost().lru_link_cycles);
   (it->second.active ? active_ : inactive_).erase(it->second.lru_it);
   pages_.erase(it);

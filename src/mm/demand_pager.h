@@ -45,7 +45,8 @@ class DemandPager : public FaultHandler {
   // fork(): shares every resident anonymous page with `child` copy-on-write
   // (write-protect both sides, bump frame refcounts), duplicates swap slots,
   // and copies file-backed PTEs (file mappings are shared). Per-page work by
-  // nature -- one of the linear costs the abl_fork benchmark prices.
+  // nature -- one of the linear costs the abl_fork benchmark prices -- but
+  // only over pages that are present or swapped out.
   // The caller must have copied the VMA tree into child->vmas_ already.
   Status ForkInto(DemandPager& child);
 
@@ -54,8 +55,15 @@ class DemandPager : public FaultHandler {
   Status Populate(const Vma& vma);
 
   // Tears down all pages of a removed VMA piece: per-page PTE removal,
-  // frame/backing release, one TLB shootdown for the range.
+  // frame/backing release, one TLB shootdown for the range. Visits present
+  // leaves and swap slots only, never every 4 KiB of the piece.
   Status UnmapRange(const Vma& piece);
+
+  // mprotect's PTE pass: rewrites every present leaf overlapping
+  // [vaddr, vaddr+len) to `prot`, one PTE store each. An anonymous page still
+  // mapped by a forked sibling (mapcount > 1) keeps write cleared, so the
+  // next write breaks copy-on-write instead of writing the shared frame.
+  Status ProtectRange(Vaddr vaddr, uint64_t len, Prot prot);
 
   // Marks the page containing `vaddr` referenced (accessed-bit emulation for
   // reclaim experiments).
@@ -143,6 +151,7 @@ class DemandPager : public FaultHandler {
 
   void LruInsert(Vaddr page_base, Paddr frame, uint64_t page_bytes);
   void LruRemove(Vaddr page_base);
+  void LruRemove(std::unordered_map<Vaddr, PageState>::iterator it);
 
   Machine* machine_;
   PhysManager* phys_mgr_;
@@ -154,7 +163,9 @@ class DemandPager : public FaultHandler {
   std::unordered_map<Vaddr, PageState> pages_;
   // Userfault ranges: start -> (len, callback).
   std::map<Vaddr, std::pair<uint64_t, UserFaultCallback>> userfault_ranges_;
-  std::unordered_map<Vaddr, uint64_t> swap_slots_;  // swapped-out anon pages
+  // Swapped-out anon pages (they have no PTE), in address order so a range
+  // teardown finds its slots with one lower_bound.
+  std::map<Vaddr, uint64_t> swap_slots_;
   std::list<Vaddr> inactive_;
   std::list<Vaddr> active_;
 };

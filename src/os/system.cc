@@ -354,8 +354,7 @@ Status System::Mprotect(Process& proc, Vaddr vaddr, uint64_t length, Prot prot) 
     return fom_->Protect(*proc.fom_, vaddr, prot);
   }
   O1_RETURN_IF_ERROR(proc.vmas_->Protect(vaddr, AlignUp(length, kPageSize), prot));
-  O1_RETURN_IF_ERROR(
-      proc.as_->page_table().ProtectRange(vaddr, AlignUp(length, kPageSize), prot));
+  O1_RETURN_IF_ERROR(proc.pager_->ProtectRange(vaddr, AlignUp(length, kPageSize), prot));
   machine_->mmu().ShootdownRange(proc.as_->asid(), vaddr, AlignUp(length, kPageSize));
   machine_->mmu().FlushPending();
   return OkStatus();

@@ -112,6 +112,13 @@ Status PageTable::UnmapPage(Vaddr vaddr, uint64_t page_bytes) {
   return OkStatus();
 }
 
+void PageTable::UnmapLeaf(const PtLeaf& leaf) {
+  O1_CHECK(leaf.entry->kind == PtEntry::Kind::kLeaf);
+  *leaf.entry = PtEntry{};
+  leaf.node->live_entries--;
+  ctx_->Charge(ctx_->cost().pte_write_cycles);
+}
+
 std::optional<PtTranslation> PageTable::Lookup(Vaddr vaddr) const {
   if (vaddr >= va_limit()) {
     return std::nullopt;
@@ -272,20 +279,11 @@ Status PageTable::ProtectRange(Vaddr vaddr, uint64_t len, Prot prot) {
   if (!IsAligned(vaddr, kPageSize) || !IsAligned(len, kPageSize)) {
     return InvalidArgument("mprotect range not page aligned");
   }
-  for (uint64_t off = 0; off < len;) {
-    auto t = Lookup(vaddr + off);
-    if (!t.has_value()) {
-      off += kPageSize;
-      continue;
-    }
-    PageTableNode* node = Descend(vaddr + off, t->leaf_level, /*create=*/false);
-    O1_CHECK(node != nullptr);
-    PtEntry& e = node->at(IndexAt(vaddr + off, t->leaf_level));
-    e.prot = prot;
+  return ForEachLeaf(vaddr, vaddr + len, [&](const PtLeaf& leaf) {
+    leaf.entry->prot = prot;
     ctx_->Charge(ctx_->cost().pte_write_cycles);
-    off += t->page_bytes - ((vaddr + off) & (t->page_bytes - 1));
-  }
-  return OkStatus();
+    return OkStatus();
+  });
 }
 
 uint64_t PageTable::CountNodes() const {

@@ -19,6 +19,7 @@
 #ifndef O1MEM_SRC_SIM_PAGE_TABLE_H_
 #define O1MEM_SRC_SIM_PAGE_TABLE_H_
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <memory>
@@ -70,6 +71,14 @@ class PageTableNode {
   std::array<PtEntry, kPtEntriesPerNode> entries_{};
 };
 
+// A present leaf, as PageTable::ForEachLeaf hands it to its callback.
+struct PtLeaf {
+  Vaddr vaddr = 0;          // first VA the leaf maps (aligned to page_bytes)
+  uint64_t page_bytes = 0;  // 4K/2M/1G
+  PtEntry* entry = nullptr;
+  PageTableNode* node = nullptr;  // the node holding `entry`
+};
+
 // Result of a structural lookup.
 struct PtTranslation {
   Paddr paddr = 0;       // physical address of the *byte* looked up
@@ -95,8 +104,22 @@ class PageTable {
   // this is the baseline the paper criticizes.
   Status MapPage(Vaddr vaddr, Paddr paddr, uint64_t page_bytes, Prot prot);
 
-  // Unmaps one page; empty intermediate nodes are freed (refcount drop).
+  // Unmaps one page. Intermediate nodes stay even when they empty; a later
+  // MapPage under them reuses them without a pt_node_alloc charge.
   Status UnmapPage(Vaddr vaddr, uint64_t page_bytes);
+
+  // Calls `fn(const PtLeaf&)`, which returns Status, on every present leaf
+  // overlapping [start, end) in ascending VA order, and stops at the first
+  // error. Empty entries and nodes without live entries are skipped at every
+  // level, so the host work follows the leaves present, not the length of
+  // the range. Uncharged: `fn` charges what it does to each leaf. It may
+  // rewrite the leaf's prot or clear it with UnmapLeaf, and must not map
+  // into this table.
+  template <typename Fn>
+  Status ForEachLeaf(Vaddr start, Vaddr end, Fn&& fn);
+
+  // Clears a leaf ForEachLeaf handed out; charged like UnmapPage.
+  void UnmapLeaf(const PtLeaf& leaf);
 
   // Structural, uncharged lookup used by the Mmu's walk model and by tests.
   std::optional<PtTranslation> Lookup(Vaddr vaddr) const;
@@ -126,8 +149,8 @@ class PageTable {
   static std::optional<PtTranslation> LookupInSubtree(const NodeRef& subtree, int level,
                                                       uint64_t offset_in_node);
 
-  // Rewrites the protection bits of every leaf reachable from the root that
-  // lies inside [vaddr, vaddr+len). Linear; baseline mprotect.
+  // Rewrites the protection bits of every present leaf overlapping
+  // [vaddr, vaddr+len), one PTE store each; the per-page mprotect.
   Status ProtectRange(Vaddr vaddr, uint64_t len, Prot prot);
 
   // Metadata-footprint metrics (abl_metadata): nodes currently allocated
@@ -153,10 +176,52 @@ class PageTable {
   // missing interior nodes (charged) when `create` is set.
   PageTableNode* Descend(Vaddr vaddr, int target_level, bool create);
 
+  // ForEachLeaf below `node`, the node at `level` whose first VA is `base`;
+  // [start, end) overlaps the node.
+  template <typename Fn>
+  static Status VisitLeaves(PageTableNode* node, int level, Vaddr base, Vaddr start, Vaddr end,
+                            Fn& fn);
+
   SimContext* ctx_;
   int depth_;
   NodeRef root_;
 };
+
+template <typename Fn>
+Status PageTable::ForEachLeaf(Vaddr start, Vaddr end, Fn&& fn) {
+  end = std::min(end, va_limit());
+  if (start >= end) {
+    return OkStatus();
+  }
+  return VisitLeaves(root_.get(), depth_, 0, start, end, fn);
+}
+
+template <typename Fn>
+Status PageTable::VisitLeaves(PageTableNode* node, int level, Vaddr base, Vaddr start, Vaddr end,
+                              Fn& fn) {
+  const uint64_t entry_bytes = BytesPerEntry(level);
+  const int first = start > base ? static_cast<int>((start - base) / entry_bytes) : 0;
+  const int last = static_cast<int>(
+      std::min<uint64_t>((end - 1 - base) / entry_bytes, kPtEntriesPerNode - 1));
+  // The node holds live_entries non-empty entries, so the walk may stop
+  // once it has seen that many.
+  int unseen = node->live_entries;
+  for (int i = first; i <= last && unseen > 0; ++i) {
+    PtEntry& e = node->at(i);
+    if (e.kind == PtEntry::Kind::kEmpty) {
+      continue;
+    }
+    --unseen;
+    const Vaddr vaddr = base + static_cast<uint64_t>(i) * entry_bytes;
+    if (e.kind == PtEntry::Kind::kTable) {
+      O1_RETURN_IF_ERROR(VisitLeaves(e.child.get(), level - 1, vaddr, start, end, fn));
+      continue;
+    }
+    O1_RETURN_IF_ERROR(
+        fn(PtLeaf{.vaddr = vaddr, .page_bytes = entry_bytes, .entry = &e, .node = node}));
+  }
+  return OkStatus();
+}
 
 }  // namespace o1mem
 

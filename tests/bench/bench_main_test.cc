@@ -19,7 +19,8 @@ namespace {
 const std::vector<BenchFlag> kFlags = {{"workers", BenchFlag::Kind::kWholeNumber},
                                        {"shards", BenchFlag::Kind::kWholeNumber},
                                        {"campaign"},
-                                       {"chaos-log", BenchFlag::Kind::kSwitch}};
+                                       {"chaos-log", BenchFlag::Kind::kSwitch},
+                                       {"tier", BenchFlag::Kind::kText, {"on", "off"}}};
 
 // Runs BenchMain over `args` (argv[0] is supplied) with a body that only
 // records that it ran and, optionally, does `extra`.
@@ -63,6 +64,9 @@ TEST(BenchMainTest, RejectsArgumentsNoFlagReadsWithoutRunning) {
       {"--shards=4", "--shards=8"},        // given twice
       {"--json"},                          // --json/--trace need a path
       {"shards=4"},                        // not a flag
+      {"--tier=bogus"},                    // not one of the flag's choices
+      {"--tier=ON"},
+      {"--tier="},
   };
   for (const std::vector<std::string>& args : rejected) {
     bool ran = true;
@@ -83,6 +87,18 @@ TEST(BenchMainTest, DeclaredFlagsReachTheBody) {
   EXPECT_TRUE(seen.Switch("chaos-log"));
   EXPECT_EQ(seen.Number("workers"), std::nullopt);
   EXPECT_EQ(seen.Text("json"), std::nullopt);
+}
+
+TEST(BenchMainTest, ChoiceFlagsTakeOnlyTheirChoices) {
+  for (const std::string value : {"on", "off"}) {
+    bool ran = false;
+    BenchArgs seen;
+    EXPECT_EQ(RunBench({"--tier=" + value}, &ran,
+                       [&](BenchJson&, const BenchArgs& args) { seen = args; }),
+              0);
+    EXPECT_TRUE(ran);
+    EXPECT_EQ(seen.Text("tier"), value);
+  }
 }
 
 TEST(BenchMainTest, EmptyValueIsPassedThrough) {

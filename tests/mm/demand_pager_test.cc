@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "src/mm/reclaim.h"
+#include "src/os/system.h"
 
 namespace o1mem {
 namespace {
@@ -193,6 +196,161 @@ TEST_F(PagerTest, OutOfMemoryWhenDramExhausted) {
   Status s = pager_.Populate(*vmas_.Find(kMiB));
   EXPECT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kOutOfMemory);
+}
+
+// A file's page cache for file-backed VMAs: a backing frame is allocated on
+// first use and stays with the file when its mappings go.
+class CacheFile : public BackingProvider {
+ public:
+  explicit CacheFile(PhysManager* phys) : phys_(phys) {}
+
+  Result<Paddr> GetBackingPage(uint64_t file_offset, bool /*for_write*/) override {
+    if (auto it = pages_.find(file_offset); it != pages_.end()) {
+      return it->second;
+    }
+    O1_ASSIGN_OR_RETURN(Paddr frame, phys_->AllocFrame(/*zero=*/true));
+    pages_.emplace(file_offset, frame);
+    return frame;
+  }
+  uint64_t backing_id() const override { return 1; }
+
+ private:
+  PhysManager* phys_;
+  std::map<uint64_t, Paddr> pages_;
+};
+
+// Teardown over one anonymous VMA that holds every kind of page -- an
+// unpopulated hole, a 2 MiB page, then 4 KiB pages (a split 2 MiB page)
+// among them swapped-out ones, the VMA's last page included, and an
+// mlocked one -- next to a populated file-backed VMA.
+class TeardownTest : public PagerTest {
+ protected:
+  static constexpr Vaddr kAnon = 4 * kMiB;
+  static constexpr uint64_t kAnonBytes = 3 * kLargePageSize;
+  static constexpr Vaddr kLarge = kAnon + kLargePageSize;
+  static constexpr Vaddr kSplit = kAnon + 2 * kLargePageSize;
+  static constexpr Vaddr kPinned = kSplit + 100 * kPageSize;
+  static constexpr Vaddr kFile = 64 * kMiB;
+  static constexpr uint64_t kFilePages = 16;
+
+  TeardownTest() : file_(&phys_mgr_) {}
+
+  void SetUp() override {
+    free_at_start_ = phys_mgr_.free_bytes();
+    ASSERT_TRUE(vmas_.Insert(Vma{.start = kAnon, .end = kAnon + kAnonBytes,
+                                 .prot = Prot::kReadWrite, .large_pages = true})
+                    .ok());
+    ASSERT_TRUE(machine_.mmu().Touch(*as_, kLarge, 1, AccessType::kWrite).ok());
+    ASSERT_TRUE(machine_.mmu().Touch(*as_, kSplit, 1, AccessType::kWrite).ok());
+    ASSERT_TRUE(pager_.SplitLargePage(kSplit).ok());
+    ASSERT_TRUE(pager_.SwapOutPage(kSplit + 5 * kPageSize).ok());
+    ASSERT_TRUE(pager_.SwapOutPage(kAnon + kAnonBytes - kPageSize).ok());
+    ASSERT_TRUE(pager_.PinRange(kPinned, kPageSize).ok());
+    pinned_frame_ = as_->page_table().Lookup(kPinned)->paddr;
+    const Vma file{.start = kFile, .end = kFile + kFilePages * kPageSize,
+                   .prot = Prot::kReadWrite, .backing = &file_};
+    ASSERT_TRUE(vmas_.Insert(file).ok());
+    ASSERT_TRUE(pager_.Populate(file).ok());
+    ASSERT_EQ(pager_.resident_anon_pages(), 1u + 512u - 2u);
+    ASSERT_EQ(pager_.swapped_pages(), 2u);
+    ASSERT_EQ(swap_.used_slots(), 2u);
+    ASSERT_EQ(PinnedRefcount(), 2u);  // one mapping plus the pin
+  }
+
+  uint64_t PinnedRefcount() { return phys_mgr_.meta().Peek(pinned_frame_).refcount; }
+
+  // What System::Exit does to a pager: every VMA torn down in address order.
+  static void ExitPager(DemandPager& pager, VmaTree& vmas, Machine& machine) {
+    for (const Vma& vma : vmas.Regions()) {
+      ASSERT_TRUE(pager.UnmapRange(vma).ok());
+    }
+    machine.mmu().FlushPending();
+  }
+
+  CacheFile file_;
+  uint64_t free_at_start_ = 0;
+  Paddr pinned_frame_ = 0;
+};
+
+TEST_F(TeardownTest, MunmapReleasesEveryKindOfPage) {
+  for (Vaddr start : {kAnon, kFile}) {
+    const uint64_t bytes = start == kAnon ? kAnonBytes : kFilePages * kPageSize;
+    auto removed = vmas_.RemoveRange(start, bytes);
+    ASSERT_TRUE(removed.ok());
+    for (const Vma& piece : removed.value()) {
+      ASSERT_TRUE(pager_.UnmapRange(piece).ok());
+    }
+  }
+  EXPECT_EQ(pager_.resident_anon_pages(), 0u);
+  EXPECT_EQ(pager_.swapped_pages(), 0u);
+  EXPECT_EQ(swap_.used_slots(), 0u);
+  EXPECT_EQ(PinnedRefcount(), 0u);  // implicit munlock, then freed
+  // Only the file's cached pages stay allocated.
+  EXPECT_EQ(phys_mgr_.free_bytes(), free_at_start_ - kFilePages * kPageSize);
+  EXPECT_FALSE(as_->page_table().Lookup(kLarge).has_value());
+  EXPECT_FALSE(as_->page_table().Lookup(kSplit).has_value());
+  EXPECT_FALSE(as_->page_table().Lookup(kFile).has_value());
+}
+
+TEST_F(TeardownTest, ForkExitThenExitReleaseEveryKindOfPage) {
+  const uint64_t resident = pager_.resident_anon_pages();
+  const uint64_t free_before_fork = phys_mgr_.free_bytes();
+  {
+    std::unique_ptr<AddressSpace> child_as = machine_.CreateAddressSpace();
+    VmaTree child_vmas(&machine_.ctx());
+    DemandPager child(&machine_, &phys_mgr_, &swap_, child_as.get(), &child_vmas);
+    for (const Vma& vma : vmas_.Regions()) {
+      ASSERT_TRUE(child_vmas.Insert(vma).ok());
+    }
+    ASSERT_TRUE(pager_.ForkInto(child).ok());
+    machine_.mmu().FlushPending();
+    EXPECT_EQ(child.resident_anon_pages(), resident);
+    EXPECT_EQ(child.swapped_pages(), 2u);
+    EXPECT_EQ(swap_.used_slots(), 4u);
+    ExitPager(child, child_vmas, machine_);
+    EXPECT_EQ(child.resident_anon_pages(), 0u);
+    EXPECT_EQ(child.swapped_pages(), 0u);
+  }
+  EXPECT_EQ(pager_.resident_anon_pages(), resident);
+  EXPECT_EQ(pager_.swapped_pages(), 2u);
+  EXPECT_EQ(swap_.used_slots(), 2u);
+  EXPECT_EQ(phys_mgr_.free_bytes(), free_before_fork);
+  // The mlock flag lives on the frame the child shared, so the child's exit
+  // took the implicit munlock -- and the pin's reference -- with it.
+  EXPECT_EQ(PinnedRefcount(), 1u);
+
+  ExitPager(pager_, vmas_, machine_);
+  EXPECT_EQ(pager_.resident_anon_pages(), 0u);
+  EXPECT_EQ(pager_.swapped_pages(), 0u);
+  EXPECT_EQ(swap_.used_slots(), 0u);
+  EXPECT_EQ(PinnedRefcount(), 0u);
+  EXPECT_EQ(phys_mgr_.free_bytes(), free_at_start_ - kFilePages * kPageSize);
+}
+
+// munmap charges the pages present, not the length of the VMA: one CPU,
+// eight touched pages, the same cycles whether the VMA is eight pages or
+// 1 GiB and whether the touches sit together or 128 MiB apart.
+TEST(MunmapCostTest, ChargesPresentPagesNotVmaLength) {
+  const auto munmap_cycles = [](uint64_t vma_bytes, uint64_t stride) -> uint64_t {
+    SystemConfig config;
+    config.machine.dram_bytes = 256 * kMiB;
+    config.machine.nvm_bytes = 256 * kMiB;
+    System sys(config);
+    auto proc = sys.Launch(Backend::kBaseline);
+    EXPECT_TRUE(proc.ok());
+    auto vaddr = sys.Mmap(**proc, MmapArgs{.length = vma_bytes});
+    EXPECT_TRUE(vaddr.ok());
+    for (uint64_t i = 0; i < 8; ++i) {
+      EXPECT_TRUE(sys.UserTouch(**proc, *vaddr + i * stride, 1, AccessType::kWrite).ok());
+    }
+    const uint64_t t0 = sys.ctx().now();
+    EXPECT_TRUE(sys.Munmap(**proc, *vaddr, vma_bytes).ok());
+    return sys.ctx().now() - t0;
+  };
+  const uint64_t small = munmap_cycles(8 * kPageSize, kPageSize);
+  EXPECT_EQ(small, 7970u);
+  EXPECT_EQ(munmap_cycles(kGiB, kPageSize), small);
+  EXPECT_EQ(munmap_cycles(kGiB, 128 * kMiB), small);
 }
 
 }  // namespace

@@ -138,6 +138,79 @@ TEST_F(ForkTest, FileMappingsStayShared) {
   EXPECT_EQ(ReadByte(**parent, *vaddr).value(), 0x77);
 }
 
+// A 2 MiB page comes straight from the buddy, so its install must take the
+// mapping's reference itself: after fork the two sides then hold two, a
+// write copies, and one side's exit does not free the other's page.
+TEST_F(ForkTest, LargePageIsSharedCopyOnWrite) {
+  auto parent = sys_.Launch(Backend::kBaseline);
+  ASSERT_TRUE(parent.ok());
+  auto vaddr = sys_.Mmap(**parent, MmapArgs{.length = kLargePageSize, .populate = true,
+                                            .large_pages = true});
+  ASSERT_TRUE(vaddr.ok());
+  ASSERT_TRUE(WriteByte(**parent, *vaddr, 1).ok());
+  auto child = sys_.Fork(**parent);
+  ASSERT_TRUE(child.ok());
+  ASSERT_TRUE(WriteByte(**child, *vaddr, 2).ok());
+  EXPECT_EQ(ReadByte(**parent, *vaddr).value(), 1);
+  EXPECT_EQ(ReadByte(**child, *vaddr).value(), 2);
+  const uint64_t free_before = sys_.phys_manager().free_bytes();
+  ASSERT_TRUE(sys_.Exit(*child).ok());
+  EXPECT_EQ(sys_.phys_manager().free_bytes(), free_before + kLargePageSize);
+  EXPECT_EQ(ReadByte(**parent, *vaddr).value(), 1);
+}
+
+// mprotect rewrites every PTE in its range, but a page still shared
+// copy-on-write must stay write-protected there: otherwise the next write
+// lands in the frame the other side still maps.
+TEST_F(ForkTest, ParentMprotectAfterForkKeepsCowPagesWriteProtected) {
+  auto parent = sys_.Launch(Backend::kBaseline);
+  ASSERT_TRUE(parent.ok());
+  auto vaddr = sys_.Mmap(**parent, MmapArgs{.length = 4 * kPageSize, .populate = true});
+  ASSERT_TRUE(vaddr.ok());
+  ASSERT_TRUE(WriteByte(**parent, *vaddr, 1).ok());
+  auto child = sys_.Fork(**parent);
+  ASSERT_TRUE(child.ok());
+  ASSERT_TRUE(sys_.Mprotect(**parent, *vaddr, 4 * kPageSize, Prot::kReadWrite).ok());
+  const uint64_t frames_before = sys_.ctx().counters().frames_allocated;
+  ASSERT_TRUE(WriteByte(**parent, *vaddr, 2).ok());
+  EXPECT_EQ(sys_.ctx().counters().frames_allocated, frames_before + 1);  // COW copy
+  EXPECT_EQ(ReadByte(**parent, *vaddr).value(), 2);
+  EXPECT_EQ(ReadByte(**child, *vaddr).value(), 1);
+}
+
+TEST_F(ForkTest, ChildMprotectRoundTripAfterForkKeepsCowPagesWriteProtected) {
+  auto parent = sys_.Launch(Backend::kBaseline);
+  ASSERT_TRUE(parent.ok());
+  auto vaddr = sys_.Mmap(**parent, MmapArgs{.length = 4 * kPageSize, .populate = true});
+  ASSERT_TRUE(vaddr.ok());
+  ASSERT_TRUE(WriteByte(**parent, *vaddr, 5).ok());
+  auto child = sys_.Fork(**parent);
+  ASSERT_TRUE(child.ok());
+  ASSERT_TRUE(sys_.Mprotect(**child, *vaddr, 4 * kPageSize, Prot::kRead).ok());
+  ASSERT_TRUE(sys_.Mprotect(**child, *vaddr, 4 * kPageSize, Prot::kReadWrite).ok());
+  ASSERT_TRUE(WriteByte(**child, *vaddr, 6).ok());
+  EXPECT_EQ(ReadByte(**child, *vaddr).value(), 6);
+  EXPECT_EQ(ReadByte(**parent, *vaddr).value(), 5);
+}
+
+// A pin raises the frame's refcount, not its mapcount, so mprotect restores
+// write on a pinned page that no sibling maps: the write lands in place and
+// the pinned frame is not copied away from under the pin.
+TEST_F(ForkTest, MprotectRestoresWriteOnPinnedUnsharedPage) {
+  auto proc = sys_.Launch(Backend::kBaseline);
+  ASSERT_TRUE(proc.ok());
+  auto vaddr = sys_.Mmap(**proc, MmapArgs{.length = 4 * kPageSize, .populate = true});
+  ASSERT_TRUE(vaddr.ok());
+  ASSERT_TRUE(sys_.Mlock(**proc, *vaddr, kPageSize).ok());
+  const Paddr pinned = (*proc)->address_space().page_table().Lookup(*vaddr)->paddr;
+  ASSERT_TRUE(sys_.Mprotect(**proc, *vaddr, 4 * kPageSize, Prot::kRead).ok());
+  ASSERT_TRUE(sys_.Mprotect(**proc, *vaddr, 4 * kPageSize, Prot::kReadWrite).ok());
+  const uint64_t faults_before = sys_.ctx().counters().minor_faults;
+  ASSERT_TRUE(WriteByte(**proc, *vaddr, 3).ok());
+  EXPECT_EQ(sys_.ctx().counters().minor_faults, faults_before);
+  EXPECT_EQ((*proc)->address_space().page_table().Lookup(*vaddr)->paddr, pinned);
+}
+
 TEST_F(ForkTest, FomForkSharesSegments) {
   auto parent = sys_.Launch(Backend::kFom);
   ASSERT_TRUE(parent.ok());

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "src/sim/context.h"
+#include "src/support/rng.h"
 
 namespace o1mem {
 namespace {
@@ -192,6 +196,167 @@ TEST(PageTable5Level, FourLevelRejectsHighAddresses) {
   PageTable pt(&ctx, 4);
   EXPECT_FALSE(pt.MapPage(300 * kTiB, 0x1000, kPageSize, Prot::kRead).ok());
 }
+
+// ForEachLeaf against the per-page Lookup loop it replaced. A leaf is
+// reported once, by its first VA, whatever part of it the range overlaps.
+struct SeenLeaf {
+  Vaddr vaddr = 0;
+  uint64_t page_bytes = 0;
+  Paddr paddr = 0;
+  Prot prot = Prot::kNone;
+  bool operator==(const SeenLeaf&) const = default;
+};
+
+std::vector<SeenLeaf> LeavesByLookup(const PageTable& pt, Vaddr start, Vaddr end) {
+  std::vector<SeenLeaf> out;
+  end = std::min(end, pt.va_limit());
+  for (Vaddr va = AlignDown(start, kPageSize); va < end;) {
+    auto t = pt.Lookup(va);
+    if (!t.has_value()) {
+      va += kPageSize;
+      continue;
+    }
+    const Vaddr base = AlignDown(va, t->page_bytes);
+    out.push_back({base, t->page_bytes, t->paddr - (va - base), t->prot});
+    va = base + t->page_bytes;
+  }
+  return out;
+}
+
+std::vector<SeenLeaf> LeavesByWalk(PageTable& pt, Vaddr start, Vaddr end) {
+  std::vector<SeenLeaf> out;
+  EXPECT_TRUE(pt.ForEachLeaf(start, end, [&](const PtLeaf& leaf) {
+                  out.push_back(
+                      {leaf.vaddr, leaf.page_bytes, leaf.entry->paddr, leaf.entry->prot});
+                  return OkStatus();
+                }).ok());
+  return out;
+}
+
+// Seeded MapPage/UnmapPage of 4K, 2M and 1G leaves in a low and a high
+// (top of VA) window, around a 2 MiB subtree spliced from another table.
+class PageTableWalkTest : public ::testing::TestWithParam<uint64_t> {
+ protected:
+  static constexpr uint64_t kWindow = 2 * kGiB;
+
+  PageTableWalkTest() {
+    Rng rng(GetParam());
+    NodeRef shared =
+        PageTable::BuildExtentSubtree(&ctx_, 1, 512 * kMiB, 300 * kPageSize, Prot::kRead);
+    EXPECT_TRUE(other_.SpliceSubtree(0, 1, shared).ok());
+    EXPECT_TRUE(pt_.SpliceSubtree(3 * kLargePageSize, 1, shared).ok());
+    EXPECT_TRUE(pt_.MapPage(pt_.va_limit() - kPageSize, 0, kPageSize, Prot::kRead).ok());
+    std::vector<std::pair<Vaddr, uint64_t>> mapped;
+    for (int op = 0; op < 4000; ++op) {
+      if (!mapped.empty() && rng.NextBool(0.3)) {
+        const size_t i = rng.NextBelow(mapped.size());
+        (void)pt_.UnmapPage(mapped[i].first, mapped[i].second);
+        mapped[i] = mapped.back();
+        mapped.pop_back();
+        continue;
+      }
+      const uint64_t kind = rng.NextBelow(100);
+      const uint64_t bytes = kind < 85 ? kPageSize : kind < 98 ? kLargePageSize : kHugePageSize;
+      // Most 4K and 2M leaves cluster in the first 32 MiB of a window, so
+      // nodes hold runs as well as strays.
+      const uint64_t span = bytes < kHugePageSize && rng.NextBool(0.7) ? 32 * kMiB : kWindow;
+      const Vaddr va = Window(rng.NextBelow(2)) + AlignDown(rng.NextBelow(span), bytes);
+      const Paddr pa = AlignDown(rng.NextBelow(kTiB), bytes);
+      const Prot prot = rng.NextBool(0.5) ? Prot::kRead : Prot::kReadWrite;
+      if (pt_.MapPage(va, pa, bytes, prot).ok()) {
+        mapped.emplace_back(va, bytes);
+      }
+    }
+  }
+
+  Vaddr Window(uint64_t i) const { return i == 0 ? 0 : pt_.va_limit() - kWindow; }
+
+  SimContext ctx_;
+  PageTable pt_{&ctx_, 4};
+  PageTable other_{&ctx_, 4};
+};
+
+TEST_P(PageTableWalkTest, ForEachLeafMatchesPerPageLookup) {
+  Rng rng(GetParam() + 1000);
+  const uint64_t top = pt_.va_limit();
+  std::vector<std::pair<Vaddr, Vaddr>> ranges = {
+      {0, kWindow},                       // the whole low window
+      {top - kWindow, top},               // the whole high window
+      {top - 2 * kPageSize, top + kGiB},  // ends past va_limit()
+      {top, top + kGiB},                  // starts at va_limit()
+      {top + kPageSize, top + kGiB},      // starts past va_limit()
+      {5 * kMiB, 5 * kMiB},               // empty
+      {9 * kMiB, 5 * kMiB},               // end before start
+  };
+  for (int i = 0; i < 80; ++i) {
+    // Byte-granular starts and log-uniform lengths, so ranges start and end
+    // mid-leaf at every page size.
+    const Vaddr start = Window(rng.NextBelow(2)) + rng.NextBelow(kWindow);
+    ranges.emplace_back(start, start + rng.NextBelow(uint64_t{1} << rng.NextBelow(32)));
+  }
+  size_t leaves = 0;
+  for (const auto& [start, end] : ranges) {
+    const std::vector<SeenLeaf> expected = LeavesByLookup(pt_, start, end);
+    EXPECT_EQ(LeavesByWalk(pt_, start, end), expected) << std::hex << start << "-" << end;
+    leaves += expected.size();
+  }
+  EXPECT_GT(leaves, 500u);
+  EXPECT_EQ(LeavesByWalk(pt_, top - 2 * kPageSize, top + kGiB).size(), 1u);
+}
+
+// Both windows, leaf by leaf, through the per-page loop.
+std::vector<SeenLeaf> AllLeaves(const PageTable& pt, uint64_t window) {
+  std::vector<SeenLeaf> out = LeavesByLookup(pt, 0, window);
+  const std::vector<SeenLeaf> high = LeavesByLookup(pt, pt.va_limit() - window, pt.va_limit());
+  out.insert(out.end(), high.begin(), high.end());
+  return out;
+}
+
+bool Contains(const std::vector<SeenLeaf>& leaves, const SeenLeaf& leaf) {
+  return std::find(leaves.begin(), leaves.end(), leaf) != leaves.end();
+}
+
+TEST_P(PageTableWalkTest, UnmapLeafInsideTheWalkClearsExactlyTheVisitedLeaves) {
+  Rng rng(GetParam() + 2000);
+  std::vector<SeenLeaf> expected = AllLeaves(pt_, kWindow);
+  for (int i = 0; i < 20; ++i) {
+    const Vaddr start = Window(rng.NextBelow(2)) + AlignDown(rng.NextBelow(kWindow), kPageSize);
+    const Vaddr end = start + rng.NextBelow(uint64_t{1} << rng.NextBelow(31));
+    const std::vector<SeenLeaf> inside = LeavesByLookup(pt_, start, end);
+    const uint64_t t0 = ctx_.now();
+    ASSERT_TRUE(pt_.ForEachLeaf(start, end, [&](const PtLeaf& leaf) {
+                     pt_.UnmapLeaf(leaf);
+                     return OkStatus();
+                   }).ok());
+    EXPECT_EQ(ctx_.now() - t0, inside.size() * ctx_.cost().pte_write_cycles);
+    EXPECT_TRUE(LeavesByLookup(pt_, start, end).empty());
+    std::erase_if(expected, [&](const SeenLeaf& leaf) { return Contains(inside, leaf); });
+  }
+  EXPECT_EQ(AllLeaves(pt_, kWindow), expected);
+}
+
+TEST_P(PageTableWalkTest, ProtectRangeRewritesTheLeavesThePerPageLoopDid) {
+  Rng rng(GetParam() + 3000);
+  std::vector<SeenLeaf> expected = AllLeaves(pt_, kWindow);
+  for (int i = 0; i < 20; ++i) {
+    const Prot prot = i % 2 == 0 ? Prot::kReadExec : Prot::kReadWrite;
+    const Vaddr start = Window(rng.NextBelow(2)) + AlignDown(rng.NextBelow(kWindow), kPageSize);
+    const uint64_t len =
+        AlignDown(rng.NextBelow(uint64_t{1} << rng.NextBelow(31)), kPageSize);
+    const std::vector<SeenLeaf> inside = LeavesByLookup(pt_, start, start + len);
+    const uint64_t t0 = ctx_.now();
+    ASSERT_TRUE(pt_.ProtectRange(start, len, prot).ok());
+    EXPECT_EQ(ctx_.now() - t0, inside.size() * ctx_.cost().pte_write_cycles);
+    for (SeenLeaf& leaf : expected) {
+      if (Contains(inside, leaf)) {
+        leaf.prot = prot;
+      }
+    }
+  }
+  EXPECT_EQ(AllLeaves(pt_, kWindow), expected);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PageTableWalkTest, ::testing::Values(1, 2, 3));
 
 }  // namespace
 }  // namespace o1mem
