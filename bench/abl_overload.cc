@@ -3,16 +3,16 @@
 // A closed-loop client (one arrival per completion) cannot overload
 // anything: it self-throttles exactly when the service slows down. This
 // bench drives the sharded KV service's open loop with Poisson arrivals at
-// 0.5x-3x of service capacity (shards * slots_per_tick per tick) and
+// 0.5x-3x of service capacity (shards * kSlotsPerTick per tick) and
 // compares two services:
 //
 //   * naive: unbounded FIFO queues, no admission control, no retry budget,
-//     no breakers, no brownout. Clients still time out after deadline_ticks
+//     no breakers, no brownout. Clients still time out after kDeadlineTicks
 //     and retry with backoff -- which is the collapse amplifier: past 1x,
 //     every queued request expires before it is served, retries multiply
 //     offered load, and goodput falls toward zero; a request that runs out
 //     of attempts this way was never refused, so it counts as lost;
-//   * protected: bounded queues with deadline-aware shed at admission,
+//   * protected: deadline-aware shed at admission (which bounds the queues),
 //     retry-budget token bucket, per-shard circuit breakers, brownout
 //     ladder (src/chaos/admission.h, breaker.h).
 //
@@ -38,20 +38,10 @@ constexpr int kShards = 4;
 struct Point {
   double factor = 0;
   bool protected_mode = false;
-  uint64_t arrivals = 0;
-  uint64_t served = 0;
-  uint64_t sheds = 0;
-  uint64_t rejected_final = 0;
+  OverloadReport ov;
   uint64_t ops_lost = 0;
-  uint64_t breaker_transitions = 0;
-  uint64_t brownout_shard_ticks = 0;  // shard-ticks spent above L0
-  uint64_t max_queue_depth = 0;
-  double goodput_ratio = 0;
-  double shed_rate = 0;
-  double p99_admitted_us = 0;
-  double window_a = 0;
-  double window_b = 0;
   uint64_t verify_failures = 0;
+  double p99_admitted_us = 0;
 };
 
 ShardServiceConfig ServiceConfig(double factor, bool protected_mode,
@@ -62,10 +52,8 @@ ShardServiceConfig ServiceConfig(double factor, bool protected_mode,
   config.ops = BenchSmall() ? 6000 : 20000;
   config.arrival.enabled = true;
   config.arrival.kind = ArrivalConfig::Kind::kPoisson;
-  config.arrival.rate = factor * static_cast<double>(kShards) *
-                        static_cast<double>(config.overload.slots_per_tick);
+  config.arrival.rate = factor * static_cast<double>(kShards) * static_cast<double>(kSlotsPerTick);
   config.arrival.scan_fraction = 0.05;
-  config.arrival.scan_records = 16;
   if (protected_mode) {
     config.overload = OverloadConfig::Protected();
   }
@@ -94,33 +82,12 @@ Point RunPoint(double factor, bool protected_mode, const std::string& campaign_s
   SimTimer timer(sys);
   ShardedKvService service(sys, ServiceConfig(factor, protected_mode, campaign_spec, seed));
   const ShardServiceReport r = service.Run();
-  const OverloadReport& ov = r.overload;
-
-  Point p;
-  p.factor = factor;
-  p.protected_mode = protected_mode;
-  p.arrivals = ov.arrivals;
-  p.served = ov.served;
-  p.sheds = ov.sheds;
-  p.rejected_final = ov.rejected_final;
-  p.ops_lost = r.ops_lost;
-  p.verify_failures = r.verify_failures;
-  p.goodput_ratio =
-      ov.capacity_per_tick > 0 ? ov.goodput_per_tick / ov.capacity_per_tick : 0;
-  p.shed_rate = ov.arrivals == 0
-                    ? 0
-                    : static_cast<double>(ov.sheds) / static_cast<double>(ov.arrivals);
-  p.p99_admitted_us = sys.ctx().clock().CyclesToUs(r.all_latency.Percentile(99));
-  p.window_a = ov.queue_depth_window_a;
-  p.window_b = ov.queue_depth_window_b;
-  for (const ShardOverloadStats& st : ov.per_shard) {
-    p.breaker_transitions += st.breaker_transitions;
-    for (size_t level = 1; level < st.brownout_ticks.size(); ++level) {
-      p.brownout_shard_ticks += st.brownout_ticks[level];
-    }
-    p.max_queue_depth = std::max(p.max_queue_depth, st.max_queue_depth);
-  }
-  return p;
+  return Point{.factor = factor,
+               .protected_mode = protected_mode,
+               .ov = r.overload,
+               .ops_lost = r.ops_lost,
+               .verify_failures = r.verify_failures,
+               .p99_admitted_us = sys.ctx().clock().CyclesToUs(r.all_latency.Percentile(99))};
 }
 
 void Run(BenchJson& json, const BenchArgs& args) {
@@ -139,13 +106,14 @@ void Run(BenchJson& json, const BenchArgs& args) {
     for (bool protected_mode : {false, true}) {
       Point p = RunPoint(factor, protected_mode, /*campaign_spec=*/"", chaos_seed);
       points.push_back(p);
+      const OverloadReport& ov = p.ov;
       table.AddRow({Table::Num(factor) + "x", protected_mode ? "protected" : "naive",
-                    std::to_string(p.arrivals), std::to_string(p.served),
-                    Table::Num(p.goodput_ratio), Table::Num(p.shed_rate * 100.0),
-                    std::to_string(p.rejected_final), std::to_string(p.ops_lost),
-                    Table::Num(p.p99_admitted_us), std::to_string(p.max_queue_depth),
-                    std::to_string(p.breaker_transitions),
-                    std::to_string(p.brownout_shard_ticks)});
+                    std::to_string(ov.arrivals), std::to_string(ov.served),
+                    Table::Num(ov.goodput_ratio), Table::Num(ov.shed_rate * 100.0),
+                    std::to_string(ov.rejected_final), std::to_string(p.ops_lost),
+                    Table::Num(p.p99_admitted_us), std::to_string(ov.max_queue_depth),
+                    std::to_string(ov.breaker_transitions),
+                    std::to_string(ov.brownout_shard_ticks)});
     }
   }
   json.Emit(table);
@@ -172,11 +140,12 @@ void Run(BenchJson& json, const BenchArgs& args) {
     }
     O1_CHECK(p.verify_failures == 0);
   }
-  O1_CHECK(peak.goodput_ratio >= 0.8);
+  O1_CHECK(peak.ov.goodput_ratio >= 0.8);
   const double nominal_p99 = std::max(nominal.p99_admitted_us, 1.0);  // >= one tick
   O1_CHECK(peak.p99_admitted_us <= 3.0 * nominal_p99);
-  O1_CHECK(peak.window_b <= peak.window_a * 1.5 + 2.0);  // flat steady state
-  O1_CHECK(low.breaker_transitions == 0);  // busy != failing
+  // Flat steady state.
+  O1_CHECK(peak.ov.queue_depth_window_b <= peak.ov.queue_depth_window_a * 1.5 + 2.0);
+  O1_CHECK(low.ov.breaker_transitions == 0);  // busy != failing
 
   Point primary = peak;
   if (!campaign_spec.empty()) {
@@ -186,25 +155,27 @@ void Run(BenchJson& json, const BenchArgs& args) {
     O1_CHECK(primary.ops_lost == 0);
     O1_CHECK(primary.verify_failures == 0);
   }
-  json.Metric("goodput_ratio", primary.goodput_ratio);
+  const OverloadReport& ov = primary.ov;
+  json.Metric("goodput_ratio", ov.goodput_ratio);
   json.Metric("p99_admitted_us", primary.p99_admitted_us);
-  json.Metric("shed_rate", primary.shed_rate);
-  json.Metric("rejected_final", static_cast<double>(primary.rejected_final));
-  json.Metric("breaker_transitions", static_cast<double>(primary.breaker_transitions));
-  json.Metric("brownout_shard_ticks", static_cast<double>(primary.brownout_shard_ticks));
-  json.Metric("max_queue_depth", static_cast<double>(primary.max_queue_depth));
-  json.Metric("queue_depth_window_a", primary.window_a);
-  json.Metric("queue_depth_window_b", primary.window_b);
+  json.Metric("shed_rate", ov.shed_rate);
+  json.Metric("rejected_final", static_cast<double>(ov.rejected_final));
+  json.Metric("breaker_transitions", static_cast<double>(ov.breaker_transitions));
+  json.Metric("brownout_shard_ticks", static_cast<double>(ov.brownout_shard_ticks));
+  json.Metric("max_queue_depth", static_cast<double>(ov.max_queue_depth));
+  json.Metric("queue_depth_window_a", ov.queue_depth_window_a);
+  json.Metric("queue_depth_window_b", ov.queue_depth_window_b);
   json.Metric("nominal_p99_admitted_us", nominal.p99_admitted_us);
-  json.Metric("breaker_false_opens_low_load", static_cast<double>(low.breaker_transitions));
-  json.Metric("naive_goodput_ratio_3x", naive_peak.goodput_ratio);
-  json.Metric("protected_goodput_ratio_3x", peak.goodput_ratio);
+  json.Metric("breaker_false_opens_low_load", static_cast<double>(low.ov.breaker_transitions));
+  json.Metric("naive_goodput_ratio_3x", naive_peak.ov.goodput_ratio);
+  json.Metric("protected_goodput_ratio_3x", peak.ov.goodput_ratio);
 
   std::printf(
       "\noverload: protected goodput %.2fx capacity at 3x offered load (naive: %.2fx), "
       "p99 admitted %.1f us vs %.1f us nominal, shed rate %.1f%%, queue windows %.1f -> %.1f\n",
-      peak.goodput_ratio, naive_peak.goodput_ratio, peak.p99_admitted_us,
-      nominal.p99_admitted_us, peak.shed_rate * 100.0, peak.window_a, peak.window_b);
+      peak.ov.goodput_ratio, naive_peak.ov.goodput_ratio, peak.p99_admitted_us,
+      nominal.p99_admitted_us, peak.ov.shed_rate * 100.0, peak.ov.queue_depth_window_a,
+      peak.ov.queue_depth_window_b);
 }
 
 }  // namespace

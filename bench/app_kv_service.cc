@@ -68,6 +68,19 @@ SystemConfig WorkerConfig(int workers) {
   return config;
 }
 
+// --tier=on: the DRAM file cache and access monitor both service modes use.
+void EnableTier(SystemConfig& config) {
+  config.machine.tier.enabled = true;
+  config.machine.tier.dram_cache_bytes = 32 * kMiB;
+  config.machine.tier.aggregation_ticks = 8;
+  config.machine.tier.min_region_bytes = 64 * kPageSize;
+  config.machine.tier.min_regions = 16;
+  config.machine.tier.max_regions = 64;
+  config.machine.tier.hot_threshold = 2;
+  config.machine.tier.promote_after = 1;
+  config.machine.tier.demote_after = 8;
+}
+
 Phase RunBaseline(int workers) {
   System sys(WorkerConfig(workers));
   Phase phase;
@@ -157,15 +170,7 @@ Phase RunFom(int workers, bool tier) {
   SystemConfig config = WorkerConfig(workers);
   config.pmfs_zero_policy = ZeroPolicy::kZeroEpoch;
   if (tier) {
-    config.machine.tier.enabled = true;
-    config.machine.tier.dram_cache_bytes = 32 * kMiB;
-    config.machine.tier.aggregation_ticks = 8;
-    config.machine.tier.min_region_bytes = 64 * kPageSize;
-    config.machine.tier.min_regions = 16;
-    config.machine.tier.max_regions = 64;
-    config.machine.tier.hot_threshold = 2;
-    config.machine.tier.promote_after = 1;
-    config.machine.tier.demote_after = 8;
+    EnableTier(config);
   }
   System sys(config);
   Phase phase;
@@ -277,15 +282,7 @@ ChaosMetrics RunChaosService(int shards, const std::string& campaign_spec,
                              const std::string& arrival_spec, uint64_t seed, bool tier) {
   SystemConfig config = WorkerConfig(shards);
   if (tier) {
-    config.machine.tier.enabled = true;
-    config.machine.tier.dram_cache_bytes = 32 * kMiB;
-    config.machine.tier.aggregation_ticks = 8;
-    config.machine.tier.min_region_bytes = 64 * kPageSize;
-    config.machine.tier.min_regions = 16;
-    config.machine.tier.max_regions = 64;
-    config.machine.tier.hot_threshold = 2;
-    config.machine.tier.promote_after = 1;
-    config.machine.tier.demote_after = 8;
+    EnableTier(config);
   }
   config.pmfs_zero_policy = ZeroPolicy::kZeroEpoch;
   System sys(config);
@@ -416,8 +413,8 @@ void ChaosMain(BenchJson& json, int shards, const std::string& campaign_spec,
     const OverloadReport& ov = r.overload;
     Table otable("Overload serving: per-shard admission/breaker/brownout (open loop " +
                  std::to_string(static_cast<int>(ov.capacity_per_tick)) + " slots/tick)");
-    otable.AddRow({"shard", "admitted", "served", "shed_dl", "shed_ovf", "shed_scan",
-                   "shed_write", "expired", "fast_fail", "brk_rej", "brk_trans", "max_depth",
+    otable.AddRow({"shard", "admitted", "served", "shed_dl", "shed_scan", "shed_write",
+                   "expired", "fast_fail", "brk_rej", "brk_trans", "max_depth",
                    "brownout L0..L4 ticks"});
     for (size_t i = 0; i < ov.per_shard.size(); ++i) {
       const ShardOverloadStats& st = ov.per_shard[i];
@@ -426,41 +423,27 @@ void ChaosMain(BenchJson& json, int shards, const std::string& campaign_spec,
         residency += (level == 0 ? "" : "/") + std::to_string(st.brownout_ticks[level]);
       }
       otable.AddRow({std::to_string(i), std::to_string(st.admitted), std::to_string(st.served),
-                     std::to_string(st.shed_deadline), std::to_string(st.shed_overflow),
-                     std::to_string(st.shed_scan), std::to_string(st.shed_write),
-                     std::to_string(st.expired_in_queue), std::to_string(st.failed_fast),
-                     std::to_string(st.breaker_rejects), std::to_string(st.breaker_transitions),
-                     std::to_string(st.max_queue_depth), residency});
+                     std::to_string(st.shed_deadline), std::to_string(st.shed_scan),
+                     std::to_string(st.shed_write), std::to_string(st.expired_in_queue),
+                     std::to_string(st.failed_fast), std::to_string(st.breaker_rejects),
+                     std::to_string(st.breaker_transitions), std::to_string(st.max_queue_depth),
+                     residency});
     }
     json.Emit(otable);
 
-    uint64_t breaker_transitions = 0;
-    uint64_t brownout_ticks = 0;  // ticks any shard spent above L0
-    uint64_t max_depth = 0;
-    for (const ShardOverloadStats& st : ov.per_shard) {
-      breaker_transitions += st.breaker_transitions;
-      for (size_t level = 1; level < st.brownout_ticks.size(); ++level) {
-        brownout_ticks += st.brownout_ticks[level];
-      }
-      max_depth = std::max(max_depth, st.max_queue_depth);
-    }
-    const double goodput_ratio =
-        ov.capacity_per_tick > 0 ? ov.goodput_per_tick / ov.capacity_per_tick : 0;
-    const double shed_rate =
-        ov.arrivals == 0 ? 0 : static_cast<double>(ov.sheds) / static_cast<double>(ov.arrivals);
     json.Metric("arrivals", static_cast<double>(ov.arrivals));
     json.Metric("admitted", static_cast<double>(ov.admitted));
     json.Metric("served", static_cast<double>(ov.served));
     json.Metric("goodput_per_tick", ov.goodput_per_tick);
-    json.Metric("goodput_ratio", goodput_ratio);
-    json.Metric("shed_rate", shed_rate);
+    json.Metric("goodput_ratio", ov.goodput_ratio);
+    json.Metric("shed_rate", ov.shed_rate);
     json.Metric("rejected_final", static_cast<double>(ov.rejected_final));
     json.Metric("retry_budget_denials", static_cast<double>(ov.retry_budget_denials));
     json.Metric("p50_admitted_us", m.admitted_p50_us);
     json.Metric("p99_admitted_us", m.admitted_p99_us);
-    json.Metric("breaker_transitions", static_cast<double>(breaker_transitions));
-    json.Metric("brownout_ticks", static_cast<double>(brownout_ticks));
-    json.Metric("max_queue_depth", static_cast<double>(max_depth));
+    json.Metric("breaker_transitions", static_cast<double>(ov.breaker_transitions));
+    json.Metric("brownout_ticks", static_cast<double>(ov.brownout_shard_ticks));
+    json.Metric("max_queue_depth", static_cast<double>(ov.max_queue_depth));
     json.Metric("queue_depth_window_a", ov.queue_depth_window_a);
     json.Metric("queue_depth_window_b", ov.queue_depth_window_b);
     std::printf(
@@ -468,10 +451,10 @@ void ChaosMain(BenchJson& json, int shards, const std::string& campaign_spec,
         "%llu clean rejects, p99 admitted %.1f us, %llu breaker transitions, %llu brownout "
         "shard-ticks\n",
         static_cast<unsigned long long>(ov.arrivals), static_cast<unsigned long long>(ov.served),
-        goodput_ratio, static_cast<unsigned long long>(ov.sheds), shed_rate * 100.0,
+        ov.goodput_ratio, static_cast<unsigned long long>(ov.sheds), ov.shed_rate * 100.0,
         static_cast<unsigned long long>(ov.rejected_final), m.admitted_p99_us,
-        static_cast<unsigned long long>(breaker_transitions),
-        static_cast<unsigned long long>(brownout_ticks));
+        static_cast<unsigned long long>(ov.breaker_transitions),
+        static_cast<unsigned long long>(ov.brownout_shard_ticks));
   }
 
   std::printf(

@@ -32,6 +32,26 @@ Result<uint64_t> EatInt(std::string_view& s) {
   return value;
 }
 
+// Every rate the config samples lies in [0, kMaxArrivalRate] (a NaN fails
+// both comparisons), the mean is positive, and a burst phase has a length.
+Status Validate(const ArrivalConfig& config) {
+  const bool ramp = config.kind == ArrivalConfig::Kind::kRamp;
+  const double lo = ramp ? config.ramp_lo : config.rate;
+  const double hi = ramp ? config.ramp_hi : config.rate;
+  if (!(lo >= 0.0 && lo <= kMaxArrivalRate && hi >= 0.0 && hi <= kMaxArrivalRate)) {
+    return Status(StatusCode::kInvalidArgument,
+                  "arrival: rates must lie in [0, " +
+                      std::to_string(static_cast<int>(kMaxArrivalRate)) + "] per tick");
+  }
+  if (config.MeanRate() <= 0.0) {
+    return Status(StatusCode::kInvalidArgument, "arrival: mean rate must be positive");
+  }
+  if (config.kind == ArrivalConfig::Kind::kBurst && config.burst_ticks == 0) {
+    return Status(StatusCode::kInvalidArgument, "arrival: burst length 0");
+  }
+  return OkStatus();
+}
+
 }  // namespace
 
 Result<ArrivalConfig> ParseArrival(std::string_view spec) {
@@ -61,9 +81,6 @@ Result<ArrivalConfig> ParseArrival(std::string_view spec) {
     rest.remove_prefix(1);
     auto len = EatInt(rest);
     O1_RETURN_IF_ERROR(len.status());
-    if (*len == 0) {
-      return Status(StatusCode::kInvalidArgument, "arrival: burst length 0");
-    }
     config.burst_ticks = *len;
   } else if (kind == "ramp") {
     config.kind = ArrivalConfig::Kind::kRamp;
@@ -87,21 +104,15 @@ Result<ArrivalConfig> ParseArrival(std::string_view spec) {
                   "arrival: trailing junk '" + std::string(rest) + "' in '" +
                       std::string(spec) + "'");
   }
-  if (config.MeanRate() <= 0.0) {
-    return Status(StatusCode::kInvalidArgument, "arrival: mean rate must be positive");
-  }
+  O1_RETURN_IF_ERROR(Validate(config));
   return config;
 }
 
 ArrivalProcess::ArrivalProcess(const ArrivalConfig& config, uint64_t total_ops, uint64_t seed)
     : config_(config), total_ops_(total_ops), rng_(seed) {
-  O1_CHECK(config.MeanRate() > 0.0);
-  horizon_ticks_ = config.horizon_ticks;
-  if (horizon_ticks_ == 0) {
-    // Ramp across the expected run length at the mean rate.
-    horizon_ticks_ = std::max<uint64_t>(
-        1, static_cast<uint64_t>(std::ceil(static_cast<double>(total_ops) / config.MeanRate())));
-  }
+  O1_CHECK(Validate(config).ok());
+  horizon_ticks_ = std::max<uint64_t>(
+      1, static_cast<uint64_t>(std::ceil(static_cast<double>(total_ops) / config.MeanRate())));
 }
 
 double ArrivalProcess::RateAt(uint64_t tick) const {
@@ -134,8 +145,8 @@ uint32_t ArrivalProcess::ArrivalsAt(uint64_t tick) {
     return 0;
   }
   // Knuth: count uniforms whose product stays above e^-lambda. Exact and
-  // deterministic from the Rng stream; lambda here is O(10), far below the
-  // point where the method degrades.
+  // deterministic from the Rng stream; kMaxArrivalRate keeps e^-lambda a
+  // normal double.
   const double limit = std::exp(-lambda);
   uint32_t count = 0;
   double product = rng_.NextDouble();

@@ -14,6 +14,8 @@
 //   ramp:<lo>-<hi>        Poisson whose rate climbs linearly from <lo> to
 //                         <hi> across the arrival horizon, then holds <hi>
 //
+// Every rate lies in [0, kMaxArrivalRate] and the mean rate is positive.
+//
 // Per-tick counts are sampled with Knuth's product-of-uniforms Poisson
 // method from one seeded Rng, so the same (spec, seed) pair produces the
 // same arrival sequence run after run -- the campaign-determinism contract
@@ -34,19 +36,22 @@
 
 namespace o1mem {
 
+// Knuth's method stops once the running product of uniforms falls to
+// e^-rate; past rate ~708 that bound is no longer a normal double (and past
+// ~745 it is 0), so the sampler would draw the wrong distribution.
+inline constexpr double kMaxArrivalRate = 512.0;
+
 struct ArrivalConfig {
   bool enabled = false;
   enum class Kind { kPoisson, kBurst, kRamp } kind = Kind::kPoisson;
   double rate = 1.0;         // poisson rate; burst high-phase rate
   uint64_t burst_ticks = 0;  // burst: high-phase (= quiet-phase) length
   double ramp_lo = 0.0;      // ramp: starting rate
-  double ramp_hi = 0.0;      // ramp: final rate, reached at horizon_ticks
-  uint64_t horizon_ticks = 0;  // ramp horizon; 0 = derived from the op budget
+  double ramp_hi = 0.0;      // ramp: final rate, reached at the horizon
 
-  // Op-class mix applied per arrival (remainder after scans splits into
-  // writes and reads by the service's write_fraction).
+  // Share of arrivals that are scans (the rest split into writes and reads
+  // by the service's write fraction).
   double scan_fraction = 0.0;
-  uint64_t scan_records = 16;  // records touched by one scan op
 
   // Mean arrivals per tick (for horizon/backstop math). The defaults give
   // 1.0, which is also what a disabled config emits.
@@ -68,8 +73,8 @@ class ArrivalProcess {
  public:
   // `total_ops` is the arrival budget: once that many arrivals have been
   // generated the process goes quiet (ArrivalsAt returns 0 forever), which
-  // bounds every run. Ramp derives its horizon from it when the config
-  // leaves horizon_ticks at 0.
+  // bounds every run. Ramp climbs across total_ops / MeanRate() ticks, the
+  // expected length of the arrival phase.
   ArrivalProcess(const ArrivalConfig& config, uint64_t total_ops, uint64_t seed);
 
   // Number of arrivals at `tick` (1 while the budget lasts when the config

@@ -1,16 +1,16 @@
 // Per-shard circuit breaker: closed -> open -> half-open, driven by the
-// client-visible failure signals of one shard (consecutive timeouts /
-// fail-fasts, optionally sojourn latency over a threshold).
+// client-visible failure signals of one shard (consecutive timeouts and
+// fail-fasts).
 //
 // Why a breaker on top of deadlines + retries: a hung or dead shard makes
 // every request burn its full deadline before the client gives up and
 // retries. Under open-loop arrival that is an amplifier -- each arrival
 // wastes a deadline's worth of queue residency and then re-offers itself.
 // The breaker converts that into a fast-fail at admission: after
-// `failure_threshold` consecutive failures the breaker opens and requests
+// kFailureThreshold consecutive failures the breaker opens and requests
 // are rejected instantly (no queue entry, no deadline burn) for
-// `open_ticks`; then one half-open window admits `half_open_probes`
-// requests, and their outcome decides between closing and re-opening.
+// kOpenTicks; then one half-open window admits kHalfOpenProbes requests,
+// and their outcome decides between closing and re-opening.
 //
 // Everything is a pure function of the observed (tick, outcome) sequence --
 // no randomness -- so under a seeded campaign the state timeline replays
@@ -24,28 +24,20 @@
 
 namespace o1mem {
 
-struct BreakerConfig {
-  bool enabled = false;
-  int failure_threshold = 5;   // consecutive failures that open the breaker
-  uint64_t open_ticks = 32;    // cool-down before the half-open window
-  int half_open_probes = 2;    // consecutive successes that close it again
-  // Sojourn-latency failure signal: a request that took more than this many
-  // ticks from arrival to completion counts as a failure even though it
-  // succeeded. 0 = latency signal off (the default; timeouts already feed
-  // the failure count, so this only matters for slow-but-serving shards).
-  uint64_t latency_fail_ticks = 0;
-};
-
 class CircuitBreaker {
  public:
   enum class State : uint8_t { kClosed, kOpen, kHalfOpen };
 
-  explicit CircuitBreaker(const BreakerConfig& config) : config_(config) {}
+  static constexpr int kFailureThreshold = 5;  // consecutive failures that open it
+  static constexpr uint64_t kOpenTicks = 32;   // cool-down before the half-open window
+  static constexpr int kHalfOpenProbes = 2;    // consecutive successes that close it again
+
+  explicit CircuitBreaker(bool enabled) : enabled_(enabled) {}
 
   // May this request proceed to admission at `tick`? Open rejects until the
   // cool-down elapses, then shifts to half-open and admits probes.
   bool Allow(uint64_t tick) {
-    if (!config_.enabled) {
+    if (!enabled_) {
       return true;
     }
     if (state_ == State::kOpen) {
@@ -57,33 +49,28 @@ class CircuitBreaker {
     return true;
   }
 
-  // Outcome feedback. `sojourn_ticks` is arrival-to-completion time for the
-  // latency signal (pass 0 when not applicable, e.g. fail-fast outcomes).
-  void RecordSuccess(uint64_t tick, uint64_t sojourn_ticks = 0) {
-    if (!config_.enabled) {
-      return;
-    }
-    if (config_.latency_fail_ticks != 0 && sojourn_ticks > config_.latency_fail_ticks) {
-      RecordFailure(tick);
+  // Outcome feedback.
+  void RecordSuccess(uint64_t tick) {
+    if (!enabled_) {
       return;
     }
     consecutive_failures_ = 0;
     if (state_ == State::kHalfOpen) {
-      if (++half_open_successes_ >= config_.half_open_probes) {
+      if (++half_open_successes_ >= kHalfOpenProbes) {
         Shift(State::kClosed, tick);
       }
     }
   }
 
   void RecordFailure(uint64_t tick) {
-    if (!config_.enabled) {
+    if (!enabled_) {
       return;
     }
     if (state_ == State::kHalfOpen) {
       Open(tick);  // a probe failed: straight back to open
       return;
     }
-    if (state_ == State::kClosed && ++consecutive_failures_ >= config_.failure_threshold) {
+    if (state_ == State::kClosed && ++consecutive_failures_ >= kFailureThreshold) {
       Open(tick);
     }
   }
@@ -105,7 +92,7 @@ class CircuitBreaker {
 
  private:
   void Open(uint64_t tick) {
-    open_until_ = tick + config_.open_ticks;
+    open_until_ = tick + kOpenTicks;
     Shift(State::kOpen, tick);
   }
 
@@ -117,7 +104,7 @@ class CircuitBreaker {
     timeline_ += "t=" + std::to_string(tick) + " " + StateName(next) + "; ";
   }
 
-  BreakerConfig config_;
+  bool enabled_;
   State state_ = State::kClosed;
   int consecutive_failures_ = 0;
   int half_open_successes_ = 0;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <charconv>
 
+#include "src/chaos/watchdog.h"
+
 namespace o1mem {
 
 namespace {
@@ -157,17 +159,18 @@ Result<ChaosConfig> ParseCampaign(std::string_view spec, uint64_t seed) {
     O1_RETURN_IF_ERROR(action.status());
     config.schedule.push_back(*action);
   }
-  config.enabled = !config.schedule.empty();
   return config;
 }
 
 std::string DefaultCampaignSpec(uint64_t ticks) {
-  // One hard kill early, one hang long enough for the watchdog (interval 4 x
-  // 3 missed beats = 12 ticks; 64 leaves no doubt), one sticky poison, and
-  // transient poison every fifth of the run.
+  // One hard kill early, one hang long enough for the watchdog (64 ticks
+  // against its Watchdog::kAllowanceTicks = 12 leaves no doubt), one sticky
+  // poison, and transient poison every fifth of the run.
+  constexpr uint64_t kHangTicks = 64;
+  static_assert(kHangTicks > Watchdog::kAllowanceTicks);
   const uint64_t t = std::max<uint64_t>(ticks, 100);
-  return "kill@" + std::to_string(t / 4) + ":0; hang@" + std::to_string(t / 2) +
-         ":rx64; poison@" + std::to_string(t / 8) + ":r!; poison@every" +
+  return "kill@" + std::to_string(t / 4) + ":0; hang@" + std::to_string(t / 2) + ":rx" +
+         std::to_string(kHangTicks) + "; poison@" + std::to_string(t / 8) + ":r!; poison@every" +
          std::to_string(t / 5) + ":r";
 }
 

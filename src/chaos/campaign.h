@@ -25,9 +25,10 @@
 //   tornflush@J      same, counted in NVM flush events
 //
 // The engine only *schedules*: the service (src/chaos/shard_service) applies
-// each firing to the System and reports what happened. A default-constructed
-// ChaosConfig is disabled and the service never builds an engine, so the
-// chaos path adds zero cycles and zero behavior change when off.
+// each firing to the System and reports what happened. With an empty
+// schedule (a default-constructed ChaosConfig) the service never builds an
+// engine, so the chaos path adds zero cycles and zero behavior change when
+// off.
 #ifndef O1MEM_SRC_CHAOS_CAMPAIGN_H_
 #define O1MEM_SRC_CHAOS_CAMPAIGN_H_
 
@@ -63,7 +64,6 @@ struct ChaosAction {
 };
 
 struct ChaosConfig {
-  bool enabled = false;
   uint64_t seed = 1;
   std::vector<ChaosAction> schedule;
 };
@@ -78,8 +78,8 @@ struct ChaosFiring {
   bool sticky = false;
 };
 
-// Parses a campaign spec (grammar above). The returned config is enabled
-// iff the spec contains at least one action.
+// Parses a campaign spec (grammar above). A spec without actions yields an
+// empty schedule: no campaign.
 Result<ChaosConfig> ParseCampaign(std::string_view spec, uint64_t seed);
 
 // The canned campaign CI runs: one kill, one watchdog-length hang, one

@@ -1,5 +1,5 @@
-// Client-side retry policy: capped exponential backoff with full jitter
-// (the AWS architecture-blog shape: sleep = uniform[1, min(cap, base*2^n)]).
+// Client-side retries: capped exponential backoff with full jitter (the AWS
+// architecture-blog shape: sleep = uniform[1, min(cap, base*2^n)]).
 // Jitter comes from a caller-owned seeded Rng, so retry timing is exactly as
 // deterministic as the rest of the simulation -- a chaos campaign replays
 // with identical retry schedules. RetryWheel holds the scheduled retries.
@@ -14,29 +14,32 @@
 
 namespace o1mem {
 
-struct RetryPolicy {
-  int max_attempts = 8;           // total tries (first attempt included)
-  uint64_t base_delay_ticks = 4;  // backoff cap after the first failure
-  uint64_t max_delay_ticks = 512;
+// Client retries: up to kRetryMaxAttempts tries in all (the first attempt
+// included), the backoff cap doubling from kRetryBaseDelayTicks after the
+// first failure up to kRetryMaxDelayTicks.
+inline constexpr int kRetryMaxAttempts = 8;
+inline constexpr uint64_t kRetryBaseDelayTicks = 4;
+inline constexpr uint64_t kRetryMaxDelayTicks = 512;
 
-  // Delay before attempt `attempt`+1, given `attempt` failures so far
-  // (attempt >= 1). Uniform in [1, min(max, base * 2^(attempt-1))].
-  uint64_t BackoffTicks(int attempt, Rng& rng) const {
-    O1_CHECK(attempt >= 1);
-    uint64_t cap = base_delay_ticks;
-    for (int i = 1; i < attempt && cap < max_delay_ticks; ++i) {
-      cap *= 2;
-    }
-    cap = std::max<uint64_t>(1, std::min(cap, max_delay_ticks));
-    return 1 + rng.NextBelow(cap);
+// Delay before attempt `attempt`+1, given `attempt` failures so far
+// (attempt >= 1). Uniform in [1, min(kRetryMaxDelayTicks,
+// kRetryBaseDelayTicks * 2^(attempt-1))].
+inline uint64_t BackoffTicks(int attempt, Rng& rng) {
+  O1_CHECK(attempt >= 1);
+  uint64_t cap = kRetryBaseDelayTicks;
+  for (int i = 1; i < attempt && cap < kRetryMaxDelayTicks; ++i) {
+    cap *= 2;
   }
-};
+  cap = std::min(cap, kRetryMaxDelayTicks);
+  return 1 + rng.NextBelow(cap);
+}
 
 // Retries awaiting their re-offer tick: a timing wheel with one FIFO bucket
-// per tick. Every backoff lies in 1..max(1, max_delay_ticks), so with one
-// bucket more than that horizon an entry never shares a bucket with an
-// entry due on another tick. Push and PopDue cost O(1) per entry, and the
-// entries due on one tick come out in push order.
+// per tick. Every backoff lies in 1..max(1, max_delay_ticks) (the service
+// passes kRetryMaxDelayTicks), so with one bucket more than that horizon an
+// entry never shares a bucket with an entry due on another tick. Push and
+// PopDue cost O(1) per entry, and the entries due on one tick come out in
+// push order.
 template <typename T>
 class RetryWheel {
  public:

@@ -12,6 +12,7 @@ namespace {
 // [version u64][key u64][payload fill]. One line keeps op cost realistic
 // without dominating the campaign with bulk copies.
 constexpr uint64_t kLineBytes = 64;
+static_assert(ShardedKvService::kRecordBytes >= kLineBytes);
 
 void EncodeRecord(uint8_t* line, uint64_t version, uint64_t key) {
   std::memcpy(line, &version, sizeof(version));
@@ -24,29 +25,28 @@ ShardedKvService::ShardedKvService(System& sys, const ShardServiceConfig& config
     : sys_(sys),
       config_(config),
       client_version_(static_cast<uint64_t>(config.shards) *
-                      (config.shard_bytes / config.record_bytes)),
+                      (config.shard_bytes / kRecordBytes)),
       workload_rng_(config.workload_seed),
       retry_rng_(config.chaos.seed ^ 0x9e3779b97f4a7c15ULL),
       trace_rng_(config.workload_seed ^ 0x0ddc0ffeebadf00dULL),
-      zipf_(client_version_.size(), config.zipf_theta),
+      zipf_(client_version_.size(), kZipfTheta),
       // One arrival stream per run, seeded independently of the chaos seed so
       // (arrival spec, campaign, seed) each govern their own random stream.
       arrival_(config.arrival, config.ops, config.workload_seed ^ 0xa5c1d34b9e77f210ULL),
-      retry_budget_(config.overload.retry_budget),
-      retries_(config.retry.max_delay_ticks) {
+      retry_budget_(config.overload.enabled),
+      retries_(kRetryMaxDelayTicks) {
   O1_CHECK(config.shards > 0);
-  O1_CHECK(config.record_bytes >= kLineBytes);
-  O1_CHECK(config.shard_bytes % config.record_bytes == 0);
-  if (config_.chaos.enabled) {
+  O1_CHECK(config.shard_bytes % kRecordBytes == 0);
+  if (!config_.chaos.schedule.empty()) {
     campaign_ = std::make_unique<CampaignEngine>(config_.chaos, config_.shards);
   }
   num_cpus_ = sys_.machine().config().smp.num_cpus;
   shard_latency_.resize(static_cast<size_t>(config_.shards));
   shard_slowest_.resize(static_cast<size_t>(config_.shards));
   for (int i = 0; i < config_.shards; ++i) {
-    queues_.emplace_back(config_.overload.admission, config_.overload.slots_per_tick);
-    breakers_.emplace_back(config_.overload.breaker);
-    brownouts_.emplace_back(config_.overload.brownout);
+    queues_.emplace_back(config_.overload.enabled);
+    breakers_.emplace_back(config_.overload.enabled);
+    brownouts_.emplace_back(config_.overload.enabled);
   }
   pressure_.resize(static_cast<size_t>(config_.shards));
   report_.overload.per_shard.resize(static_cast<size_t>(config_.shards));
@@ -71,7 +71,7 @@ void ShardedKvService::SetupShards() {
         "/srv/shard" + std::to_string(i), config_.shard_bytes,
         SegmentOptions{.flags = FileFlags{.persistent = true}});
     O1_CHECK(inode.ok());
-    shards_.emplace_back(config_);
+    shards_.emplace_back();
     BringUp(i);
   }
 }
@@ -179,9 +179,9 @@ void ShardedKvService::ApplyFiring(const ChaosFiring& firing, uint64_t tick) {
 }
 
 Status ShardedKvService::Serve(Shard& shard, const OpenRequest& req) {
-  // A scan gets scan_records consecutive records of this shard (stride =
+  // A scan gets kScanRecords consecutive records of this shard (stride =
   // shards in key space keeps every touched key on the same shard), wrapping.
-  const uint64_t records = req.cls == OpClass::kScan ? config_.arrival.scan_records : 1;
+  const uint64_t records = req.cls == OpClass::kScan ? kScanRecords : 1;
   for (uint64_t j = 0; j < records; ++j) {
     const uint64_t key =
         (req.key + j * static_cast<uint64_t>(config_.shards)) % client_version_.size();
@@ -208,7 +208,7 @@ Status ShardedKvService::Serve(Shard& shard, const OpenRequest& req) {
       continue;
     }
     O1_RETURN_IF_ERROR(read);
-    if (config_.verify && client_version_[key] != 0) {
+    if (client_version_[key] != 0) {
       uint64_t version = 0;
       uint64_t stored_key = 0;
       std::memcpy(&version, line, sizeof(version));
@@ -230,7 +230,7 @@ void ShardedKvService::ClosePark(OpenRequest& req, uint64_t& acc_cycles, TraceKi
   const uint64_t dur = sys_.ctx().now() - req.park_cycles;
   acc_cycles += dur;
   Observer* obs = sys_.ctx().obs();
-  if (obs != nullptr && req.trace_id != 0 && obs->WantsSpan(kind)) {
+  if (obs != nullptr && req.trace_id != 0 && obs->WantsSpan()) {
     obs->RecordSpan(kind, 0, req.park_cycles, dur, 0, req.trace_id, req.next_span++,
                     /*parent_span=*/1);
   }
@@ -391,31 +391,44 @@ void ShardedKvService::PushTickMetric(uint64_t tick, uint64_t queue_depth,
   obs->PushMetric(m);
 }
 
-void ShardedKvService::RecoverShard(int index, uint64_t tick, const char* cause) {
-  Shard& shard = shards_[static_cast<size_t>(index)];
+void ShardedKvService::Recover(int index, const char* cause, uint64_t down_tick,
+                               uint64_t tick) {
   RecoveryEvent event;
   event.shard = index;
   event.cause = cause;
-  event.down_tick = shard.down_tick;
+  event.down_tick = down_tick;
   event.detect_tick = tick;
-  if (shard.proc != nullptr) {  // hung zombie: kill it first
-    O1_CHECK(sys_.Exit(shard.proc).ok());
-    shard.proc = nullptr;
-  }
   const uint64_t scrub_start = sys_.ctx().now();
   auto scrub = sys_.pmfs().Scrub();
   O1_CHECK(scrub.ok());
   event.scrub_us = sys_.ctx().clock().CyclesToUs(sys_.ctx().now() - scrub_start);
   event.replay_records = scrub->journal_records_checked;
   const uint64_t remap_start = sys_.ctx().now();
-  BringUp(index);
+  const int first = index < 0 ? 0 : index;
+  const int last = index < 0 ? config_.shards : index + 1;
+  for (int i = first; i < last; ++i) {
+    BringUp(i);
+    Shard& shard = shards_[static_cast<size_t>(i)];
+    shard.state = ShardState::kUp;
+    shard.awaiting_first_serve = true;
+    shard.dog.Beat(tick);
+  }
   event.remap_us = sys_.ctx().clock().CyclesToUs(sys_.ctx().now() - remap_start);
-  shard.state = ShardState::kUp;
-  shard.awaiting_first_serve = true;
-  shard.dog.Rearm(tick);
-  LogNote("t=" + std::to_string(tick) + " recover shard=" + std::to_string(index) +
-                  " cause=" + cause + " replay=" + std::to_string(event.replay_records));
+  const std::string what =
+      index < 0 ? "machine" : "shard=" + std::to_string(index) + " cause=" + cause;
+  LogNote("t=" + std::to_string(tick) + " recover " + what +
+          " replay=" + std::to_string(event.replay_records));
   report_.recoveries.push_back(event);
+}
+
+void ShardedKvService::RecoverShard(int index, uint64_t tick) {
+  Shard& shard = shards_[static_cast<size_t>(index)];
+  if (shard.proc != nullptr) {  // hung zombie: kill it first
+    O1_CHECK(sys_.Exit(shard.proc).ok());
+    shard.proc = nullptr;
+  }
+  report_.watchdog_kills++;
+  Recover(index, shard.down_cause, shard.down_tick, tick);
 }
 
 void ShardedKvService::MachineCrashRecover(uint64_t tick) {
@@ -425,37 +438,19 @@ void ShardedKvService::MachineCrashRecover(uint64_t tick) {
     FailQueued(i, tick);
   }
   const uint64_t down_cycles = sys_.ctx().now();
-  uint64_t down_tick_min = tick;
+  uint64_t down_tick = tick;  // the earliest shard outage the crash ends
   for (Shard& shard : shards_) {
     if (shard.state == ShardState::kUp) {
       shard.down_tick = tick;
       shard.down_cycles = down_cycles;
     } else {
-      down_tick_min = std::min(down_tick_min, shard.down_tick);
+      down_tick = std::min(down_tick, shard.down_tick);
     }
     shard.proc = nullptr;  // Crash() invalidates every Process*
     shard.state = ShardState::kDown;
   }
   O1_CHECK(sys_.Crash().ok());
-  RecoveryEvent event;
-  event.shard = -1;
-  event.cause = "machine";
-  event.down_tick = down_tick_min;
-  event.detect_tick = tick;
-  const uint64_t scrub_start = sys_.ctx().now();
-  auto scrub = sys_.pmfs().Scrub();
-  O1_CHECK(scrub.ok());
-  event.scrub_us = sys_.ctx().clock().CyclesToUs(sys_.ctx().now() - scrub_start);
-  event.replay_records = scrub->journal_records_checked;
-  const uint64_t remap_start = sys_.ctx().now();
-  for (int i = 0; i < config_.shards; ++i) {
-    BringUp(i);
-    Shard& shard = shards_[static_cast<size_t>(i)];
-    shard.state = ShardState::kUp;
-    shard.awaiting_first_serve = true;
-    shard.dog.Rearm(tick);
-  }
-  event.remap_us = sys_.ctx().clock().CyclesToUs(sys_.ctx().now() - remap_start);
+  Recover(/*index=*/-1, "machine", down_tick, tick);
   // Lost-ack reconciliation: a put acknowledged in the crash tick may not
   // have reached media (its lines stayed volatile once the armed index
   // tripped). The client audit resyncs to the durable state -- a version
@@ -483,9 +478,6 @@ void ShardedKvService::MachineCrashRecover(uint64_t tick) {
       client_version_[key] = version;
     }
   }
-  LogNote("t=" + std::to_string(tick) + " recover machine replay=" +
-                  std::to_string(event.replay_records));
-  report_.recoveries.push_back(event);
 }
 
 // --- serving ------------------------------------------------------------------
@@ -522,12 +514,12 @@ ShardedKvService::OpenRequest ShardedKvService::Arrive(uint64_t key, OpClass cls
 void ShardedKvService::ClientRetryOrReject(OpenRequest req, uint64_t tick, bool refused) {
   OverloadReport& ov = report_.overload;
   req.refused = req.refused || refused;
-  if (req.attempts < config_.retry.max_attempts) {
+  if (req.attempts < kRetryMaxAttempts) {
     if (retry_budget_.TryConsume()) {
       report_.retries++;
       req.attempts++;
       req.park_cycles = sys_.ctx().now();  // backoff window opens
-      retries_.Push(tick, tick + config_.retry.BackoffTicks(req.attempts - 1, retry_rng_), req);
+      retries_.Push(tick, tick + BackoffTicks(req.attempts - 1, retry_rng_), req);
       return;
     }
     ov.retry_budget_denials++;
@@ -549,81 +541,68 @@ void ShardedKvService::ClientRetryOrReject(OpenRequest req, uint64_t tick, bool 
 
 void ShardedKvService::OfferRequest(OpenRequest req, uint64_t tick) {
   const int index = static_cast<int>(req.key % static_cast<uint64_t>(config_.shards));
-  Shard& shard = shards_[static_cast<size_t>(index)];
-  OverloadReport& ov = report_.overload;
-  ShardOverloadStats& st = ov.per_shard[static_cast<size_t>(index)];
-  CircuitBreaker& breaker = breakers_[static_cast<size_t>(index)];
+  const size_t i = static_cast<size_t>(index);
+  ShardOverloadStats& st = report_.overload.per_shard[i];
+  CircuitBreaker& breaker = breakers_[i];
+  EventCounters& counters = sys_.ctx().counters();
 
   const uint64_t breaker_before = breaker.transitions();
   if (!breaker.Allow(tick)) {
     st.breaker_rejects++;
-    ov.sheds++;
-    sys_.ctx().counters().breaker_fast_fails++;
+    report_.overload.sheds++;
+    counters.breaker_fast_fails++;
     ClientRetryOrReject(req, tick, /*refused=*/true);
     return;
   }
   NoteBreakerTransitions(index, breaker_before, tick);  // open -> half_open
 
-  if (shard.state == ShardState::kDown) {
+  if (shards_[i].state == ShardState::kDown) {
     // Fail fast (connection refused). This is a *failure* signal -- it feeds
     // the breaker so the next arrivals stop even reaching the shard.
-    st.failed_fast++;
-    const uint64_t before = breaker.transitions();
-    breaker.RecordFailure(tick);
-    NoteBreakerTransitions(index, before, tick);
-    ClientRetryOrReject(req, tick, /*refused=*/false);
+    FailRequest(index, req, tick, st.failed_fast);
     return;
   }
   // A hung shard still accepts connections: requests queue and expire on
   // their deadline (ServeTick), exactly what the client would see.
-  ShardPressure& pressure = pressure_[static_cast<size_t>(index)];
-  pressure.offers++;
-
-  const int level = brownouts_[static_cast<size_t>(index)].level();
+  pressure_[i].offers++;
+  const int level = brownouts_[i].level();
   if (level >= 3 && req.cls == OpClass::kScan) {
-    st.shed_scan++;
-    pressure.sheds++;
-    ov.sheds++;
-    sys_.ctx().counters().brownout_shed_scans++;
-    ObsInstant(sys_.ctx(), TraceKind::kAdmissionShed, req.key);
-    ClientRetryOrReject(req, tick, /*refused=*/true);
+    ShedRequest(index, req, tick, st.shed_scan, counters.brownout_shed_scans);
     return;
   }
   if (level >= 4 && req.cls == OpClass::kWrite) {
-    st.shed_write++;
-    pressure.sheds++;
-    ov.sheds++;
-    sys_.ctx().counters().brownout_shed_writes++;
-    ObsInstant(sys_.ctx(), TraceKind::kAdmissionShed, req.key);
-    ClientRetryOrReject(req, tick, /*refused=*/true);
+    ShedRequest(index, req, tick, st.shed_write, counters.brownout_shed_writes);
     return;
   }
-
-  AdmissionQueue<OpenRequest>& q = queues_[static_cast<size_t>(index)];
   req.arrival_tick = tick;
   req.park_cycles = sys_.ctx().now();  // queue-wait window opens if admitted
-  switch (q.Offer(req, tick, tick + config_.deadline_ticks)) {
-    case AdmissionQueue<OpenRequest>::Verdict::kAdmit:
-      st.admitted++;
-      ov.admitted++;
-      return;
-    case AdmissionQueue<OpenRequest>::Verdict::kShedDeadline:
-      st.shed_deadline++;
-      pressure.sheds++;
-      ov.sheds++;
-      sys_.ctx().counters().admission_sheds++;
-      ObsInstant(sys_.ctx(), TraceKind::kAdmissionShed, req.key);
-      ClientRetryOrReject(req, tick, /*refused=*/true);
-      return;
-    case AdmissionQueue<OpenRequest>::Verdict::kShedOverflow:
-      st.shed_overflow++;
-      pressure.sheds++;
-      ov.sheds++;
-      sys_.ctx().counters().admission_overflow_sheds++;
-      ObsInstant(sys_.ctx(), TraceKind::kAdmissionShed, req.key);
-      ClientRetryOrReject(req, tick, /*refused=*/true);
-      return;
+  if (queues_[i].Offer(req, tick, tick + kDeadlineTicks) ==
+      AdmissionQueue<OpenRequest>::Verdict::kShed) {
+    ShedRequest(index, req, tick, st.shed_deadline, counters.admission_sheds);
+    return;
   }
+  st.admitted++;
+  report_.overload.admitted++;
+}
+
+void ShardedKvService::ShedRequest(int index, const OpenRequest& req, uint64_t tick,
+                                   uint64_t& stat, uint64_t& counter) {
+  stat++;
+  counter++;
+  pressure_[static_cast<size_t>(index)].sheds++;
+  report_.overload.sheds++;
+  ObsInstant(sys_.ctx(), TraceKind::kAdmissionShed, req.key);
+  ClientRetryOrReject(req, tick, /*refused=*/true);
+}
+
+void ShardedKvService::FailRequest(int index, OpenRequest req, uint64_t tick, uint64_t& stat) {
+  stat++;
+  ClosePark(req, req.wait_cycles, TraceKind::kAdmissionWait);
+  CircuitBreaker& breaker = breakers_[static_cast<size_t>(index)];
+  const uint64_t before = breaker.transitions();
+  breaker.RecordFailure(tick);
+  NoteBreakerTransitions(index, before, tick);
+  ClientRetryOrReject(req, tick, /*refused=*/false);
 }
 
 void ShardedKvService::ServeRequest(int index, OpenRequest& req) {
@@ -643,22 +622,13 @@ void ShardedKvService::ServeRequest(int index, OpenRequest& req) {
 
 void ShardedKvService::FailQueued(int index, uint64_t tick) {
   AdmissionQueue<OpenRequest>& q = queues_[static_cast<size_t>(index)];
-  OverloadReport& ov = report_.overload;
-  ShardOverloadStats& st = ov.per_shard[static_cast<size_t>(index)];
-  CircuitBreaker& breaker = breakers_[static_cast<size_t>(index)];
+  uint64_t& failed_fast = report_.overload.per_shard[static_cast<size_t>(index)].failed_fast;
   while (!q.empty()) {
-    OpenRequest req = q.PopFront();
-    st.failed_fast++;
-    ClosePark(req, req.wait_cycles, TraceKind::kAdmissionWait);
-    const uint64_t before = breaker.transitions();
-    breaker.RecordFailure(tick);
-    NoteBreakerTransitions(index, before, tick);
-    ClientRetryOrReject(req, tick, /*refused=*/false);
+    FailRequest(index, q.PopFront(), tick, failed_fast);
   }
 }
 
 void ShardedKvService::ServeTick(int index, uint64_t tick) {
-  Shard& shard = shards_[static_cast<size_t>(index)];
   AdmissionQueue<OpenRequest>& q = queues_[static_cast<size_t>(index)];
   OverloadReport& ov = report_.overload;
   ShardOverloadStats& st = ov.per_shard[static_cast<size_t>(index)];
@@ -666,35 +636,23 @@ void ShardedKvService::ServeTick(int index, uint64_t tick) {
 
   // Expire overdue heads first (clients time out in queue order): each one
   // is a real failure -- it burnt a full deadline -- so it feeds the breaker.
-  while (!q.empty() && q.front().arrival_tick + config_.deadline_ticks <= tick) {
-    OpenRequest req = q.PopFront();
-    ClosePark(req, req.wait_cycles, TraceKind::kAdmissionWait);
-    st.expired_in_queue++;
+  while (!q.empty() && q.front().arrival_tick + kDeadlineTicks <= tick) {
     report_.timeouts++;
     sys_.ctx().counters().admission_expired_drops++;
-    const uint64_t before = breaker.transitions();
-    breaker.RecordFailure(tick);
-    NoteBreakerTransitions(index, before, tick);
-    ClientRetryOrReject(req, tick, /*refused=*/false);
+    FailRequest(index, q.PopFront(), tick, st.expired_in_queue);
   }
-  if (shard.state != ShardState::kUp) {
+  if (shards_[static_cast<size_t>(index)].state != ShardState::kUp) {
     return;  // hung/down shards only expire; no serving
   }
-  if (q.empty()) {
-    q.ObserveWait(0.0);  // idle tick decays the brownout wait signal
-    return;
-  }
-  for (uint64_t slot = 0; slot < config_.overload.slots_per_tick && !q.empty(); ++slot) {
+  for (uint64_t slot = 0; slot < kSlotsPerTick && !q.empty(); ++slot) {
     OpenRequest req = q.PopFront();
-    const uint64_t wait_ticks = tick - req.arrival_tick;
-    q.ObserveWait(static_cast<double>(wait_ticks));
     ClosePark(req, req.wait_cycles, TraceKind::kAdmissionWait);
     st.served++;
     ov.served++;
     // Goodput is END-TO-END: the expiry loop above only bounds the wait
     // since the *latest* offer, so a request that expired, retried and was
     // finally served still blew its client deadline -- served, not goodput.
-    if (tick - req.first_arrival_tick <= config_.deadline_ticks) {
+    if (tick - req.first_arrival_tick <= kDeadlineTicks) {
       ov.served_in_deadline++;
     }
     if (req.cls == OpClass::kScan) {
@@ -703,14 +661,14 @@ void ShardedKvService::ServeTick(int index, uint64_t tick) {
     ServeRequest(index, req);
     retry_budget_.OnSuccess();
     const uint64_t before = breaker.transitions();
-    breaker.RecordSuccess(tick, wait_ticks);
+    breaker.RecordSuccess(tick);
     NoteBreakerTransitions(index, before, tick);
   }
 }
 
 double ShardedKvService::BrownoutSignal(int index) const {
   // standing: start-of-tick (post-serve) queue depth against the admission
-  // target depth (target_wait * slots). It saturates at 1.0 the moment a
+  // target depth (kAdmissionTargetTicks * kSlotsPerTick). It saturates at 1.0 the moment a
   // standing queue forms, i.e. for ANY sustained rho > 1 -- which is why it
   // only carries half the signal. The shed-fraction EWMA grades how far
   // past capacity demand actually is (fraction shed ~ 1 - 1/rho: ~0.2 at
@@ -718,16 +676,14 @@ double ShardedKvService::BrownoutSignal(int index) const {
   // brownout levels while nominal load (rho <= 1: no standing queue, no
   // sheds) stays pinned near zero and restores quickly.
   const AdmissionQueue<OpenRequest>& q = queues_[static_cast<size_t>(index)];
-  const double target_depth =
-      static_cast<double>(std::max<uint64_t>(1, config_.overload.admission.target_wait_ticks)) *
-      static_cast<double>(std::max<uint64_t>(1, config_.overload.slots_per_tick));
-  const double standing = std::min(1.0, static_cast<double>(q.depth()) / target_depth);
+  constexpr double kTargetDepth = static_cast<double>(kAdmissionTargetTicks * kSlotsPerTick);
+  const double standing = std::min(1.0, static_cast<double>(q.depth()) / kTargetDepth);
   const double& shed_ewma = pressure_[static_cast<size_t>(index)].shed_ewma;
   return std::min(1.0, 0.5 * standing + shed_ewma);
 }
 
 void ShardedKvService::ApplyBrownoutLevels(uint64_t tick) {
-  if (!config_.overload.brownout.enabled) {
+  if (!config_.overload.enabled) {
     return;
   }
   int max_level = 0;
@@ -740,8 +696,7 @@ void ShardedKvService::ApplyBrownoutLevels(uint64_t tick) {
             ? 0.0
             : std::min(1.0, static_cast<double>(pressure.sheds) /
                                 static_cast<double>(pressure.offers));
-    pressure.shed_ewma +=
-        config_.overload.admission.est_alpha * (shed_frac - pressure.shed_ewma);
+    pressure.shed_ewma += BrownoutController::kShedEwmaWeight * (shed_frac - pressure.shed_ewma);
     pressure.offers = 0;
     pressure.sheds = 0;
     BrownoutController& b = brownouts_[static_cast<size_t>(i)];
@@ -771,17 +726,16 @@ ShardServiceReport ShardedKvService::Run() {
   FaultInjector& injector = sys_.machine().fault_injector();
   OverloadReport& ov = report_.overload;
   ov.enabled = config_.arrival.enabled;
-  ov.capacity_per_tick = static_cast<double>(config_.shards) *
-                         static_cast<double>(config_.overload.slots_per_tick);
+  ov.capacity_per_tick = static_cast<double>(config_.shards) * static_cast<double>(kSlotsPerTick);
 
   const double mean_rate = std::max(config_.arrival.MeanRate(), 1e-9);
   const uint64_t expected_ticks =
       static_cast<uint64_t>(static_cast<double>(config_.ops) / mean_rate) + 1;
   // Runaway guard: arrivals stop after config_.ops, every offer resolves
-  // within max_attempts bounded backoffs, queues drain at >= 1/tick.
+  // within kRetryMaxAttempts bounded backoffs, queues drain at >= 1/tick.
   const uint64_t max_ticks =
-      expected_ticks * 8 + static_cast<uint64_t>(config_.retry.max_attempts) *
-                               (config_.retry.max_delay_ticks + config_.deadline_ticks) * 64 +
+      expected_ticks * 8 +
+      static_cast<uint64_t>(kRetryMaxAttempts) * (kRetryMaxDelayTicks + kDeadlineTicks) * 64 +
       config_.ops + 1000;
 
   // Steady-state queue-depth windows (arrival phase only; the drain phase
@@ -797,7 +751,7 @@ ShardServiceReport ShardedKvService::Run() {
   uint64_t tick = 0;
   for (;; ++tick) {
     O1_CHECK(tick < max_ticks);
-    sys_.ctx().Charge(config_.tick_cycles);
+    sys_.ctx().Charge(kTickCycles);
     if (campaign_ != nullptr) {
       for (const ChaosFiring& firing : campaign_->Poll(tick)) {
         ApplyFiring(firing, tick);
@@ -826,15 +780,14 @@ ShardServiceReport ShardedKvService::Run() {
         LogNote("t=" + std::to_string(tick) + " unhang shard=" + std::to_string(i));
       }
       if (shard.state != ShardState::kUp && shard.dog.Expired(tick)) {
-        RecoverShard(i, tick, shard.down_cause);
-        report_.watchdog_kills++;
+        RecoverShard(i, tick);
       }
     }
     // Heartbeats are out-of-band: every kUp shard beats on the interval no
     // matter how deep its queue is or how much it is shedding. Overload is
     // not a liveness failure -- a saturated shard must never be watchdog-
     // killed (regression test in tests/chaos/).
-    if (tick % config_.heartbeat_interval_ticks == 0) {
+    if (tick % Watchdog::kHeartbeatIntervalTicks == 0) {
       for (Shard& shard : shards_) {
         if (shard.state == ShardState::kUp) {
           shard.dog.Beat(tick);
@@ -857,7 +810,7 @@ ShardServiceReport ShardedKvService::Run() {
       if (config_.arrival.scan_fraction > 0 &&
           workload_rng_.NextBool(config_.arrival.scan_fraction)) {
         cls = OpClass::kScan;
-      } else if (workload_rng_.NextBool(config_.write_fraction)) {
+      } else if (workload_rng_.NextBool(kWriteFraction)) {
         cls = OpClass::kWrite;
       }
       ov.arrivals++;
@@ -921,6 +874,9 @@ ShardServiceReport ShardedKvService::Run() {
   // accounting already voids any stale work a naive queue serves there.
   ov.goodput_per_tick = static_cast<double>(ov.served_in_deadline) /
                         static_cast<double>(std::max<uint64_t>(1, arrival_end_tick));
+  ov.goodput_ratio = ov.goodput_per_tick / ov.capacity_per_tick;
+  ov.shed_rate =
+      ov.arrivals == 0 ? 0 : static_cast<double>(ov.sheds) / static_cast<double>(ov.arrivals);
   for (int i = 0; i < config_.shards; ++i) {
     ShardOverloadStats& st = ov.per_shard[static_cast<size_t>(i)];
     const CircuitBreaker& breaker = breakers_[static_cast<size_t>(i)];
@@ -928,6 +884,11 @@ ShardServiceReport ShardedKvService::Run() {
     st.breaker_timeline = breaker.timeline();
     st.max_queue_depth = queues_[static_cast<size_t>(i)].max_depth();
     st.brownout_ticks = brownouts_[static_cast<size_t>(i)].residency();
+    ov.breaker_transitions += st.breaker_transitions;
+    for (size_t level = 1; level < st.brownout_ticks.size(); ++level) {
+      ov.brownout_shard_ticks += st.brownout_ticks[level];
+    }
+    ov.max_queue_depth = std::max(ov.max_queue_depth, st.max_queue_depth);
   }
   // Leave no brownout hooks dangling past the run.
   if (sys_.tier() != nullptr) {

@@ -5,7 +5,7 @@
 //
 // Shape: shard k is one FOM process serving a persistent segment
 // /srv/shard<k>; request keys route key % N. There is one serving loop, and
-// it is open: each tick charges a fixed cycle cost (so client-perceived time
+// it is open: each tick charges kTickCycles (so client-perceived time
 // advances even while a shard is dead), then the arrival process emits
 // however many requests it will, whether or not the service kept up.
 // ArrivalConfig.enabled == false means exactly one arrival per tick: the
@@ -13,23 +13,22 @@
 // request goes the same way:
 //
 //   * an offer passes the shard's circuit breaker and brownout ladder, then
-//     its bounded admission queue (src/chaos/admission.h, breaker.h; all
-//     off by default, so the default OverloadConfig is the unprotected
+//     its admission queue (src/chaos/admission.h, breaker.h; all off
+//     unless OverloadConfig.enabled, so the default is the unprotected
 //     service). A killed shard refuses it at once; a hung shard still
-//     queues it, and it expires after deadline_ticks;
-//   * each shard serves up to slots_per_tick queued requests per tick;
+//     queues it, and it expires after kDeadlineTicks;
+//   * each shard serves up to kSlotsPerTick queued requests per tick;
 //   * a client whose request failed, expired or was shed retries with
 //     capped exponential backoff + full jitter (src/chaos/retry.h, seeded --
-//     deterministic), up to max_attempts, if the retry budget allows. The
-//     give-up rule: a request the overload stack refused at least once
+//     deterministic), up to kRetryMaxAttempts, if the retry budget allows.
+//     The give-up rule: a request the overload stack refused at least once
 //     (breaker reject, brownout shed, admission shed, retry-budget denial)
 //     ends as a clean rejection (rejected_final); one that only ever failed
 //     -- timeouts, fail-fasts -- is LOST, and campaigns assert zero lost;
 //   * every shard heartbeats its watchdog (src/chaos/watchdog.h) each
 //     heartbeat interval, out of band, so a saturated shard still beats;
-//     the supervisor kills and recovers a shard whose watchdog expires
-//     (missed_beats full intervals without a beat), while the other shards
-//     keep serving;
+//     the supervisor kills and recovers a shard whose watchdog expires,
+//     while the other shards keep serving;
 //   * recovery = exit the zombie (if any), PMFS scrub (journal replay +
 //     media patrol), relaunch, remap -- each leg timed separately so the
 //     recovery SLO decomposes (detect / scrub / remap / first-served);
@@ -38,14 +37,14 @@
 //     heals on overwrite, sticky poison still serves the client copy -- so
 //     media faults degrade, never fail, a request;
 //   * whole-machine crashes (crash@T, torn write/flush triggers) take every
-//     shard down and recover them all through the normal journal-replay
-//     boot.
+//     shard down and recover them all through the same recovery path, then
+//     resync the client audit to the durable state.
 //
 // Client-perceived latency (first arrival to success, retries included)
 // lands in three histograms: nominal (no fault active), recovery (first-try
 // ops served while some shard is down/recovering -- the "surviving shards"
-// SLO), and disrupted (ops that needed at least one retry). With
-// ChaosConfig.enabled == false no engine is built and no fault path runs.
+// SLO), and disrupted (ops that needed at least one retry). With an empty
+// chaos schedule no engine is built and no fault path runs.
 #ifndef O1MEM_SRC_CHAOS_SHARD_SERVICE_H_
 #define O1MEM_SRC_CHAOS_SHARD_SERVICE_H_
 
@@ -67,52 +66,28 @@
 
 namespace o1mem {
 
-// The overload protection stack: per-shard bounded admission queues, retry
-// budgets, circuit breakers, and a brownout ladder. Each is off by default:
-// the default OverloadConfig is the unprotected service.
+// The overload protection stack -- per-shard admission shed, retry budget,
+// circuit breakers and brownout ladder -- is on or off as a whole. Off (the
+// default) is the unprotected service.
 struct OverloadConfig {
-  AdmissionConfig admission;
-  RetryBudgetConfig retry_budget;
-  BreakerConfig breaker;
-  BrownoutConfig brownout;
+  bool enabled = false;
 
-  // Per-shard service capacity in requests per tick. Offered load /
-  // (shards * slots) is the load factor the abl_overload sweep reports
-  // against.
-  uint64_t slots_per_tick = 4;
-
-  // Everything on, standard shape: how abl_overload and --arrival runs
-  // configure the protected service.
-  static OverloadConfig Protected() {
-    OverloadConfig c;
-    c.admission.enabled = true;
-    c.retry_budget.enabled = true;
-    c.breaker.enabled = true;
-    c.brownout.enabled = true;
-    return c;
-  }
+  // How abl_overload and --arrival runs configure the protected service.
+  static OverloadConfig Protected() { return OverloadConfig{.enabled = true}; }
 };
 
+// What a caller sets. The rest of the service's shape is fixed: the
+// ShardedKvService constants below, kSlotsPerTick and the overload
+// constants (admission.h, breaker.h), the retry constants (retry.h) and
+// the watchdog's (watchdog.h).
 struct ShardServiceConfig {
   int shards = 4;
   uint64_t shard_bytes = 8 * kMiB;
-  uint64_t record_bytes = 1024;
   uint64_t ops = 20000;  // client arrivals (the arrival budget)
-  double write_fraction = 0.3;
-  double zipf_theta = 0.99;
   uint64_t workload_seed = 7;  // key/op mix; independent of the chaos seed
-
-  uint64_t deadline_ticks = 8;  // client timeout on a hung shard
-  RetryPolicy retry;
-  uint64_t heartbeat_interval_ticks = 4;
-  uint64_t missed_beats = 3;
-  uint64_t tick_cycles = 2000;  // client-side time per tick (1 us at 2 GHz)
-
   uint64_t tier_tick_every = 0;  // run System::TierTick every N ticks (0=off)
-  bool verify = true;            // audit every get against the client copy
 
-  ChaosConfig chaos;
-
+  ChaosConfig chaos;      // empty schedule: no campaign
   ArrivalConfig arrival;  // disabled: one arrival per tick
   OverloadConfig overload;
 };
@@ -135,7 +110,6 @@ struct ShardOverloadStats {
   uint64_t admitted = 0;
   uint64_t served = 0;
   uint64_t shed_deadline = 0;  // est. wait > remaining deadline (or target)
-  uint64_t shed_overflow = 0;  // bounded queue full
   uint64_t shed_scan = 0;      // brownout L3: scan class rejected
   uint64_t shed_write = 0;     // brownout L4: write class rejected
   uint64_t expired_in_queue = 0;  // deadline passed while queued (timeout)
@@ -165,7 +139,13 @@ struct OverloadReport {
   double queue_depth_window_a = 0;
   double queue_depth_window_b = 0;
   double goodput_per_tick = 0;  // served_in_deadline / serving ticks
-  double capacity_per_tick = 0; // shards * slots_per_tick
+  double capacity_per_tick = 0; // shards * kSlotsPerTick
+  // Whole-run figures, computed once from the counts above.
+  double goodput_ratio = 0;          // goodput_per_tick / capacity_per_tick
+  double shed_rate = 0;              // sheds / arrivals
+  uint64_t breaker_transitions = 0;  // summed over shards
+  uint64_t brownout_shard_ticks = 0; // shard-ticks spent above brownout L0
+  uint64_t max_queue_depth = 0;      // deepest any shard's queue got
 };
 
 struct ShardServiceReport {
@@ -205,6 +185,13 @@ struct ShardServiceReport {
 
 class ShardedKvService {
  public:
+  static constexpr uint64_t kRecordBytes = 1024;  // one key's slot in its shard
+  static constexpr double kWriteFraction = 0.3;   // share of non-scan arrivals that put
+  static constexpr double kZipfTheta = 0.99;      // key popularity skew
+  static constexpr uint64_t kDeadlineTicks = 8;   // client timeout on a hung shard
+  static constexpr uint64_t kTickCycles = 2000;   // client-side time per tick (1 us at 2 GHz)
+  static constexpr uint64_t kScanRecords = 16;    // records one scan touches
+
   // `sys` must outlive the service; the caller picks the machine shape
   // (SMP, tier, persistence model). Shards serve on CPU shard % num_cpus.
   ShardedKvService(System& sys, const ShardServiceConfig& config);
@@ -227,9 +214,6 @@ class ShardedKvService {
     uint64_t down_cycles = 0;
     bool awaiting_first_serve = false;
     const char* down_cause = "";
-
-    explicit Shard(const ShardServiceConfig& config)
-        : dog(config.heartbeat_interval_ticks, config.missed_beats) {}
   };
 
   // A client request: op class, arrival stamps, client deadline.
@@ -259,8 +243,15 @@ class ShardedKvService {
   void SetupShards();
   void ApplyFiring(const ChaosFiring& firing, uint64_t tick);
   void PoisonShard(int shard, bool sticky, bool dram_cache, uint64_t tick);
-  void RecoverShard(int index, uint64_t tick, const char* cause);
+  // Watchdog recovery of a killed or hung shard: exits the zombie, if any,
+  // then Recover.
+  void RecoverShard(int index, uint64_t tick);
+  // Whole-machine crash: fails every queue, crashes, Recover(-1), then
+  // resyncs the client audit to the durable state.
   void MachineCrashRecover(uint64_t tick);
+  // The one recovery path: PMFS scrub, bring-up of shard `index` (every
+  // shard when index < 0), watchdogs reset, log line, RecoveryEvent.
+  void Recover(int index, const char* cause, uint64_t down_tick, uint64_t tick);
   void LogNote(const std::string& line) {
     if (campaign_ != nullptr) {
       campaign_->Note(line);
@@ -275,11 +266,20 @@ class ShardedKvService {
   // Routes one offer through breaker + brownout + admission. Sheds go back
   // to the client (retry budget permitting) or become clean rejections.
   void OfferRequest(OpenRequest req, uint64_t tick);
+  // One overload shed at shard `index` (brownout scan or write shed,
+  // admission shed): bumps `stat` and `counter`, feeds the brownout
+  // pressure, and hands the request back to its client as refused.
+  void ShedRequest(int index, const OpenRequest& req, uint64_t tick, uint64_t& stat,
+                   uint64_t& counter);
+  // One failure at shard `index` (fail-fast on a dead shard, drain on kill,
+  // queue expiry): bumps `stat`, closes any queue wait, feeds the breaker,
+  // and hands the request back to its client as failed, not refused.
+  void FailRequest(int index, OpenRequest req, uint64_t tick, uint64_t& stat);
   // Client-side handling shared by every shed (`refused`) and failure path:
   // retry, or give up by the rule in the header comment.
   void ClientRetryOrReject(OpenRequest req, uint64_t tick, bool refused);
   // One shard's serving tick: expire overdue queue heads, then serve up to
-  // slots_per_tick requests. Heartbeats are NOT sent here -- they are
+  // kSlotsPerTick requests. Heartbeats are NOT sent here -- they are
   // out-of-band in the supervisor loop, so a saturated or shedding shard
   // still beats (the watchdog-vs-overload regression, tests/chaos/).
   void ServeTick(int index, uint64_t tick);
@@ -293,7 +293,7 @@ class ShardedKvService {
   // Books (and logs) any breaker transitions since `transitions_before`.
   void NoteBreakerTransitions(int index, uint64_t transitions_before, uint64_t tick);
   uint64_t Offset(uint64_t key) const {
-    return (key / static_cast<uint64_t>(config_.shards)) * config_.record_bytes;
+    return (key / static_cast<uint64_t>(config_.shards)) * kRecordBytes;
   }
 
   // --- completion, causal tracing + tail attribution ------------------------
@@ -341,7 +341,7 @@ class ShardedKvService {
   // signal stays monotone in offered load.
   struct ShardPressure {
     uint64_t offers = 0;  // reached admission this tick (post-breaker)
-    uint64_t sheds = 0;   // overload sheds this tick (deadline/overflow/class)
+    uint64_t sheds = 0;   // overload sheds this tick (admission or class)
     double shed_ewma = 0.0;
   };
   std::vector<ShardPressure> pressure_;

@@ -1,8 +1,9 @@
 // Tick-based heartbeat watchdog, one per shard: the shard beats every
-// heartbeat interval while serving; the supervisor polls Expired() each tick
-// and declares the shard dead only after `missed_beats` full intervals with
-// no beat. A slow-but-alive shard that still beats within the allowance is
-// never flagged -- the no-false-positive half of the contract tests pin.
+// kHeartbeatIntervalTicks while serving; the supervisor polls Expired() each
+// tick and declares the shard dead only after kMissedBeats full intervals
+// with no beat. A slow-but-alive shard that still beats within the allowance
+// is never flagged -- the no-false-positive half of the contract tests pin.
+// A beat also rearms an expired watchdog once its shard is recovered.
 #ifndef O1MEM_SRC_CHAOS_WATCHDOG_H_
 #define O1MEM_SRC_CHAOS_WATCHDOG_H_
 
@@ -12,32 +13,18 @@ namespace o1mem {
 
 class Watchdog {
  public:
-  Watchdog(uint64_t heartbeat_interval_ticks, uint64_t missed_beats)
-      : interval_(heartbeat_interval_ticks), misses_(missed_beats) {}
+  static constexpr uint64_t kHeartbeatIntervalTicks = 4;
+  static constexpr uint64_t kMissedBeats = 3;
+  static constexpr uint64_t kAllowanceTicks = kHeartbeatIntervalTicks * kMissedBeats;
 
   void Beat(uint64_t tick) { last_beat_ = tick; }
 
-  // True once more than misses_ * interval_ ticks have passed since the last
-  // beat (strictly more: a beat exactly on the deadline still counts).
-  bool Expired(uint64_t tick) const {
-    return armed_ && tick > last_beat_ + interval_ * misses_;
-  }
-
-  // Disarm while the shard is being recovered (no double kills), Rearm once
-  // it serves again.
-  void Disarm() { armed_ = false; }
-  void Rearm(uint64_t tick) {
-    armed_ = true;
-    last_beat_ = tick;
-  }
-  bool armed() const { return armed_; }
-  uint64_t deadline_ticks() const { return interval_ * misses_; }
+  // True once more than kAllowanceTicks have passed since the last beat
+  // (strictly more: a beat exactly on the deadline still counts).
+  bool Expired(uint64_t tick) const { return tick > last_beat_ + kAllowanceTicks; }
 
  private:
-  uint64_t interval_;
-  uint64_t misses_;
   uint64_t last_beat_ = 0;
-  bool armed_ = true;
 };
 
 }  // namespace o1mem

@@ -49,15 +49,6 @@ enum class LenderClass : uint8_t {
   kClassCount,
 };
 
-inline constexpr const char* LenderClassName(LenderClass c) {
-  switch (c) {
-    case LenderClass::kDiscardableFile: return "discardable_file";
-    case LenderClass::kTierCleanCopy: return "tier_clean_copy";
-    case LenderClass::kClassCount: break;
-  }
-  return "?";
-}
-
 // One evicted lender extent, reported to Claim() callers (tests assert the
 // victim list is deterministic).
 struct ContigVictim {

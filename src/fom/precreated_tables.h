@@ -39,7 +39,6 @@ struct PrecreatedTables {
   uint64_t extent_generation = 0;
 
   size_t window_count() const { return read_write.size(); }
-  size_t l2_group_count() const { return read_write_l2.size(); }
   uint64_t node_count() const {
     return 2 * (read_write.size() + read_write_l2.size());
   }

@@ -323,7 +323,6 @@ Status Pmfs::Checkpoint() {
   active_slot_ = to;
   generation_ = gen;
   journal_tail_bytes_ = buf.size();
-  ++checkpoint_count_;
   return OkStatus();
 }
 

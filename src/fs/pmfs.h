@@ -189,7 +189,6 @@ class Pmfs : public FileSystem {
   // Bytes of the active journal slot currently in use.
   uint64_t journal_tail_bytes() const { return journal_tail_bytes_; }
   uint64_t journal_slot_bytes() const { return slot_blocks_ << kPageShift; }
-  uint64_t checkpoint_count() const { return checkpoint_count_; }
   ZeroPolicy zero_policy() const { return zero_policy_; }
 
   // Cycles of background (off-critical-path) zeroing accrued under
@@ -330,7 +329,6 @@ class Pmfs : public FileSystem {
   uint64_t generation_ = 1;
   uint64_t journal_tail_bytes_ = 0;
   uint64_t ops_records_ = 0;
-  uint64_t checkpoint_count_ = 0;
   std::set<uint64_t> bad_blocks_;  // sticky-unreadable blocks fenced off
 
   uint64_t background_zero_cycles_ = 0;

@@ -484,13 +484,6 @@ Status DemandPager::ProvidePage(Vaddr page_base, std::span<const uint8_t> data) 
   return OkStatus();
 }
 
-Status DemandPager::UnregisterUserFaultRange(Vaddr start) {
-  if (userfault_ranges_.erase(start) == 0) {
-    return NotFound("no userfault range at start");
-  }
-  return OkStatus();
-}
-
 void DemandPager::LruInsert(Vaddr page_base, Paddr frame, uint64_t page_bytes) {
   SimContext& ctx = machine_->ctx();
   ctx.Charge(ctx.cost().lru_link_cycles);

@@ -101,7 +101,6 @@ class DemandPager : public FaultHandler {
   // still unmapped.
   using UserFaultCallback = std::function<Status(Vaddr page_base, AccessType type)>;
   Status RegisterUserFaultRange(Vaddr start, uint64_t len, UserFaultCallback callback);
-  Status UnregisterUserFaultRange(Vaddr start);
 
   // UFFDIO_COPY equivalent: atomically installs one page at `page_base`
   // filled from `data` (zero-padded). Used by userfault handlers to resolve

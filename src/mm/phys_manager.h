@@ -50,7 +50,6 @@ class PhysManager {
   // bypass the per-CPU caches: they exist for huge mappings, not the
   // single-frame hot path.
   Result<Paddr> AllocContiguous(int order) { return buddy_.AllocOrder(order); }
-  Status FreeContiguous(Paddr paddr, int order) { return buddy_.FreeOrder(paddr, order); }
 
   // Tops the shared pre-zeroed pool up to SmpConfig::prezero_target_frames,
   // booking all cycles (buddy ops + the memset) to background_zero_cycles

@@ -5,19 +5,6 @@
 
 namespace o1mem {
 
-const char* TraceCategoryName(TraceCategory cat) {
-  switch (cat) {
-    case kCatSyscall: return "syscall";
-    case kCatFault: return "fault";
-    case kCatShootdown: return "shootdown";
-    case kCatTier: return "tier";
-    case kCatReclaim: return "reclaim";
-    case kCatJournal: return "journal";
-    case kCatInjector: return "injector";
-    default: return "other";
-  }
-}
-
 namespace {
 
 void AppendEvent(std::string& out, const TraceEvent& e, uint64_t pid, double cycles_to_us) {
@@ -37,7 +24,7 @@ void AppendEvent(std::string& out, const TraceEvent& e, uint64_t pid, double cyc
                   "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"i\",\"s\":\"p\",\"ts\":%.3f,"
                   "\"pid\":%" PRIu64 ",\"tid\":%u,\"args\":{\"bytes\":%" PRIu64
                   ",\"size_class\":\"%s\"%s}}",
-                  TraceKindName(e.kind), TraceCategoryName(CategoryOf(e.kind)), ts, pid,
+                  TraceKindName(e.kind), CategoryName(e.kind), ts, pid,
                   static_cast<unsigned>(e.cpu), e.operand_bytes, SizeClassName(e.size_class),
                   trace);
   } else {
@@ -46,7 +33,7 @@ void AppendEvent(std::string& out, const TraceEvent& e, uint64_t pid, double cyc
                   "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,"
                   "\"pid\":%" PRIu64 ",\"tid\":%u,\"args\":{\"bytes\":%" PRIu64
                   ",\"size_class\":\"%s\",\"cycles\":%" PRIu64 "%s}}",
-                  TraceKindName(e.kind), TraceCategoryName(CategoryOf(e.kind)), ts, dur, pid,
+                  TraceKindName(e.kind), CategoryName(e.kind), ts, dur, pid,
                   static_cast<unsigned>(e.cpu), e.operand_bytes, SizeClassName(e.size_class),
                   e.duration_cycles, trace);
   }

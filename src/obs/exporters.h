@@ -49,8 +49,6 @@ bool WriteChromeTraceFile(const std::string& path, const std::vector<TraceGroup>
 // histogram slot ("(none)" when everything is empty).
 std::string HistogramSummaryText(const HistogramRegistry& hist);
 
-const char* TraceCategoryName(TraceCategory cat);
-
 }  // namespace o1mem
 
 #endif  // O1MEM_SRC_OBS_EXPORTERS_H_

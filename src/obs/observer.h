@@ -5,7 +5,7 @@
 // published tail snapshot for procfs.
 //
 // Components reach it through SimContext::obs() (never null once a Machine
-// exists); every hook first asks WantsSpan()/WantsEvent(), which is a
+// exists); every hook first asks WantsSpan()/trace_enabled(), which is a
 // branch or two when everything is off. The observer NEVER charges simulated
 // cycles: with obs on or off, the machine's clock and counters are
 // bit-identical (tests/obs/obs_system_test.cc asserts this), so observing
@@ -26,35 +26,27 @@ namespace o1mem {
 
 class Observer {
  public:
-  explicit Observer(const ObsConfig& config) : config_(config) {
-    if (config_.trace) {
-      ring_ = std::make_unique<TraceRing>(config_.ring_capacity);
-      stager_ = std::make_unique<TraceStager>(config_.exemplar_stage_slots,
-                                              config_.exemplar_max_events);
-      exemplars_ = std::make_unique<ExemplarReservoir>(config_.exemplar_per_bucket,
-                                                       config_.exemplar_max_events);
-      metrics_ = std::make_unique<MetricsRing>(config_.metrics_capacity);
+  explicit Observer(const ObsConfig& config) {
+    if (config.trace) {
+      ring_ = std::make_unique<TraceRing>(config.ring_capacity);
+      stager_ = std::make_unique<TraceStager>(kExemplarStageSlots, kExemplarMaxEvents);
+      exemplars_ = std::make_unique<ExemplarReservoir>(kExemplarsPerBucket, kExemplarMaxEvents);
+      metrics_ = std::make_unique<MetricsRing>(kMetricsCapacity);
     }
-    if (config_.histograms) {
+    if (config.histograms) {
       hist_ = std::make_unique<HistogramRegistry>();
     }
   }
 
-  const ObsConfig& config() const { return config_; }
   bool trace_enabled() const { return ring_ != nullptr; }
   bool hist_enabled() const { return hist_ != nullptr; }
 
-  // True when a span of `kind` would be recorded anywhere (ring or
-  // histogram) -- the one branch every disabled instrumentation site costs.
-  bool WantsSpan(TraceKind kind) const {
-    return hist_ != nullptr || WantsEvent(kind);
-  }
-  bool WantsEvent(TraceKind kind) const {
-    return ring_ != nullptr && (config_.categories & CategoryOf(kind)) != 0;
-  }
+  // True when a span would be recorded anywhere (ring or histogram) -- the
+  // one branch every disabled instrumentation site costs.
+  bool WantsSpan() const { return hist_enabled() || trace_enabled(); }
 
   void Emit(const TraceEvent& e) {
-    if (WantsEvent(e.kind)) {
+    if (trace_enabled()) {
       ring_->Push(e);
     }
     // Request-scoped events also accumulate in their trace's stage slot so a
@@ -171,7 +163,6 @@ class Observer {
   const MetricsRing* metrics() const { return metrics_.get(); }
 
  private:
-  ObsConfig config_;
   TraceContext context_;
   std::unique_ptr<TraceRing> ring_;
   std::unique_ptr<HistogramRegistry> hist_;

@@ -31,7 +31,7 @@ class ObsSpan {
   ObsSpan(SimContext& ctx, TraceKind kind, uint64_t operand_bytes = 0)
       : kind_(kind), operand_(operand_bytes) {
     Observer* obs = ctx.obs();
-    if (obs != nullptr && obs->WantsSpan(kind)) {
+    if (obs != nullptr && obs->WantsSpan()) {
       ctx_ = &ctx;
       start_ = ctx.now();
       if (obs->in_request()) {
@@ -74,7 +74,7 @@ class ObsSpan {
 // span) so instants land in the tree too.
 inline void ObsInstant(SimContext& ctx, TraceKind kind, uint64_t operand_bytes = 0) {
   Observer* obs = ctx.obs();
-  if (obs != nullptr && obs->WantsEvent(kind)) {
+  if (obs != nullptr && obs->trace_enabled()) {
     const bool in_req = obs->in_request();
     obs->Emit(TraceEvent{.start_cycles = ctx.now(),
                          .duration_cycles = 0,

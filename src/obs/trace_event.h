@@ -15,8 +15,6 @@
 
 #include <cstdint>
 
-#include "src/obs/obs_config.h"
-
 namespace o1mem {
 
 enum class TraceKind : uint8_t {
@@ -154,31 +152,29 @@ constexpr const char* TraceKindName(TraceKind kind) {
   return "?";
 }
 
-constexpr TraceCategory CategoryOf(TraceKind kind) {
+// The Chrome-trace category ("cat") of each kind.
+constexpr const char* CategoryName(TraceKind kind) {
   switch (kind) {
-    case TraceKind::kFomMap:
-    case TraceKind::kFomUnmap:
-      return kCatSyscall;  // mapping ops, same lens as the mmap syscalls
     case TraceKind::kFault:
-      return kCatFault;
+      return "fault";
     case TraceKind::kShootdownFlush:
-      return kCatShootdown;
+      return "shootdown";
     case TraceKind::kTierTick:
     case TraceKind::kTierPromote:
     case TraceKind::kTierDemote:
     case TraceKind::kTierWriteback:
     case TraceKind::kTierQuarantine:
-      return kCatTier;
+      return "tier";
     case TraceKind::kReclaim:
     case TraceKind::kFomReclaim:
     case TraceKind::kContigRevoke:
-      return kCatReclaim;  // revocation is reclaim: lender extents give way
+      return "reclaim";  // revocation is reclaim: lender extents give way
     case TraceKind::kJournalCommit:
     case TraceKind::kJournalReplay:
-      return kCatJournal;
+      return "journal";
     case TraceKind::kFaultInject:
     case TraceKind::kCrash:
-      return kCatInjector;
+      return "injector";
     case TraceKind::kAdmissionShed:
     case TraceKind::kBreakerTransition:
     case TraceKind::kBrownoutShift:
@@ -187,9 +183,9 @@ constexpr TraceCategory CategoryOf(TraceKind kind) {
     case TraceKind::kKvScan:
     case TraceKind::kAdmissionWait:
     case TraceKind::kRetryWait:
-      return kCatService;
+      return "service";
     default:
-      return kCatSyscall;
+      return "syscall";  // syscalls, FOM mapping ops, shard ops, malloc, contig
   }
 }
 

@@ -77,7 +77,6 @@ namespace o1mem {
   X(degraded_reads)       /* reads served degraded from a quarantined extent's home */   \
   /* Overload robustness: admission control, circuit breakers, brownout. */              \
   X(admission_sheds)          /* shed at admission: deadline can't cover est. wait */    \
-  X(admission_overflow_sheds) /* shed at admission: bounded queue full */                \
   X(admission_expired_drops)  /* dequeued past deadline (timeout in queue) */            \
   X(retry_budget_denials)     /* retries suppressed by an empty token bucket */          \
   X(breaker_fast_fails)       /* requests rejected by an open circuit breaker */         \

@@ -52,8 +52,6 @@ void FaultInjector::EnableTornPersists(uint64_t seed, uint32_t persist_percent) 
   torn_persist_percent_ = persist_percent;
 }
 
-void FaultInjector::DisableTornPersists() { torn_ = false; }
-
 void FaultInjector::MarkUnreadable(Paddr paddr, bool sticky) {
   bool& s = poisoned_[LineOf(paddr)];
   s = s || sticky;

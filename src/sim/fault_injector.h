@@ -87,8 +87,6 @@ class FaultInjector {
   // probability persist_percent/100 at crash (seeded, deterministic per
   // line) instead of always reverting. No effect under kAutoDurable.
   void EnableTornPersists(uint64_t seed, uint32_t persist_percent = 50);
-  void DisableTornPersists();
-  bool torn_persists_enabled() const { return torn_; }
 
   // --- Media faults -------------------------------------------------------
 
@@ -99,7 +97,6 @@ class FaultInjector {
   void MarkUnreadable(Paddr paddr, bool sticky);
   void ClearUnreadable(Paddr paddr);
   bool has_poison() const { return !poisoned_.empty(); }
-  size_t poisoned_line_count() const { return poisoned_.size(); }
 
   // True when folding N per-page writes into one whole-span write cannot
   // change injector behavior: no armed crash point whose write/flush count

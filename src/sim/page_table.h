@@ -156,7 +156,6 @@ class PageTable {
   // Metadata-footprint metrics (abl_metadata): nodes currently allocated
   // across the tree, counting shared nodes once.
   uint64_t CountNodes() const;
-  uint64_t node_bytes() const { return CountNodes() * kPageSize; }
 
   const NodeRef& root() const { return root_; }
 

@@ -35,8 +35,6 @@ class ZipfGenerator {
     return static_cast<uint64_t>(it - cdf_.begin());
   }
 
-  uint64_t item_count() const { return cdf_.size(); }
-
  private:
   std::vector<double> cdf_;
 };

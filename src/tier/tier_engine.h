@@ -97,7 +97,6 @@ class TierEngine : public FomMapObserver {
   // UserFlush/msync path for *dirty* promoted data) and coherence-driven
   // demotions (new mappings, fd I/O, unmap) still run at any level.
   void SetBrownoutPause(bool paused) { brownout_paused_ = paused; }
-  bool brownout_paused() const { return brownout_paused_; }
 
   // FomMapObserver:
   void OnMapped(FomProcess& proc, Vaddr vaddr) override;

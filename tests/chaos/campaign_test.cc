@@ -15,7 +15,6 @@ TEST(ParseCampaignTest, ParsesEveryActionKind) {
       42);
   ASSERT_TRUE(config.ok());
   ASSERT_EQ(config->schedule.size(), 8u);
-  EXPECT_TRUE(config->enabled);
   EXPECT_EQ(config->seed, 42u);
 
   const auto& s = config->schedule;
@@ -52,12 +51,11 @@ TEST(ParseCampaignTest, ParsesEveryActionKind) {
 TEST(ParseCampaignTest, EmptySpecIsDisabled) {
   auto config = ParseCampaign("", 1);
   ASSERT_TRUE(config.ok());
-  EXPECT_FALSE(config->enabled);
   EXPECT_TRUE(config->schedule.empty());
 
   auto semis = ParseCampaign(" ; ;; ", 1);
   ASSERT_TRUE(semis.ok());
-  EXPECT_FALSE(semis->enabled);
+  EXPECT_TRUE(semis->schedule.empty());
 }
 
 TEST(ParseCampaignTest, RejectsMalformedSpecs) {
@@ -74,7 +72,6 @@ TEST(ParseCampaignTest, RejectsMalformedSpecs) {
 TEST(ParseCampaignTest, DefaultSpecParses) {
   auto config = ParseCampaign(DefaultCampaignSpec(20000), 1);
   ASSERT_TRUE(config.ok());
-  EXPECT_TRUE(config->enabled);
   EXPECT_GE(config->schedule.size(), 4u);
 }
 

@@ -21,12 +21,11 @@ SystemConfig ServiceMachine() {
   return config;
 }
 
-// Small but non-trivial: 3 shards x 1024 single-line records, 600 arrivals.
+// Small but non-trivial: 3 shards x 1024 records, 600 arrivals.
 ShardServiceConfig SmallService() {
   ShardServiceConfig config;
   config.shards = 3;
-  config.shard_bytes = 64 * kKiB;
-  config.record_bytes = 64;
+  config.shard_bytes = 1024 * ShardedKvService::kRecordBytes;
   config.ops = 600;
   return config;
 }
@@ -136,6 +135,31 @@ TEST(ChaosServiceTest, MachineCrashRecoversAllShards) {
   EXPECT_EQ(report.recoveries[0].shard, -1);
   EXPECT_STREQ(report.recoveries[0].cause, "machine");
   EXPECT_GT(report.recoveries[0].replay_records, 0u);
+}
+
+TEST(ChaosServiceTest, MachineCrashWhileShardIsDownRecoversEveryShard) {
+  // Shard 1 is killed at tick 100 and last beat at tick 96, so its watchdog
+  // would fire after tick 108. The crash at 105 lands inside that
+  // allowance: one machine recovery brings every shard back, the killed one
+  // included, and no separate shard recovery runs.
+  ShardServiceReport report =
+      RunService(ServiceMachine(), WithCampaign("kill@100:1; crash@105"));
+  EXPECT_EQ(report.kills, 1u);
+  EXPECT_EQ(report.machine_crashes, 1u);
+  EXPECT_EQ(report.watchdog_kills, 0u);
+  ASSERT_EQ(report.recoveries.size(), 1u);
+  const RecoveryEvent& event = report.recoveries[0];
+  EXPECT_EQ(event.shard, -1);
+  EXPECT_STREQ(event.cause, "machine");
+  EXPECT_EQ(event.down_tick, 100u);  // the killed shard's outage, the earliest
+  EXPECT_EQ(event.detect_tick, 105u);
+  // Run returns only once every recovered shard has served again.
+  EXPECT_GT(event.time_to_first_served_us, 0.0);
+  EXPECT_EQ(report.ops_ok, report.ops_attempted);
+  EXPECT_EQ(report.ops_lost, 0u);
+  EXPECT_EQ(report.verify_failures, 0u);
+  EXPECT_NE(report.chaos_log.find("t=105 recover machine replay="), std::string::npos)
+      << report.chaos_log;
 }
 
 TEST(ChaosServiceTest, TornWriteCrashUnderExplicitFlush) {

@@ -48,6 +48,18 @@ TEST(ArrivalTest, RejectsMalformedSpecs) {
   EXPECT_FALSE(ParseArrival("ramp:1").ok());         // missing -<hi>
   EXPECT_FALSE(ParseArrival("gamma:2").ok());        // unknown process
   EXPECT_FALSE(ParseArrival("poisson:2zzz").ok());   // trailing junk
+  // Rates Knuth's sampler cannot draw: e^-rate must stay a normal double.
+  EXPECT_FALSE(ParseArrival("poisson:1000").ok());
+  EXPECT_FALSE(ParseArrival("poisson:5000").ok());
+  EXPECT_FALSE(ParseArrival("poisson:513").ok());
+  EXPECT_FALSE(ParseArrival("burst:1000x10").ok());
+  EXPECT_FALSE(ParseArrival("ramp:1-1000").ok());
+  EXPECT_FALSE(ParseArrival("poisson:inf").ok());    // non-finite
+  EXPECT_FALSE(ParseArrival("poisson:nan").ok());
+  EXPECT_FALSE(ParseArrival("ramp:nan-4").ok());
+  EXPECT_FALSE(ParseArrival("ramp:-5-10").ok());     // negative ramp endpoint
+  EXPECT_TRUE(ParseArrival("poisson:512").ok());     // the bound itself
+  EXPECT_TRUE(ParseArrival("ramp:0-4").ok());        // a ramp may start at 0
 }
 
 TEST(ArrivalTest, SameSeedSameSequence) {
@@ -105,8 +117,8 @@ TEST(ArrivalTest, BurstQuietPhaseIsSilent) {
 TEST(ArrivalTest, RampRateClimbsAndHolds) {
   auto config = ParseArrival("ramp:1-5");
   ASSERT_TRUE(config.ok());
-  config->horizon_ticks = 100;
-  ArrivalProcess process(*config, /*total_ops=*/1000000, /*seed=*/3);
+  // The horizon is the op budget at the mean rate: 300 / 3 = 100 ticks.
+  ArrivalProcess process(*config, /*total_ops=*/300, /*seed=*/3);
   EXPECT_DOUBLE_EQ(process.RateAt(0), 1.0);
   EXPECT_LT(process.RateAt(25), process.RateAt(75));
   EXPECT_DOUBLE_EQ(process.RateAt(100), 5.0);
@@ -115,19 +127,12 @@ TEST(ArrivalTest, RampRateClimbsAndHolds) {
 
 // --- admission -------------------------------------------------------------
 
-AdmissionConfig BoundedQueue(uint64_t capacity, uint64_t target) {
-  AdmissionConfig config;
-  config.enabled = true;
-  config.queue_capacity = capacity;
-  config.target_wait_ticks = target;
-  return config;
-}
-
 TEST(AdmissionTest, StandingQueueTargetBoundsDepth) {
-  // slots=4, target=3 ticks: est wait (depth+1)/4 exceeds the target once
-  // depth reaches 12, so exactly 12 admits then sheds -- the CoDel-style
-  // bound on queued sojourn.
-  AdmissionQueue<int> q(BoundedQueue(/*capacity=*/1000, /*target=*/3), /*slots_per_tick=*/4);
+  // kSlotsPerTick=4, kAdmissionTargetTicks=3: est wait (depth+1)/4 exceeds
+  // the target once depth reaches 12, so exactly 12 admits then sheds -- the
+  // CoDel-style bound on queued sojourn.
+  static_assert(kSlotsPerTick == 4 && kAdmissionTargetTicks == 3);
+  AdmissionQueue<int> q(/*enabled=*/true);
   int admitted = 0;
   for (int i = 0; i < 64; ++i) {
     if (q.Offer(i, /*tick=*/0, /*deadline_tick=*/1000) ==
@@ -137,6 +142,7 @@ TEST(AdmissionTest, StandingQueueTargetBoundsDepth) {
   }
   EXPECT_EQ(admitted, 12);
   EXPECT_EQ(q.depth(), 12u);
+  EXPECT_EQ(q.max_depth(), 12u);
   // Draining one service tick's worth re-opens exactly that much room.
   for (int i = 0; i < 4; ++i) {
     q.PopFront();
@@ -147,7 +153,7 @@ TEST(AdmissionTest, StandingQueueTargetBoundsDepth) {
 TEST(AdmissionTest, DeadlineShedBeatsTarget) {
   // With 1 tick of deadline left, est wait (depth+1)/4 > 1 sheds at depth 4
   // even though the standing target (3 ticks -> depth 12) would admit.
-  AdmissionQueue<int> q(BoundedQueue(1000, 3), 4);
+  AdmissionQueue<int> q(/*enabled=*/true);
   int admitted = 0;
   for (int i = 0; i < 16; ++i) {
     if (q.Offer(i, /*tick=*/10, /*deadline_tick=*/11) ==
@@ -158,24 +164,8 @@ TEST(AdmissionTest, DeadlineShedBeatsTarget) {
   EXPECT_EQ(admitted, 4);  // est (4)/4 = 1.0 not > 1.0 admits; (5)/4 > 1 sheds
 }
 
-TEST(AdmissionTest, OverflowShedsAtCapacity) {
-  // Tiny hard bound, no target: the capacity trips first.
-  AdmissionQueue<int> q(BoundedQueue(/*capacity=*/8, /*target=*/0), 4);
-  int admitted = 0;
-  AdmissionQueue<int>::Verdict last = AdmissionQueue<int>::Verdict::kAdmit;
-  for (int i = 0; i < 16; ++i) {
-    last = q.Offer(i, 0, /*deadline_tick=*/1000);
-    if (last == AdmissionQueue<int>::Verdict::kAdmit) {
-      admitted++;
-    }
-  }
-  EXPECT_EQ(admitted, 8);
-  EXPECT_EQ(last, AdmissionQueue<int>::Verdict::kShedOverflow);
-}
-
 TEST(AdmissionTest, DisabledAdmitsEverything) {
-  AdmissionConfig config;  // enabled = false
-  AdmissionQueue<int> q(config, 4);
+  AdmissionQueue<int> q(/*enabled=*/false);
   for (int i = 0; i < 500; ++i) {
     EXPECT_EQ(q.Offer(i, 0, 0), AdmissionQueue<int>::Verdict::kAdmit);
   }
@@ -185,35 +175,33 @@ TEST(AdmissionTest, DisabledAdmitsEverything) {
 // --- retry budget ----------------------------------------------------------
 
 TEST(RetryBudgetTest, ExhaustsAndRefillsFromSuccesses) {
-  RetryBudgetConfig config;
-  config.enabled = true;
-  config.burst = 2.0;
-  config.tokens_per_success = 0.5;
-  RetryBudget budget(config);
-  EXPECT_TRUE(budget.TryConsume());
-  EXPECT_TRUE(budget.TryConsume());
+  static_assert(RetryBudget::kBurst == 16.0 && RetryBudget::kTokensPerSuccess == 0.1);
+  RetryBudget budget(/*enabled=*/true);
+  for (int i = 0; i < 16; ++i) {
+    EXPECT_TRUE(budget.TryConsume()) << "token " << i;  // the initial burst
+  }
   EXPECT_FALSE(budget.TryConsume());  // exhausted
+  for (int i = 0; i < 9; ++i) {
+    budget.OnSuccess();
+  }
+  EXPECT_FALSE(budget.TryConsume());  // 0.9 token: still below 1
   budget.OnSuccess();
-  EXPECT_FALSE(budget.TryConsume());  // 0.5 token: still below 1
   budget.OnSuccess();
-  EXPECT_TRUE(budget.TryConsume());  // 1.0 token
+  EXPECT_TRUE(budget.TryConsume());  // 1.1 tokens
   EXPECT_FALSE(budget.TryConsume());
 }
 
 TEST(RetryBudgetTest, BurstCapsAccumulation) {
-  RetryBudgetConfig config;
-  config.enabled = true;
-  config.burst = 3.0;
-  config.tokens_per_success = 1.0;
-  RetryBudget budget(config);
-  for (int i = 0; i < 100; ++i) {
+  RetryBudget budget(/*enabled=*/true);
+  ASSERT_TRUE(budget.TryConsume());
+  for (int i = 0; i < 1000; ++i) {
     budget.OnSuccess();
   }
-  EXPECT_DOUBLE_EQ(budget.tokens(), 3.0);
+  EXPECT_DOUBLE_EQ(budget.tokens(), RetryBudget::kBurst);
 }
 
 TEST(RetryBudgetTest, DisabledNeverDenies) {
-  RetryBudget budget(RetryBudgetConfig{});  // enabled = false
+  RetryBudget budget(/*enabled=*/false);
   for (int i = 0; i < 1000; ++i) {
     EXPECT_TRUE(budget.TryConsume());
   }
@@ -221,82 +209,68 @@ TEST(RetryBudgetTest, DisabledNeverDenies) {
 
 // --- circuit breaker -------------------------------------------------------
 
-BreakerConfig SmallBreaker() {
-  BreakerConfig config;
-  config.enabled = true;
-  config.failure_threshold = 3;
-  config.open_ticks = 10;
-  config.half_open_probes = 2;
-  return config;
-}
-
 TEST(BreakerTest, OpensOnConsecutiveFailuresOnly) {
-  CircuitBreaker breaker(SmallBreaker());
-  breaker.RecordFailure(1);
-  breaker.RecordFailure(2);
-  breaker.RecordSuccess(3);  // resets the consecutive count
-  breaker.RecordFailure(4);
-  breaker.RecordFailure(5);
+  static_assert(CircuitBreaker::kFailureThreshold == 5);
+  CircuitBreaker breaker(/*enabled=*/true);
+  for (uint64_t t = 1; t <= 4; ++t) {
+    breaker.RecordFailure(t);
+  }
+  breaker.RecordSuccess(5);  // resets the consecutive count
+  for (uint64_t t = 6; t <= 9; ++t) {
+    breaker.RecordFailure(t);
+  }
   EXPECT_EQ(breaker.state(), CircuitBreaker::State::kClosed);
-  breaker.RecordFailure(6);
+  breaker.RecordFailure(10);
   EXPECT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
-  EXPECT_FALSE(breaker.Allow(7));
+  EXPECT_FALSE(breaker.Allow(11));
 }
 
 TEST(BreakerTest, HalfOpenProbesCloseOrReopen) {
-  CircuitBreaker breaker(SmallBreaker());
-  for (uint64_t t = 0; t < 3; ++t) {
+  static_assert(CircuitBreaker::kOpenTicks == 32 && CircuitBreaker::kHalfOpenProbes == 2);
+  CircuitBreaker breaker(/*enabled=*/true);
+  for (uint64_t t = 0; t < 5; ++t) {
     breaker.RecordFailure(t);
   }
-  ASSERT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
-  EXPECT_FALSE(breaker.Allow(5));  // still cooling down
-  EXPECT_TRUE(breaker.Allow(12));  // open_ticks elapsed -> half-open probe
+  ASSERT_EQ(breaker.state(), CircuitBreaker::State::kOpen);  // opened at t=4
+  EXPECT_FALSE(breaker.Allow(20));  // still cooling down
+  EXPECT_FALSE(breaker.Allow(35));
+  EXPECT_TRUE(breaker.Allow(36));  // kOpenTicks elapsed -> half-open probe
   EXPECT_EQ(breaker.state(), CircuitBreaker::State::kHalfOpen);
-  breaker.RecordSuccess(12);
+  breaker.RecordSuccess(36);
   EXPECT_EQ(breaker.state(), CircuitBreaker::State::kHalfOpen);  // 1 of 2
-  breaker.RecordSuccess(13);
+  breaker.RecordSuccess(37);
   EXPECT_EQ(breaker.state(), CircuitBreaker::State::kClosed);
 
   // And the reopen path: a failed probe goes straight back to open.
-  for (uint64_t t = 20; t < 23; ++t) {
+  for (uint64_t t = 40; t < 45; ++t) {
     breaker.RecordFailure(t);
   }
-  ASSERT_TRUE(breaker.Allow(33));
-  breaker.RecordFailure(33);
+  ASSERT_TRUE(breaker.Allow(76));
+  breaker.RecordFailure(76);
   EXPECT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
-  EXPECT_FALSE(breaker.Allow(34));
+  EXPECT_FALSE(breaker.Allow(77));
 }
 
 TEST(BreakerTest, TimelineIsDeterministic) {
   auto drive = [] {
-    CircuitBreaker breaker(SmallBreaker());
-    for (uint64_t t = 0; t < 3; ++t) {
+    CircuitBreaker breaker(/*enabled=*/true);
+    for (uint64_t t = 0; t < 5; ++t) {
       breaker.RecordFailure(t);
     }
-    breaker.Allow(12);
-    breaker.RecordSuccess(12);
-    breaker.RecordSuccess(13);
+    breaker.Allow(36);
+    breaker.RecordSuccess(36);
+    breaker.RecordSuccess(37);
     return breaker;
   };
   CircuitBreaker a = drive();
   CircuitBreaker b = drive();
   EXPECT_EQ(a.timeline(), b.timeline());
-  EXPECT_EQ(a.timeline(), "t=2 open; t=12 half_open; t=13 closed; ");
+  EXPECT_EQ(a.timeline(), "t=4 open; t=36 half_open; t=37 closed; ");
   EXPECT_EQ(a.transitions(), 3u);
 }
 
-TEST(BreakerTest, LatencySignalCountsSlowSuccesses) {
-  BreakerConfig config = SmallBreaker();
-  config.latency_fail_ticks = 5;
-  CircuitBreaker breaker(config);
-  for (uint64_t t = 0; t < 3; ++t) {
-    breaker.RecordSuccess(t, /*sojourn_ticks=*/20);  // served, but too slow
-  }
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
-}
-
 TEST(BreakerTest, DisabledNeverOpens) {
-  CircuitBreaker breaker(BreakerConfig{});  // enabled = false
+  CircuitBreaker breaker(/*enabled=*/false);
   for (uint64_t t = 0; t < 100; ++t) {
     breaker.RecordFailure(t);
     EXPECT_TRUE(breaker.Allow(t));
@@ -306,26 +280,19 @@ TEST(BreakerTest, DisabledNeverOpens) {
 
 // --- brownout ladder -------------------------------------------------------
 
-BrownoutConfig FastBrownout() {
-  BrownoutConfig config;
-  config.enabled = true;
-  config.hysteresis_ticks = 4;
-  return config;
-}
-
 TEST(BrownoutTest, ClimbsOneLevelPerTickAndRestoresInReverse) {
-  BrownoutController ctl(FastBrownout());
+  BrownoutController ctl(/*enabled=*/true);
   // Saturated signal: one level per tick to the top of the ladder.
   EXPECT_EQ(ctl.Update(1.0), 1);
   EXPECT_EQ(ctl.Update(1.0), 2);
   EXPECT_EQ(ctl.Update(1.0), 3);
   EXPECT_EQ(ctl.Update(1.0), 4);
   EXPECT_EQ(ctl.Update(1.0), 4);  // clamps at kMaxLevel
-  // Calm signal: each descent needs hysteresis_ticks consecutive calm ticks,
-  // and levels shed in reverse order (4 -> 3 -> 2 -> 1 -> 0).
+  // Calm signal: each descent needs kHysteresisTicks consecutive calm
+  // ticks, and levels shed in reverse order (4 -> 3 -> 2 -> 1 -> 0).
   int level = 4;
   for (int expected = 3; expected >= 0; --expected) {
-    for (uint64_t i = 0; i < FastBrownout().hysteresis_ticks - 1; ++i) {
+    for (uint64_t i = 0; i < BrownoutController::kHysteresisTicks - 1; ++i) {
       level = ctl.Update(0.0);
       EXPECT_EQ(level, expected + 1);  // still holding
     }
@@ -339,20 +306,21 @@ TEST(BrownoutTest, ClimbsOneLevelPerTickAndRestoresInReverse) {
 }
 
 TEST(BrownoutTest, SignalBlipResetsHysteresis) {
-  BrownoutController ctl(FastBrownout());
+  BrownoutController ctl(/*enabled=*/true);
   ctl.Update(1.0);  // L1
-  ctl.Update(0.1);  // calm 1
-  ctl.Update(0.1);  // calm 2
-  ctl.Update(0.4);  // between exit[0]=0.25 and enter[1]=0.70: resets calm
-  ctl.Update(0.1);
-  ctl.Update(0.1);
-  ctl.Update(0.1);
-  EXPECT_EQ(ctl.level(), 1);  // only 3 consecutive calm ticks
+  for (uint64_t i = 0; i < BrownoutController::kHysteresisTicks - 1; ++i) {
+    ctl.Update(0.1);  // calm, one tick short of the hysteresis
+  }
+  ctl.Update(0.4);  // between kExit[0]=0.25 and kEnter[1]=0.70: resets calm
+  for (uint64_t i = 0; i < BrownoutController::kHysteresisTicks - 1; ++i) {
+    ctl.Update(0.1);
+  }
+  EXPECT_EQ(ctl.level(), 1);  // only kHysteresisTicks-1 consecutive calm ticks
   EXPECT_EQ(ctl.Update(0.1), 0);
 }
 
 TEST(BrownoutTest, DisabledStaysAtZero) {
-  BrownoutController ctl(BrownoutConfig{});  // enabled = false
+  BrownoutController ctl(/*enabled=*/false);
   for (int i = 0; i < 100; ++i) {
     EXPECT_EQ(ctl.Update(1.0), 0);
   }

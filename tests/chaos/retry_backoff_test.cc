@@ -1,6 +1,6 @@
-// RetryPolicy: capped exponential backoff with full jitter must be
+// Client backoff: capped exponential backoff with full jitter must be
 // deterministic per seed, bounded by [1, min(cap, base * 2^(n-1))], and
-// clamped at max_delay_ticks for deep retries. RetryWheel must hand back
+// clamped at kRetryMaxDelayTicks for deep retries. RetryWheel must hand back
 // every retry exactly on its due tick, in push order.
 #include <gtest/gtest.h>
 
@@ -14,65 +14,60 @@ namespace o1mem {
 namespace {
 
 TEST(RetryPolicyTest, SameSeedSameSchedule) {
-  RetryPolicy policy;
   Rng a(42);
   Rng b(42);
   for (int attempt = 1; attempt <= 16; ++attempt) {
-    EXPECT_EQ(policy.BackoffTicks(attempt, a), policy.BackoffTicks(attempt, b));
+    EXPECT_EQ(BackoffTicks(attempt, a), BackoffTicks(attempt, b));
   }
 }
 
 TEST(RetryPolicyTest, DifferentSeedsDiverge) {
-  RetryPolicy policy;
   Rng a(1);
   Rng b(2);
   std::vector<uint64_t> sa;
   std::vector<uint64_t> sb;
   for (int attempt = 1; attempt <= 16; ++attempt) {
-    sa.push_back(policy.BackoffTicks(attempt, a));
-    sb.push_back(policy.BackoffTicks(attempt, b));
+    sa.push_back(BackoffTicks(attempt, a));
+    sb.push_back(BackoffTicks(attempt, b));
   }
   EXPECT_NE(sa, sb);
 }
 
 TEST(RetryPolicyTest, BoundedByExponentialCap) {
-  RetryPolicy policy{.max_attempts = 8, .base_delay_ticks = 4, .max_delay_ticks = 512};
   Rng rng(7);
   for (int trial = 0; trial < 200; ++trial) {
     for (int attempt = 1; attempt <= 12; ++attempt) {
-      const uint64_t delay = policy.BackoffTicks(attempt, rng);
+      const uint64_t delay = BackoffTicks(attempt, rng);
       EXPECT_GE(delay, 1u);
-      uint64_t cap = policy.base_delay_ticks;
-      for (int i = 1; i < attempt && cap < policy.max_delay_ticks; ++i) {
+      uint64_t cap = kRetryBaseDelayTicks;
+      for (int i = 1; i < attempt && cap < kRetryMaxDelayTicks; ++i) {
         cap *= 2;
       }
-      cap = std::min(cap, policy.max_delay_ticks);
+      cap = std::min(cap, kRetryMaxDelayTicks);
       EXPECT_LE(delay, cap) << "attempt " << attempt;
     }
   }
 }
 
 TEST(RetryPolicyTest, DeepRetriesClampAtMaxDelay) {
-  RetryPolicy policy{.max_attempts = 64, .base_delay_ticks = 4, .max_delay_ticks = 64};
   Rng rng(9);
   uint64_t max_seen = 0;
   for (int attempt = 20; attempt <= 40; ++attempt) {
     for (int trial = 0; trial < 100; ++trial) {
-      max_seen = std::max(max_seen, policy.BackoffTicks(attempt, rng));
+      max_seen = std::max(max_seen, BackoffTicks(attempt, rng));
     }
   }
-  EXPECT_LE(max_seen, policy.max_delay_ticks);
+  EXPECT_LE(max_seen, kRetryMaxDelayTicks);
   // Full jitter still spreads over the cap (not pinned to one value).
-  EXPECT_GT(max_seen, policy.max_delay_ticks / 2);
+  EXPECT_GT(max_seen, kRetryMaxDelayTicks / 2);
 }
 
 TEST(RetryPolicyTest, FirstRetryUsesBaseWindow) {
-  RetryPolicy policy{.max_attempts = 4, .base_delay_ticks = 8, .max_delay_ticks = 512};
   Rng rng(11);
   for (int trial = 0; trial < 200; ++trial) {
-    const uint64_t delay = policy.BackoffTicks(1, rng);
+    const uint64_t delay = BackoffTicks(1, rng);
     EXPECT_GE(delay, 1u);
-    EXPECT_LE(delay, 8u);
+    EXPECT_LE(delay, kRetryBaseDelayTicks);
   }
 }
 
@@ -84,7 +79,7 @@ TEST(RetryPolicyTest, FirstRetryUsesBaseWindow) {
 // entries in push order.
 void CheckWheel(uint64_t max_delay_ticks) {
   SCOPED_TRACE("max_delay_ticks=" + std::to_string(max_delay_ticks));
-  // The longest backoff RetryPolicy can draw with this cap.
+  // The longest backoff BackoffTicks could draw with this cap.
   const uint64_t horizon = std::max<uint64_t>(1, max_delay_ticks);
   RetryWheel<std::pair<uint64_t, uint64_t>> wheel(max_delay_ticks);  // (push seq, due tick)
   uint64_t seq = 0;
@@ -128,24 +123,22 @@ TEST(RetryWheelTest, DueEntriesComeOutOnTimeInPushOrder) {
 }
 
 TEST(RetryWheelTest, HoldsEveryBackoffThePolicyDraws) {
-  // Every backoff the policy can draw fits the wheel sized from its cap.
-  for (uint64_t max_delay : {0u, 1u, 64u}) {
-    RetryPolicy policy{.max_attempts = 16, .base_delay_ticks = 4, .max_delay_ticks = max_delay};
-    RetryWheel<uint64_t> wheel(policy.max_delay_ticks);
-    Rng rng(3);
-    for (int attempt = 1; attempt <= 12; ++attempt) {
-      const uint64_t due = 100 + policy.BackoffTicks(attempt, rng);
-      wheel.Push(100, due, due);
-    }
-    uint64_t popped = 0;
-    for (uint64_t tick = 101; tick <= 100 + std::max<uint64_t>(1, max_delay); ++tick) {
-      wheel.PopDue(tick, [&](uint64_t due) {
-        EXPECT_EQ(due, tick);
-        ++popped;
-      });
-    }
-    EXPECT_EQ(popped, 12u);
+  // Every backoff the client can draw fits the wheel the service sizes with
+  // kRetryMaxDelayTicks.
+  RetryWheel<uint64_t> wheel(kRetryMaxDelayTicks);
+  Rng rng(3);
+  for (int attempt = 1; attempt <= 16; ++attempt) {
+    const uint64_t due = 100 + BackoffTicks(attempt, rng);
+    wheel.Push(100, due, due);
   }
+  uint64_t popped = 0;
+  for (uint64_t tick = 101; tick <= 100 + kRetryMaxDelayTicks; ++tick) {
+    wheel.PopDue(tick, [&](uint64_t due) {
+      EXPECT_EQ(due, tick);
+      ++popped;
+    });
+  }
+  EXPECT_EQ(popped, 16u);
 }
 
 }  // namespace

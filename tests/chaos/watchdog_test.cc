@@ -1,6 +1,6 @@
-// Watchdog contract: a shard is declared dead only after missed_beats full
+// Watchdog contract: a shard is declared dead only after kMissedBeats full
 // heartbeat intervals with no beat; a slow-but-alive shard that beats at
-// (or before) the deadline is never flagged.
+// (or before) the deadline is never flagged; a beat rearms an expired dog.
 #include <gtest/gtest.h>
 
 #include "src/chaos/watchdog.h"
@@ -9,9 +9,10 @@ namespace o1mem {
 namespace {
 
 TEST(WatchdogTest, ExpiresOnlyPastTheFullAllowance) {
-  Watchdog dog(/*heartbeat_interval_ticks=*/4, /*missed_beats=*/3);
+  static_assert(Watchdog::kHeartbeatIntervalTicks == 4 && Watchdog::kMissedBeats == 3);
+  Watchdog dog;
   dog.Beat(0);
-  EXPECT_EQ(dog.deadline_ticks(), 12u);
+  EXPECT_EQ(Watchdog::kAllowanceTicks, 12u);
   for (uint64_t t = 0; t <= 12; ++t) {
     EXPECT_FALSE(dog.Expired(t)) << "tick " << t;
   }
@@ -19,9 +20,9 @@ TEST(WatchdogTest, ExpiresOnlyPastTheFullAllowance) {
 }
 
 TEST(WatchdogTest, RegularBeatsNeverExpire) {
-  Watchdog dog(4, 3);
+  Watchdog dog;
   for (uint64_t t = 0; t < 1000; ++t) {
-    if (t % 4 == 0) {
+    if (t % Watchdog::kHeartbeatIntervalTicks == 0) {
       dog.Beat(t);
     }
     EXPECT_FALSE(dog.Expired(t)) << "tick " << t;
@@ -29,12 +30,12 @@ TEST(WatchdogTest, RegularBeatsNeverExpire) {
 }
 
 TEST(WatchdogTest, SlowButAliveIsNeverFlagged) {
-  // Beating exactly at the deadline -- misses_ * interval_ ticks apart, the
-  // slowest legal shard -- must never trip the watchdog.
-  Watchdog dog(4, 3);
+  // Beating exactly at the deadline -- kAllowanceTicks apart, the slowest
+  // legal shard -- must never trip the watchdog.
+  Watchdog dog;
   dog.Beat(0);
   for (uint64_t t = 1; t < 600; ++t) {
-    if (t % 12 == 0) {
+    if (t % Watchdog::kAllowanceTicks == 0) {
       dog.Beat(t);
     }
     EXPECT_FALSE(dog.Expired(t)) << "tick " << t;
@@ -42,7 +43,7 @@ TEST(WatchdogTest, SlowButAliveIsNeverFlagged) {
 }
 
 TEST(WatchdogTest, MissedBeatsAreDetected) {
-  Watchdog dog(4, 3);
+  Watchdog dog;
   dog.Beat(100);  // last sign of life
   EXPECT_FALSE(dog.Expired(112));
   EXPECT_TRUE(dog.Expired(113));
@@ -50,13 +51,13 @@ TEST(WatchdogTest, MissedBeatsAreDetected) {
 }
 
 TEST(WatchdogTest, DisarmAndRearm) {
-  Watchdog dog(4, 3);
+  // There is no disarmed state: recovery runs within the tick the dog
+  // expires on and ends with a beat, and that beat alone rearms the dog
+  // with a fresh full allowance.
+  Watchdog dog;
   dog.Beat(0);
-  dog.Disarm();
-  EXPECT_FALSE(dog.armed());
-  EXPECT_FALSE(dog.Expired(1000));  // disarmed: never fires during recovery
-  dog.Rearm(1000);
-  EXPECT_TRUE(dog.armed());
+  EXPECT_TRUE(dog.Expired(1000));  // the shard was down
+  dog.Beat(1000);                  // recovered
   EXPECT_FALSE(dog.Expired(1012));
   EXPECT_TRUE(dog.Expired(1013));
 }

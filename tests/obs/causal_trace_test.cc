@@ -125,8 +125,7 @@ SystemConfig ServiceMachine(bool traced) {
 ShardServiceConfig BurstService() {
   ShardServiceConfig config;
   config.shards = 3;
-  config.shard_bytes = 64 * kKiB;
-  config.record_bytes = 64;
+  config.shard_bytes = 1024 * ShardedKvService::kRecordBytes;
   config.ops = 1500;
   config.arrival.enabled = true;
   config.arrival.kind = ArrivalConfig::Kind::kBurst;
@@ -292,14 +291,12 @@ TEST(CausalTraceTest, ReservoirMemoryIsBoundedUnderLongRuns) {
   (void)service.Run();
   Observer& obs = sys.machine().observer();
   ASSERT_NE(obs.exemplars(), nullptr);
-  const uint32_t per_bucket = obs.config().exemplar_per_bucket;
-  const uint32_t max_events = obs.config().exemplar_max_events;
   size_t total = 0;
   obs.exemplars()->ForEach([&](const Exemplar& e) {
     ++total;
-    EXPECT_LE(e.events.size(), max_events);
+    EXPECT_LE(e.events.size(), kExemplarMaxEvents);
   });
-  EXPECT_LE(total, static_cast<size_t>(kTraceKindCount) * kSizeClassCount * per_bucket);
+  EXPECT_LE(total, static_cast<size_t>(kTraceKindCount) * kSizeClassCount * kExemplarsPerBucket);
   EXPECT_GT(obs.exemplars()->kept_total(), total);  // it did overwrite
   // The stager pool drained back to empty: every request released its slot.
   ASSERT_NE(obs.stager(), nullptr);

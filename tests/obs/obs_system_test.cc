@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "src/obs/exporters.h"
 #include "src/os/system.h"
 #include "src/support/check.h"
 
@@ -115,24 +116,6 @@ TEST(ObsSystemTest, RingCapturesWorkloadKinds) {
   }
 }
 
-TEST(ObsSystemTest, CategoryMaskFiltersRing) {
-  SystemConfig config;
-  config.machine.obs.trace = true;
-  config.machine.obs.categories = kCatFault;
-  System sys(config);
-  auto proc = sys.Launch(Backend::kBaseline);
-  ASSERT_TRUE(proc.ok());
-  auto demand = sys.Mmap(**proc, MmapArgs{.length = 64 * kKiB});
-  ASSERT_TRUE(demand.ok());
-  ASSERT_TRUE(sys.UserTouch(**proc, *demand, 64 * kKiB, AccessType::kWrite).ok());
-
-  const auto events = sys.machine().observer().ring()->Snapshot();
-  ASSERT_FALSE(events.empty());
-  for (const TraceEvent& e : events) {
-    EXPECT_EQ(e.kind, TraceKind::kFault);
-  }
-}
-
 TEST(ObsSystemTest, RingStaysBoundedUnderLongRuns) {
   SystemConfig config;
   config.machine.obs.trace = true;
@@ -207,6 +190,26 @@ TEST(ObsSystemTest, WriteTraceEmitsChromeJson) {
   EXPECT_NE(json.find("\"name\":\"mmap\""), std::string::npos);
   EXPECT_NE(json.find("\"size_class\":\"2M\""), std::string::npos);
   std::remove(path.c_str());
+}
+
+TEST(ObsSystemTest, ChromeExportNamesEachCategory) {
+  // A request's root span and an overload instant are service events; a
+  // fault and an mmap keep their own categories.
+  TraceGroup group{.pid = 1, .label = "test"};
+  group.events.push_back(TraceEvent{.duration_cycles = 10,
+                                    .operand_bytes = 64,
+                                    .trace_id = 5,
+                                    .span_id = 1,
+                                    .kind = TraceKind::kKvGet});
+  group.events.push_back(TraceEvent{.kind = TraceKind::kAdmissionShed, .instant = 1});
+  group.events.push_back(TraceEvent{.duration_cycles = 10, .kind = TraceKind::kFault});
+  group.events.push_back(TraceEvent{.duration_cycles = 10, .kind = TraceKind::kMmap});
+  const std::string json = ChromeTraceJson({group}, /*cpu_ghz=*/2.0);
+  EXPECT_NE(json.find("\"name\":\"kv_get\",\"cat\":\"service\""), std::string::npos) << json;
+  EXPECT_NE(json.find("\"name\":\"admission_shed\",\"cat\":\"service\""), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"fault\",\"cat\":\"fault\""), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"mmap\",\"cat\":\"syscall\""), std::string::npos);
+  EXPECT_EQ(json.find("\"cat\":\"other\""), std::string::npos);
 }
 
 TEST(ObsSystemTest, WriteTraceUnsupportedWhenOff) {
