@@ -249,21 +249,8 @@ void ShardedKvService::FinishRequest(int index, const OpenRequest& req) {
   }
   report_.all_latency.Record(latency);
   shard_latency_[static_cast<size_t>(index)].Record(latency);
-  auto& pool = shard_slowest_[static_cast<size_t>(index)];
-  const TailSample sample{latency, req.wait_cycles, req.backoff_cycles, req.serve_cycles};
-  if (pool.size() < kTailSamplesPerShard) {
-    pool.push_back(sample);
-  } else {
-    size_t min_i = 0;
-    for (size_t i = 1; i < pool.size(); ++i) {
-      if (pool[i].latency < pool[min_i].latency) {
-        min_i = i;
-      }
-    }
-    if (latency > pool[min_i].latency) {
-      pool[min_i] = sample;
-    }
-  }
+  shard_slowest_[static_cast<size_t>(index)].Offer(
+      {latency, req.wait_cycles, req.backoff_cycles, req.serve_cycles});
   Observer* obs = sys_.ctx().obs();
   if (obs != nullptr) {
     const TraceKind kind = req.cls == OpClass::kScan    ? TraceKind::kKvScan
@@ -286,6 +273,27 @@ void ShardedKvService::FinishRequest(int index, const OpenRequest& req) {
   }
 }
 
+void ShardedKvService::TailPool::Offer(const TailSample& sample) {
+  if (samples.size() == kTailSamplesPerShard) {
+    if (sample.latency <= samples[min_i].latency) {
+      return;
+    }
+    samples[min_i] = sample;
+  } else {
+    samples.push_back(sample);
+    if (samples.size() < kTailSamplesPerShard) {
+      return;
+    }
+  }
+  // The full pool changed: find its first minimum again.
+  min_i = 0;
+  for (size_t i = 1; i < samples.size(); ++i) {
+    if (samples[i].latency < samples[min_i].latency) {
+      min_i = i;
+    }
+  }
+}
+
 void ShardedKvService::FinalizeTail() {
   TailSnapshot& tail = report_.tail;
   tail.valid = report_.all_latency.count() > 0;
@@ -298,8 +306,8 @@ void ShardedKvService::FinalizeTail() {
   // completed requests (at least one): what the p999 population spent its
   // time on, from service-side accounting -- valid with observability off.
   std::vector<TailSample> all;
-  for (const auto& pool : shard_slowest_) {
-    all.insert(all.end(), pool.begin(), pool.end());
+  for (const TailPool& pool : shard_slowest_) {
+    all.insert(all.end(), pool.samples.begin(), pool.samples.end());
   }
   std::sort(all.begin(), all.end(),
             [](const TailSample& a, const TailSample& b) { return a.latency > b.latency; });
@@ -337,7 +345,7 @@ void ShardedKvService::FinalizeTail() {
     st.requests = shard_latency_[static_cast<size_t>(i)].count();
     if (st.requests != 0) {
       st.p999_us = clock.CyclesToUs(shard_latency_[static_cast<size_t>(i)].Percentile(99.9));
-      auto pool = shard_slowest_[static_cast<size_t>(i)];
+      std::vector<TailSample> pool = shard_slowest_[static_cast<size_t>(i)].samples;
       std::sort(pool.begin(), pool.end(),
                 [](const TailSample& a, const TailSample& b) { return a.latency > b.latency; });
       size_t sn = static_cast<size_t>(st.requests / 1000);

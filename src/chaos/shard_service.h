@@ -357,8 +357,15 @@ class ShardedKvService {
     uint64_t serve = 0;
   };
   static constexpr size_t kTailSamplesPerShard = 32;
+  struct TailPool {
+    std::vector<TailSample> samples;  // at most kTailSamplesPerShard
+    size_t min_i = 0;                 // the first minimum once full
+    // Keeps `sample` if the pool has room or it beats the first minimum,
+    // which it then replaces. Rescans only when a full pool changes.
+    void Offer(const TailSample& sample);
+  };
   std::vector<LatencyHistogram> shard_latency_;
-  std::vector<std::vector<TailSample>> shard_slowest_;  // capped per shard
+  std::vector<TailPool> shard_slowest_;
 };
 
 }  // namespace o1mem

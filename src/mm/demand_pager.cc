@@ -414,6 +414,9 @@ Status DemandPager::PinRange(Vaddr vaddr, uint64_t len) {
       }
     }
     PageMeta& m = phys_mgr_->meta().Of(it->second.frame + (page - it->first));
+    if (m.Test(PageFlag::kMlocked)) {
+      continue;  // mlock(2) is idempotent: a page holds at most one pin
+    }
     m.Set(PageFlag::kMlocked);
     m.Set(PageFlag::kUnevictable);
     m.refcount++;  // pin reference

@@ -91,7 +91,8 @@ class DemandPager : public FaultHandler {
 
   // mlock-like pinning: faults pages in if needed and marks them unevictable
   // (per-page work, the baseline DMA-prep cost of Sec. 3.1's "memory
-  // locking"). Unpin clears the marks.
+  // locking"). Pinning a pinned page changes nothing, as with mlock(2), so
+  // one unpin or unmap releases it. Unpin clears the marks.
   Status PinRange(Vaddr vaddr, uint64_t len);
   Status UnpinRange(Vaddr vaddr, uint64_t len);
 

@@ -155,7 +155,7 @@ class Mmu {
 
   // Small-access fast path shared by Touch/ReadVirt/WriteVirt: when `len`
   // bytes at `vaddr` sit inside the current fast span, one page, and one
-  // already-materialized frame with no injector or shadow tracking in play
+  // live (written) frame with no injector or shadow tracking in play
   // (PhysicalMemory::FastSpan), replays the exact slow-path charges (one
   // translation hit + the data touch) and returns the host pointer for the
   // caller to memcpy through. nullptr = take the general path.

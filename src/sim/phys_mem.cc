@@ -1,10 +1,12 @@
 #include "src/sim/phys_mem.h"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <algorithm>
-#include <bit>
-#include <cstdlib>
+#include <cerrno>
+#include <cstdio>
 #include <cstring>
-#include <utility>
 
 #include "src/sim/fault_injector.h"
 #include "src/support/bits.h"
@@ -17,9 +19,21 @@ PhysicalMemory::PhysicalMemory(SimContext* ctx, uint64_t dram_bytes, uint64_t nv
   O1_CHECK(ctx != nullptr);
   O1_CHECK(IsAligned(dram_bytes, kPageSize));
   O1_CHECK(IsAligned(nvm_bytes, kPageSize));
-  const uint64_t frames = total_bytes() >> kPageShift;
-  dir_.resize((frames + kDirFanout - 1) >> kDirShift);
+  // MAP_NORESERVE: the reservation takes no commit charge up front, so a
+  // machine of terabytes fits on a small host. A host that refuses it (for
+  // example one with vm.overcommit_memory=2) cannot run the simulator.
+  void* base = mmap(nullptr, total_bytes(), PROT_READ | PROT_WRITE,
+                    MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (base == MAP_FAILED) {
+    std::fprintf(stderr, "PhysicalMemory: cannot reserve %llu bytes of host address space: %s\n",
+                 static_cast<unsigned long long>(total_bytes()), std::strerror(errno));
+    O1_CHECK_MSG(false, "host reservation for simulated physical memory failed");
+  }
+  base_ = static_cast<uint8_t*>(base);
+  live_.resize((total_bytes() + kNodeBytes - 1) >> kNodeShift);
 }
+
+PhysicalMemory::~PhysicalMemory() { O1_CHECK(munmap(base_, total_bytes()) == 0); }
 
 void PhysicalMemory::AttachFaultInjector(FaultInjector* injector) {
   injector_ = injector;
@@ -63,11 +77,10 @@ void PhysicalMemory::ShadowBeforeWrite(Paddr paddr, uint64_t len, bool post_trig
       continue;
     }
     auto& shadow = line_shadow_[line];
-    const uint8_t* page = FindPage(line);
-    if (page == nullptr) {
-      shadow.fill(0);
+    if (IsLive(line >> kPageShift)) {
+      std::memcpy(shadow.data(), base_ + line, 64);
     } else {
-      std::memcpy(shadow.data(), page + (line & (kPageSize - 1)), 64);
+      shadow.fill(0);
     }
   }
 }
@@ -109,47 +122,50 @@ Status PhysicalMemory::FlushLines(Paddr paddr, uint64_t len) {
   return OkStatus();
 }
 
-void PhysicalMemory::SlabFree::operator()(uint8_t* p) const { std::free(p); }
-
-PhysicalMemory::DirNode& PhysicalMemory::EnsureNode(uint64_t node_idx) {
-  std::unique_ptr<DirNode>& node = dir_[node_idx];
-  if (node == nullptr) {
-    node = std::make_unique<DirNode>();
-    // calloc: the host kernel demand-zeroes the slab, so untouched frames
-    // stay non-resident and satisfy the zero-read invariant for free.
-    node->data.reset(static_cast<uint8_t*>(std::calloc(kDirFanout, kPageSize)));
-    O1_CHECK(node->data != nullptr);
+void PhysicalMemory::AssignLive(uint64_t frame, uint64_t count, bool live) {
+  const uint64_t end = frame + count;
+  while (frame < end) {
+    const uint64_t node_end = std::min(AlignDown(frame, kDirFanout) + kDirFanout, end);
+    std::unique_ptr<LiveBits>& bits = live_[frame >> kDirShift];
+    if (bits == nullptr && live) {
+      bits = std::make_unique<LiveBits>();
+    }
+    if (bits != nullptr) {
+      const uint64_t changed = AssignBits(*bits, frame & (kDirFanout - 1), node_end - frame, live);
+      materialized_ = live ? materialized_ + changed : materialized_ - changed;
+    }
+    frame = node_end;
   }
-  return *node;
 }
 
-void PhysicalMemory::MaterializeFrames(DirNode& node, uint64_t first, uint64_t count) {
-  materialized_ += AssignBits(node.live, first, count, true);
-}
-
-const uint8_t* PhysicalMemory::FindPage(Paddr paddr) const {
-  const uint64_t frame = paddr >> kPageShift;
-  const DirNode* node = dir_[frame >> kDirShift].get();
-  if (node == nullptr) {
-    return nullptr;
+template <typename Fn>
+void PhysicalMemory::ForEachRun(Paddr paddr, uint64_t len, Fn&& fn) const {
+  const Paddr end = paddr + len;
+  for (Paddr at = paddr; at < end;) {
+    const Paddr node_base = AlignDown(at, kNodeBytes);
+    const Paddr node_end = std::min(node_base + kNodeBytes, end);
+    const LiveBits* bits = live_[at >> kNodeShift].get();
+    if (bits == nullptr) {
+      fn(at, node_end - at, false);
+      at = node_end;
+      continue;
+    }
+    // Node-relative frames [f, limit) cover the rest of the span in this node.
+    const uint64_t limit = ((node_end - 1 - node_base) >> kPageShift) + 1;
+    for (uint64_t f = (at - node_base) >> kPageShift; f < limit;) {
+      const bool live = (((*bits)[f >> 6] >> (f & 63)) & 1) != 0;
+      const uint64_t run_end = FindBit(*bits, f, limit, !live);
+      const Paddr stop = std::min(node_base + (run_end << kPageShift), node_end);
+      fn(at, stop - at, live);
+      at = stop;
+      f = run_end;
+    }
   }
-  const uint64_t in_node = frame & (kDirFanout - 1);
-  if ((node->live[in_node >> 6] & (uint64_t{1} << (in_node & 63))) == 0) {
-    return nullptr;
-  }
-  return node->data.get() + (in_node << kPageShift);
 }
 
-uint8_t* PhysicalMemory::FindPageMut(Paddr paddr) {
-  return const_cast<uint8_t*>(std::as_const(*this).FindPage(paddr));
-}
-
-uint8_t* PhysicalMemory::EnsurePage(Paddr paddr) {
-  const uint64_t frame = paddr >> kPageShift;
-  DirNode& node = EnsureNode(frame >> kDirShift);
-  const uint64_t in_node = frame & (kDirFanout - 1);
-  MaterializeFrames(node, in_node, 1);
-  return node.data.get() + (in_node << kPageShift);
+uint8_t* PhysicalMemory::EnsureLive(Paddr paddr) {
+  AssignLive(paddr >> kPageShift, 1, true);
+  return base_ + paddr;
 }
 
 void PhysicalMemory::ChargeBulk(Paddr paddr, uint64_t len, bool is_write) {
@@ -182,21 +198,16 @@ Status PhysicalMemory::ReadUncharged(Paddr paddr, std::span<uint8_t> out) {
   if (injector_ != nullptr && injector_->has_poison()) {
     O1_RETURN_IF_ERROR(injector_->CheckRead(paddr, out.size()));
   }
-  // One copy per 2 MiB node: unwritten frames in a live slab are zero by
-  // invariant, so the memcpy can run straight through them.
-  uint64_t done = 0;
-  while (done < out.size()) {
-    const Paddr cur = paddr + done;
-    const uint64_t run = std::min<uint64_t>(kNodeBytes - (cur & (kNodeBytes - 1)),
-                                            out.size() - done);
-    const DirNode* node = dir_[cur >> kPageShift >> kDirShift].get();
-    if (node == nullptr) {
-      std::memset(out.data() + done, 0, run);
+  // Live runs are copied; the rest read as zero and are zero-filled without
+  // touching the reservation, so the host faults no page in for them.
+  ForEachRun(paddr, out.size(), [&](Paddr at, uint64_t bytes, bool live) {
+    uint8_t* to = out.data() + (at - paddr);
+    if (live) {
+      std::memcpy(to, base_ + at, bytes);
     } else {
-      std::memcpy(out.data() + done, node->data.get() + (cur & (kNodeBytes - 1)), run);
+      std::memset(to, 0, bytes);
     }
-    done += run;
-  }
+  });
   return OkStatus();
 }
 
@@ -213,18 +224,12 @@ Status PhysicalMemory::WriteUncharged(Paddr paddr, std::span<const uint8_t> data
     return InvalidArgument("physical write out of range");
   }
   ShadowBeforeWrite(paddr, data.size(), NoteNvmWrite(paddr, data.size()));
-  uint64_t done = 0;
-  while (done < data.size()) {
-    const Paddr cur = paddr + done;
-    const uint64_t run = std::min<uint64_t>(kNodeBytes - (cur & (kNodeBytes - 1)),
-                                            data.size() - done);
-    DirNode& node = EnsureNode(cur >> kPageShift >> kDirShift);
-    std::memcpy(node.data.get() + (cur & (kNodeBytes - 1)), data.data() + done, run);
-    const uint64_t first = (cur >> kPageShift) & (kDirFanout - 1);
-    const uint64_t last = ((cur + run - 1) >> kPageShift) & (kDirFanout - 1);
-    MaterializeFrames(node, first, last - first + 1);
-    done += run;
+  if (data.empty()) {
+    return OkStatus();
   }
+  std::memcpy(base_ + paddr, data.data(), data.size());
+  const uint64_t first = paddr >> kPageShift;
+  AssignLive(first, ((paddr + data.size() - 1) >> kPageShift) - first + 1, true);
   return OkStatus();
 }
 
@@ -242,40 +247,20 @@ Status PhysicalMemory::ZeroUncharged(Paddr paddr, uint64_t len) {
   }
   ShadowBeforeWrite(paddr, len, NoteNvmWrite(paddr, len));
   ctx_->counters().bytes_zeroed += len;
-  // Partially covered pages materialize (the slab bytes are already zero by
-  // invariant); existing ones are cleared in place.
-  auto zero_partial = [this](Paddr at, uint64_t bytes) {
-    if (bytes == 0) {
+  // Frames that are not live already read as zero and stay untouched. Each
+  // live run is cleared with one memset, and the whole frames in it leave the
+  // live set; a partly cleared frame keeps its other bytes and stays live.
+  ForEachRun(paddr, len, [this](Paddr at, uint64_t bytes, bool live) {
+    if (!live) {
       return;
     }
-    if (uint8_t* page = FindPageMut(at); page != nullptr) {
-      std::memset(page + (at & (kPageSize - 1)), 0, bytes);
-    } else {
-      (void)EnsurePage(at);
+    std::memset(base_ + at, 0, bytes);
+    const uint64_t first = AlignUp(at, kPageSize) >> kPageShift;
+    const uint64_t last = AlignDown(at + bytes, kPageSize) >> kPageShift;
+    if (last > first) {
+      AssignLive(first, last - first, false);
     }
-  };
-  const Paddr end = paddr + len;
-  const Paddr whole_begin = std::min(AlignUp(paddr, kPageSize), end);
-  const Paddr whole_end = std::max(AlignDown(end, kPageSize), whole_begin);
-  zero_partial(paddr, whole_begin - paddr);
-  zero_partial(whole_end, end - whole_end);
-  // Whole never-materialized pages can stay unmaterialized: they already
-  // read as zero. So each node's live words pick out the runs of frames to
-  // clear, and absent nodes are skipped outright.
-  const uint64_t last = whole_end >> kPageShift;
-  for (uint64_t frame = whole_begin >> kPageShift; frame < last;) {
-    const uint64_t node_first = AlignDown(frame, kDirFanout);
-    const uint64_t node_end = std::min(node_first + kDirFanout, last);
-    if (DirNode* node = dir_[frame >> kDirShift].get(); node != nullptr) {
-      const uint64_t limit = node_end - node_first;
-      for (uint64_t f = FindBit(node->live, frame - node_first, limit, true); f < limit;) {
-        const uint64_t run_end = FindBit(node->live, f, limit, false);
-        std::memset(node->data.get() + (f << kPageShift), 0, (run_end - f) << kPageShift);
-        f = FindBit(node->live, run_end, limit, true);
-      }
-    }
-    frame = node_end;
-  }
+  });
   return OkStatus();
 }
 
@@ -297,15 +282,10 @@ Status PhysicalMemory::Copy(Paddr dst, Paddr src, uint64_t len) {
     const Paddr d = dst + done;
     const uint64_t chunk = std::min({kPageSize - (s & (kPageSize - 1)),
                                      kPageSize - (d & (kPageSize - 1)), len - done});
-    const uint8_t* spage = FindPage(s);
-    if (spage == nullptr) {
-      uint8_t* dpage = FindPageMut(d);
-      if (dpage != nullptr) {
-        std::memset(dpage + (d & (kPageSize - 1)), 0, chunk);
-      }
-    } else {
-      uint8_t* dpage = EnsurePage(d);
-      std::memmove(dpage + (d & (kPageSize - 1)), spage + (s & (kPageSize - 1)), chunk);
+    if (IsLive(s >> kPageShift)) {
+      std::memmove(EnsureLive(d), base_ + s, chunk);
+    } else if (IsLive(d >> kPageShift)) {
+      std::memset(base_ + d, 0, chunk);
     }
     done += chunk;
   }
@@ -322,21 +302,20 @@ Status PhysicalMemory::Move(Paddr dst, Paddr src, uint64_t len) {
 
 uint8_t PhysicalMemory::PeekByte(Paddr paddr) const {
   O1_CHECK(Contains(paddr, 1));
-  const uint8_t* page = FindPage(paddr);
-  return page == nullptr ? 0 : page[paddr & (kPageSize - 1)];
+  return IsLive(paddr >> kPageShift) ? base_[paddr] : 0;
 }
 
 void PhysicalMemory::PokeByte(Paddr paddr, uint8_t value) {
   O1_CHECK(Contains(paddr, 1));
   ShadowBeforeWrite(paddr, 1, NoteNvmWrite(paddr, 1));
-  EnsurePage(paddr)[paddr & (kPageSize - 1)] = value;
+  *EnsureLive(paddr) = value;
 }
 
 void PhysicalMemory::CorruptBit(Paddr paddr, int bit) {
   O1_CHECK(Contains(paddr, 1));
   O1_CHECK(bit >= 0 && bit < 8);
   const uint8_t mask = static_cast<uint8_t>(1u << bit);
-  EnsurePage(paddr)[paddr & (kPageSize - 1)] ^= mask;
+  *EnsureLive(paddr) ^= mask;
   auto it = line_shadow_.find(AlignDown(paddr, 64));
   if (it != line_shadow_.end()) {
     it->second[paddr & 63] ^= mask;
@@ -352,34 +331,14 @@ std::optional<Paddr> PhysicalMemory::FindUnreadableLineUncharged(Paddr paddr,
 }
 
 void PhysicalMemory::DropVolatile() {
-  const uint64_t dram_frames = dram_bytes_ >> kPageShift;
-  for (uint64_t node_idx = 0; node_idx * kDirFanout < dram_frames; ++node_idx) {
-    std::unique_ptr<DirNode>& node = dir_[node_idx];
-    if (node == nullptr) {
-      continue;
-    }
-    const uint64_t first = node_idx * kDirFanout;
-    if (first + kDirFanout <= dram_frames) {
-      // Whole node is DRAM: drop the slab outright (absent node reads zero).
-      for (const uint64_t word : node->live) {
-        materialized_ -= static_cast<uint64_t>(std::popcount(word));
-      }
-      node.reset();
-      continue;
-    }
-    // Node straddles the DRAM/NVM boundary: re-zero and unmaterialize just
-    // the DRAM frames, preserving the zero-read invariant for the slab.
-    for (uint64_t frame = first; frame < dram_frames; ++frame) {
-      const uint64_t in_node = frame - first;
-      uint64_t& word = node->live[in_node >> 6];
-      const uint64_t bit = uint64_t{1} << (in_node & 63);
-      if ((word & bit) != 0) {
-        std::memset(node->data.get() + (in_node << kPageShift), 0, kPageSize);
-        word &= ~bit;
-        --materialized_;
-      }
-    }
-  }
+  // DRAM contents vanish: the host drops DRAM's pages, which read back as
+  // zero-filled, and DRAM's frames leave the live set. On a host whose pages
+  // are larger than a frame, the host page DRAM shares with NVM is cleared
+  // by hand instead.
+  const uint64_t dropped = AlignDown(dram_bytes_, static_cast<uint64_t>(sysconf(_SC_PAGESIZE)));
+  O1_CHECK(madvise(base_, dropped, MADV_DONTNEED) == 0);
+  std::memset(base_ + dropped, 0, dram_bytes_ - dropped);
+  AssignLive(0, dram_bytes_ >> kPageShift, false);
   // Unflushed NVM lines were only in the (volatile) cache hierarchy; revert
   // them to their last durable contents. The injector can override per line:
   // post-crash-point lines always revert, and torn-persist mode lets some
@@ -388,7 +347,7 @@ void PhysicalMemory::DropVolatile() {
     if (injector_ != nullptr && !injector_->ShouldRevertOnCrash(line)) {
       continue;  // this line escaped the cache before power died
     }
-    std::memcpy(EnsurePage(line) + (line & (kPageSize - 1)), shadow.data(), 64);
+    std::memcpy(EnsureLive(line), shadow.data(), 64);
   }
   line_shadow_.clear();
 }

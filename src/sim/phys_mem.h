@@ -4,10 +4,11 @@
 //   [0, dram_bytes)                        -- volatile DRAM
 //   [dram_bytes, dram_bytes + nvm_bytes)   -- persistent NVM (3D XPoint-class)
 //
-// Contents are stored sparsely (a 4 KiB host page is materialized on first
-// write), so a simulated machine can expose terabytes while benches only pay
-// for what they touch. Reads of never-written frames return zeros, matching
-// hardware that hands out zeroed lines after an erase.
+// Contents live in one host address-space reservation that the host kernel
+// backs page by page, and only where the simulation writes, so a simulated
+// machine can expose terabytes while benches only pay for what they touch.
+// Reads of never-written frames return zeros, matching hardware that hands
+// out zeroed lines after an erase.
 //
 // Bulk operations (Zero/Copy/Read/Write) charge the cost model's per-line
 // bulk costs for the tier they touch; single-access costs on the load/store
@@ -56,6 +57,8 @@ class PhysicalMemory {
   PhysicalMemory(SimContext* ctx, uint64_t dram_bytes, uint64_t nvm_bytes,
                  PersistenceModel persistence = PersistenceModel::kAutoDurable);
 
+  ~PhysicalMemory();
+
   PhysicalMemory(const PhysicalMemory&) = delete;
   PhysicalMemory& operator=(const PhysicalMemory&) = delete;
 
@@ -93,10 +96,9 @@ class PhysicalMemory {
   // idle for this access kind (no poison to check or heal, no armed crash
   // point -- though the NVM line-write count campaigns calibrate against is
   // still maintained), there is nothing to shadow (auto-durable mount, or
-  // the span never leaves DRAM), and the span sits inside one
-  // already-materialized frame (so the MaterializeFrames bookkeeping the
-  // bypass skips would be a no-op). Header-inline: this runs once per
-  // simulated data access in hot loops.
+  // the span never leaves DRAM), and the span sits inside one live frame
+  // (so the live-bit bookkeeping the bypass skips would be a no-op).
+  // Header-inline: this runs once per simulated data access in hot loops.
   uint8_t* FastSpan(Paddr paddr, uint64_t len, AccessType type) {
     const bool write = type == AccessType::kWrite;
     if (injector_ != nullptr &&
@@ -111,20 +113,10 @@ class PhysicalMemory {
     if (write && nvm && persistence_ != PersistenceModel::kAutoDurable) {
       return nullptr;
     }
-    const uint64_t frame = paddr >> kPageShift;
-    const uint64_t node_idx = frame >> kDirShift;
-    if ((paddr & (kPageSize - 1)) + len > kPageSize || node_idx >= dir_.size()) {
+    if ((paddr & (kPageSize - 1)) + len > kPageSize || !IsLive(paddr >> kPageShift)) {
       return nullptr;
     }
-    DirNode* node = dir_[node_idx].get();
-    if (node == nullptr) {
-      return nullptr;
-    }
-    const uint64_t in_node = frame & (kDirFanout - 1);
-    if ((node->live[in_node >> 6] & (uint64_t{1} << (in_node & 63))) == 0) {
-      return nullptr;
-    }
-    return node->data.get() + (paddr & (kNodeBytes - 1));
+    return base_ + paddr;
   }
 
   // Books the NVM line-write events for a write through a FastSpan pointer.
@@ -165,7 +157,9 @@ class PhysicalMemory {
   PersistenceModel persistence() const { return persistence_; }
   size_t pending_nvm_lines() const { return line_shadow_.size(); }
 
-  // Number of 4 KiB host pages currently materialized (footprint metric).
+  // Number of live frames: 4 KiB frames that hold data the simulation wrote
+  // (footprint metric). Zeroing a whole frame or losing DRAM at a crash takes
+  // a frame out of the count.
   uint64_t materialized_pages() const { return materialized_; }
 
   // Fault-injection wiring (set by Machine; nullptr on raw instances). With
@@ -185,40 +179,53 @@ class PhysicalMemory {
   std::optional<Paddr> FindUnreadableLineUncharged(Paddr paddr, uint64_t len) const;
 
  private:
-  // Backing store layout: a two-level directory indexed by frame number.
-  // Level 1 is a flat vector of node pointers sized at construction (a few
-  // KiB even for terabyte machines); each node is one contiguous 2 MiB slab
-  // covering kDirFanout frames plus a per-frame materialization bitmap.
-  // Direct indexing replaces the previous per-page hash map: page lookup is
-  // two dereferences with no hashing and no rehash stalls on the simulator's
-  // hottest path, and bulk copies run across page boundaries in one memcpy
-  // per node. Slabs come from calloc, so the host kernel demand-zeroes them
-  // and untouched frames cost no resident host memory.
+  // Backing store layout: one MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE
+  // host reservation spans the whole simulated physical range, mapped at
+  // construction and unmapped at destruction, so physical address p is host
+  // byte base_ + p. The host kernel commits and zero-fills a 4 KiB page on
+  // its first write, so untouched frames cost no resident host memory and no
+  // commit charge.
   //
-  // Invariant: a frame whose `live` bit is clear reads as all-zero bytes in
-  // the slab (calloc at birth; DropVolatile re-zeroes or frees what it
-  // drops). Bulk reads exploit this by copying straight through unwritten
-  // holes.
+  // A frame is live once the simulation has written it. Live bits sit in one
+  // 64-byte bitmap per 2 MiB node, allocated on the node's first write;
+  // construction only sizes the directory of node pointers (8 bytes per
+  // 2 MiB) and touches no frame.
+  //
+  // Invariant: a frame whose live bit is clear holds all-zero bytes. Three
+  // rules keep it and keep the host from touching what it need not:
+  //   * Reads copy live frames and zero-fill the rest without touching the
+  //     reservation, so reading never-written memory faults no page in.
+  //   * Zeroing clears live runs only, and whole frames it clears leave the
+  //     live set, so a later zeroing or read skips them.
+  //   * DropVolatile releases DRAM with one madvise(MADV_DONTNEED), after
+  //     which the host reads it back as zero, and clears DRAM's live bits.
   static constexpr uint64_t kDirShift = 9;  // 512 frames (2 MiB) per node
   static constexpr uint64_t kDirFanout = 1ull << kDirShift;
-  static constexpr uint64_t kNodeBytes = kDirFanout << kPageShift;
-  struct SlabFree {
-    void operator()(uint8_t* p) const;
-  };
-  struct DirNode {
-    std::unique_ptr<uint8_t[], SlabFree> data;     // kNodeBytes, kernel-zeroed
-    std::array<uint64_t, kDirFanout / 64> live{};  // frame materialization bits
-  };
+  static constexpr uint64_t kNodeShift = kDirShift + kPageShift;
+  static constexpr uint64_t kNodeBytes = 1ull << kNodeShift;
+  using LiveBits = std::array<uint64_t, kDirFanout / 64>;
 
-  DirNode& EnsureNode(uint64_t node_idx);
-  // Marks `count` frames starting at node-relative frame `first` live.
-  void MaterializeFrames(DirNode& node, uint64_t first, uint64_t count);
+  bool IsLive(uint64_t frame) const {
+    const uint64_t node_idx = frame >> kDirShift;
+    if (node_idx >= live_.size() || live_[node_idx] == nullptr) {
+      return false;
+    }
+    const uint64_t in_node = frame & (kDirFanout - 1);
+    return (((*live_[node_idx])[in_node >> 6] >> (in_node & 63)) & 1) != 0;
+  }
 
-  // Returns the 4 KiB slab slot for the page containing `paddr`, or nullptr
-  // if the page was never written (reads treat it as all-zero).
-  const uint8_t* FindPage(Paddr paddr) const;
-  uint8_t* FindPageMut(Paddr paddr);
-  uint8_t* EnsurePage(Paddr paddr);
+  // Sets (`live`) or clears the live bits of `count` frames from `frame`,
+  // keeping materialized_ in step.
+  void AssignLive(uint64_t frame, uint64_t count, bool live);
+
+  // Calls fn(at, bytes, live) on each maximal run of [paddr, paddr + len)
+  // whose frames are all live or all not, in ascending order. A run never
+  // crosses a 2 MiB node. `fn` may clear live bits of the run it is given.
+  template <typename Fn>
+  void ForEachRun(Paddr paddr, uint64_t len, Fn&& fn) const;
+
+  // Marks the frame holding `paddr` live and returns paddr's host address.
+  uint8_t* EnsureLive(Paddr paddr);
 
   void ChargeBulk(Paddr paddr, uint64_t len, bool is_write);
 
@@ -237,7 +244,8 @@ class PhysicalMemory {
   uint64_t dram_bytes_;
   uint64_t nvm_bytes_;
   PersistenceModel persistence_;
-  std::vector<std::unique_ptr<DirNode>> dir_;  // indexed by frame >> kDirShift
+  uint8_t* base_ = nullptr;                      // the host reservation
+  std::vector<std::unique_ptr<LiveBits>> live_;  // indexed by frame >> kDirShift
   uint64_t materialized_ = 0;
   // Dirty NVM line -> last durable 64 bytes (kExplicitFlush only).
   std::unordered_map<Paddr, std::array<uint8_t, 64>> line_shadow_;

@@ -165,6 +165,37 @@ TEST_F(PinTest, FomMlockIsValidationOnly) {
   EXPECT_FALSE(sys_.Mlock(**proc, *vaddr + kPageSize, kPageSize).ok());
 }
 
+// Runs mmap 4 pages, touch them, `mlocks` x Mlock, an optional Munlock and
+// Munmap on a fresh baseline System; returns DRAM's free bytes after that.
+uint64_t DramFreeAfterPinCycle(int mlocks, bool munlock) {
+  System sys(FeatureConfig());
+  auto proc = sys.Launch(Backend::kBaseline);
+  O1_CHECK(proc.ok());
+  auto vaddr = sys.Mmap(**proc, MmapArgs{.length = 4 * kPageSize});
+  O1_CHECK(vaddr.ok());
+  EXPECT_TRUE(sys.UserTouch(**proc, *vaddr, 4 * kPageSize, AccessType::kWrite).ok());
+  for (int i = 0; i < mlocks; ++i) {
+    EXPECT_TRUE(sys.Mlock(**proc, *vaddr, 4 * kPageSize).ok());
+  }
+  if (munlock) {
+    EXPECT_TRUE(sys.Munlock(**proc, *vaddr, 4 * kPageSize).ok());
+  }
+  EXPECT_TRUE(sys.Munmap(**proc, *vaddr, 4 * kPageSize).ok());
+  return sys.Occupancy().dram_free_bytes;
+}
+
+// mlock(2) is idempotent: locking a locked page takes no second pin, so the
+// munmap (with or without one munlock first) gives every frame back.
+TEST(RepeatPinTest, SecondMlockThenMunmapFreesEveryFrame) {
+  EXPECT_EQ(DramFreeAfterPinCycle(2, /*munlock=*/false),
+            DramFreeAfterPinCycle(1, /*munlock=*/false));
+}
+
+TEST(RepeatPinTest, SecondMlockThenMunlockAndMunmapFreesEveryFrame) {
+  EXPECT_EQ(DramFreeAfterPinCycle(2, /*munlock=*/true),
+            DramFreeAfterPinCycle(1, /*munlock=*/true));
+}
+
 class CountingUserFault : public System::UserFaultHandler {
  public:
   explicit CountingUserFault(System* sys) : sys_(sys) {}

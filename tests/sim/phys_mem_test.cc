@@ -1,11 +1,15 @@
 #include "src/sim/phys_mem.h"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <algorithm>
+#include <array>
+#include <map>
 #include <vector>
 
 #include "src/sim/context.h"
+#include "src/support/rng.h"
 
 namespace o1mem {
 namespace {
@@ -113,10 +117,10 @@ TEST_F(PhysMemTest, PeekPokeUncharged) {
   EXPECT_EQ(ctx_.now(), t0);
 }
 
-// ZeroUncharged walks whole pages through each 2 MiB node's live bits. A
-// span from node 0 into the never-touched node 1, with live and
-// never-written frames interleaved, must still read back all zero, count
-// every byte, and materialize only the partial pages that were not live.
+// ZeroUncharged walks each 2 MiB node's live bits. A span from node 0 into
+// the never-touched node 1, with live and never-written frames interleaved,
+// must still read back all zero and count every byte. Whole live frames it
+// clears leave the live set; it makes no frame live.
 TEST_F(PhysMemTest, ZeroAcrossIntoAbsentNodeClearsLiveFramesOnly) {
   constexpr uint64_t kNode = 2 * kMiB;
   const Paddr start = kNode - 5 * kPageSize - 100;  // last 100 bytes of frame 506
@@ -134,13 +138,270 @@ TEST_F(PhysMemTest, ZeroAcrossIntoAbsentNodeClearsLiveFramesOnly) {
   ASSERT_TRUE(mem_.Read(start, out).ok());
   EXPECT_EQ(std::count(out.begin(), out.end(), 0), static_cast<std::ptrdiff_t>(out.size()));
   EXPECT_EQ(ctx_.counters().bytes_zeroed - zeroed, end - start);
-  // The live head page keeps its bytes before the span; only the tail
-  // page (partial and never written) became materialized.
+  // The live head page keeps its bytes before the span and stays live.
+  // Whole frames 507 and 509 left the live set; the partly zeroed,
+  // never-written tail page stayed out of it.
   EXPECT_EQ(mem_.PeekByte(start - 1), 0xab);
-  EXPECT_EQ(mem_.materialized_pages(), materialized + 1);
-  EXPECT_NE(mem_.FastSpan(end, 1, AccessType::kRead), nullptr);
-  EXPECT_EQ(mem_.FastSpan(508 * kPageSize, 1, AccessType::kRead), nullptr);
+  EXPECT_EQ(mem_.materialized_pages(), materialized - 2);
+  EXPECT_NE(mem_.FastSpan(start - 1, 1, AccessType::kRead), nullptr);
+  for (const uint64_t frame : {507u, 508u, 509u}) {
+    EXPECT_EQ(mem_.FastSpan(frame * kPageSize, 1, AccessType::kRead), nullptr) << frame;
+  }
+  EXPECT_EQ(mem_.FastSpan(end, 1, AccessType::kRead), nullptr);
   EXPECT_EQ(mem_.FastSpan(kNode, 1, AccessType::kRead), nullptr);
+}
+
+// Reads zero-fill never-written frames without touching the host
+// reservation: reading 511 of them next to a written frame faults no host
+// page in.
+TEST_F(PhysMemTest, ReadOfNeverWrittenFramesFaultsInNoHostPage) {
+  const std::vector<uint8_t> page(kPageSize, 0x5a);
+  ASSERT_TRUE(mem_.Write(0, page).ok());
+  std::vector<uint8_t> out(512 * kPageSize, 0xff);
+  const auto read_faults = [&](Paddr at) {
+    rusage before{};
+    rusage after{};
+    O1_CHECK(getrusage(RUSAGE_THREAD, &before) == 0);
+    O1_CHECK(mem_.ReadUncharged(at, out).ok());
+    O1_CHECK(getrusage(RUSAGE_THREAD, &after) == 0);
+    return after.ru_minflt - before.ru_minflt;
+  };
+  // The first read, of the never-written node at 4 MiB, faults in `out` and
+  // the stack the read path uses; the second has only the store left.
+  (void)read_faults(4 * kMiB);
+  EXPECT_EQ(read_faults(0), 0);
+  EXPECT_TRUE(std::equal(page.begin(), page.end(), out.begin()));
+  EXPECT_EQ(std::count(out.begin() + kPageSize, out.end(), 0),
+            static_cast<std::ptrdiff_t>(511 * kPageSize));
+}
+
+TEST(PhysMemDeathTest, FailedReservationIsAClearError) {
+  SimContext ctx;
+  // Far more than any host's user address space.
+  EXPECT_DEATH(PhysicalMemory(&ctx, 0, uint64_t{1} << 60), "cannot reserve");
+}
+
+// A dense byte-array model of PhysicalMemory's contract: every byte, the
+// durable contents of dirty NVM lines under kExplicitFlush, the zero/copy
+// counters, and which frames the simulation may have written since they
+// were last cleared whole (FastSpan may hand out only those).
+class DenseModel {
+ public:
+  DenseModel(uint64_t dram, uint64_t total, PersistenceModel persistence)
+      : dram_(dram), explicit_(persistence == PersistenceModel::kExplicitFlush),
+        bytes_(total), written_(total >> kPageShift) {}
+
+  const std::vector<uint8_t>& bytes() const { return bytes_; }
+  bool written(uint64_t frame) const { return written_[frame]; }
+  size_t dirty_lines() const { return shadow_.size(); }
+  uint64_t zeroed = 0;
+  uint64_t copied = 0;
+
+  void Write(Paddr at, std::span<const uint8_t> data) {
+    Shadow(at, data.size());
+    std::copy(data.begin(), data.end(), bytes_.begin() + static_cast<std::ptrdiff_t>(at));
+    MarkWritten(at, data.size());
+  }
+  void Zero(Paddr at, uint64_t len) {
+    Shadow(at, len);
+    std::fill_n(bytes_.begin() + static_cast<std::ptrdiff_t>(at), len, 0);
+    zeroed += len;
+    for (uint64_t f = AlignUp(at, kPageSize) >> kPageShift; f < (at + len) >> kPageShift; ++f) {
+      written_[f] = false;
+    }
+  }
+  void Copy(Paddr dst, Paddr src, uint64_t len) {
+    const std::vector<uint8_t> data(bytes_.begin() + static_cast<std::ptrdiff_t>(src),
+                                    bytes_.begin() + static_cast<std::ptrdiff_t>(src + len));
+    Write(dst, data);
+    copied += len;
+  }
+  void CorruptBit(Paddr at, int bit) {
+    const auto mask = static_cast<uint8_t>(1u << bit);
+    bytes_[at] ^= mask;
+    if (auto it = shadow_.find(AlignDown(at, 64)); it != shadow_.end()) {
+      it->second[at & 63] ^= mask;
+    }
+    MarkWritten(at, 1);
+  }
+  void Flush(Paddr at, uint64_t len) {
+    if (len > 0) {
+      shadow_.erase(shadow_.lower_bound(AlignDown(at, 64)), shadow_.upper_bound(at + len - 1));
+    }
+  }
+  void DropVolatile() {
+    std::fill_n(bytes_.begin(), dram_, 0);
+    std::fill_n(written_.begin(), dram_ >> kPageShift, false);
+    for (const auto& [line, durable] : shadow_) {
+      std::copy(durable.begin(), durable.end(), bytes_.begin() + static_cast<std::ptrdiff_t>(line));
+      MarkWritten(line, 64);
+    }
+    shadow_.clear();
+  }
+
+ private:
+  void Shadow(Paddr at, uint64_t len) {
+    if (!explicit_ || len == 0) {
+      return;
+    }
+    for (Paddr line = AlignDown(at, 64); line < at + len; line += 64) {
+      if (line >= dram_ && !shadow_.contains(line)) {
+        std::copy_n(bytes_.begin() + static_cast<std::ptrdiff_t>(line), 64,
+                    shadow_[line].begin());
+      }
+    }
+  }
+  void MarkWritten(Paddr at, uint64_t len) {
+    for (uint64_t f = at >> kPageShift; len > 0 && f <= (at + len - 1) >> kPageShift; ++f) {
+      written_[f] = true;
+    }
+  }
+
+  uint64_t dram_;
+  bool explicit_;
+  std::vector<uint8_t> bytes_;
+  std::vector<bool> written_;
+  std::map<Paddr, std::array<uint8_t, 64>> shadow_;
+};
+
+// Spans start near a frame boundary, the 2 MiB node boundary, the DRAM/NVM
+// boundary inside node 1 or the end of memory, and run from a few bytes to
+// most of a node, so they cross all of them.
+struct Span {
+  Paddr at;
+  uint64_t len;
+};
+Span PickSpan(Rng& rng, uint64_t dram, uint64_t total) {
+  const Paddr anchors[] = {AlignDown(rng.NextBelow(total), kPageSize), 2 * kMiB, dram, total};
+  const Paddr anchor = anchors[rng.NextBelow(std::size(anchors))];
+  const Paddr at = anchor - std::min<uint64_t>(anchor, rng.NextBelow(3 * kPageSize) + 1);
+  constexpr uint64_t kMaxLen[] = {64, 2 * kPageSize, 6 * kPageSize, 600 * kPageSize};
+  const uint64_t len = rng.NextBelow(kMaxLen[rng.NextBelow(std::size(kMaxLen))] + 1);
+  return {at, std::min(len, total - at)};
+}
+
+// `all` is scratch space for the whole memory, reused across calls.
+void ExpectMatchesModel(PhysicalMemory& mem, const SimContext& ctx, const DenseModel& model,
+                        std::vector<uint8_t>& all) {
+  ASSERT_TRUE(mem.ReadUncharged(0, all).ok());
+  if (all != model.bytes()) {
+    const auto diff = std::mismatch(all.begin(), all.end(), model.bytes().begin());
+    FAIL() << "first wrong byte at " << (diff.first - all.begin());
+  }
+  EXPECT_EQ(ctx.counters().bytes_zeroed, model.zeroed);
+  EXPECT_EQ(ctx.counters().bytes_copied, model.copied);
+  EXPECT_EQ(mem.pending_nvm_lines(), model.dirty_lines());
+  uint64_t live = 0;
+  for (uint64_t frame = 0; frame < mem.total_bytes() >> kPageShift; ++frame) {
+    const uint8_t* host = mem.FastSpan(frame << kPageShift, 1, AccessType::kRead);
+    if (host != nullptr) {
+      ++live;
+      ASSERT_TRUE(model.written(frame)) << "FastSpan handed out never-written frame " << frame;
+      ASSERT_EQ(*host, model.bytes()[frame << kPageShift]) << frame;
+    }
+  }
+  EXPECT_EQ(mem.materialized_pages(), live);
+}
+
+void RunDifferential(PersistenceModel persistence, uint64_t seed) {
+  // DRAM ends mid-node, so node 1 straddles the tier boundary.
+  constexpr uint64_t kDram = 3 * kMiB;
+  SimContext ctx;
+  PhysicalMemory mem(&ctx, kDram, 1 * kMiB, persistence);
+  DenseModel model(kDram, mem.total_bytes(), persistence);
+  std::vector<uint8_t> all(mem.total_bytes());
+  Rng rng(seed);
+  for (int op = 0; op < 400; ++op) {
+    SCOPED_TRACE(testing::Message() << "op " << op);
+    const Span span = PickSpan(rng, kDram, mem.total_bytes());
+    switch (rng.NextBelow(20)) {
+      case 0:
+      case 1:
+      case 2: {
+        std::vector<uint8_t> out(span.len);
+        ASSERT_TRUE(mem.Read(span.at, out).ok());
+        ASSERT_TRUE(std::equal(out.begin(), out.end(),
+                               model.bytes().begin() + static_cast<std::ptrdiff_t>(span.at)));
+        break;
+      }
+      case 3:
+      case 4:
+      case 5:
+      case 6:
+      case 7: {
+        std::vector<uint8_t> data(span.len);
+        for (uint8_t& b : data) {
+          b = static_cast<uint8_t>(rng.NextBelow(255) + 1);
+        }
+        ASSERT_TRUE((rng.NextBool(0.5) ? mem.Write(span.at, data)
+                                       : mem.WriteUncharged(span.at, data))
+                        .ok());
+        model.Write(span.at, data);
+        break;
+      }
+      case 8:
+      case 9:
+        ASSERT_TRUE(mem.Zero(span.at, span.len).ok());
+        model.Zero(span.at, span.len);
+        break;
+      case 10:
+      case 11:
+        ASSERT_TRUE(mem.ZeroUncharged(span.at, span.len).ok());
+        model.Zero(span.at, span.len);
+        break;
+      case 12:
+      case 13: {
+        // Non-overlapping ranges: Copy makes no promise about overlap.
+        const Paddr src = AlignDown(rng.NextBelow(mem.total_bytes() - span.len + 1), 8) +
+                          rng.NextBelow(8);
+        if (src + span.len > mem.total_bytes() ||
+            (src < span.at + span.len && span.at < src + span.len)) {
+          break;
+        }
+        const bool move = rng.NextBool(0.5);
+        ASSERT_TRUE((move ? mem.Move(span.at, src, span.len) : mem.Copy(span.at, src, span.len))
+                        .ok());
+        model.Copy(span.at, src, span.len);
+        break;
+      }
+      case 14:
+      case 15: {
+        const Paddr at = std::min(span.at, mem.total_bytes() - 1);
+        const auto value = static_cast<uint8_t>(rng.NextBelow(256));
+        mem.PokeByte(at, value);
+        const std::array<uint8_t, 1> one = {value};
+        model.Write(at, one);
+        break;
+      }
+      case 16: {
+        const Paddr at = std::min(span.at, mem.total_bytes() - 1);
+        const int bit = static_cast<int>(rng.NextBelow(8));
+        mem.CorruptBit(at, bit);
+        model.CorruptBit(at, bit);
+        break;
+      }
+      case 17:
+      case 18:
+        ASSERT_TRUE(mem.FlushLines(span.at, span.len).ok());
+        model.Flush(span.at, span.len);
+        break;
+      default:
+        if (rng.NextBool(0.3)) {
+          mem.DropVolatile();
+          model.DropVolatile();
+        }
+        break;
+    }
+    ASSERT_NO_FATAL_FAILURE(ExpectMatchesModel(mem, ctx, model, all));
+  }
+}
+
+TEST(PhysMemDifferentialTest, AutoDurableMatchesDenseModel) {
+  RunDifferential(PersistenceModel::kAutoDurable, 11);
+}
+
+TEST(PhysMemDifferentialTest, ExplicitFlushMatchesDenseModel) {
+  RunDifferential(PersistenceModel::kExplicitFlush, 12);
 }
 
 }  // namespace
