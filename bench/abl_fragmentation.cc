@@ -23,7 +23,6 @@ constexpr uint64_t kGuaranteeBytes = 1 * kGiB;
 
 SystemConfig FragConfig(bool cma) {
   SystemConfig config = BenchConfig();
-  config.machine.contig.enabled = true;
   config.machine.contig.area_bytes = kAreaBytes;
   config.machine.contig.guarantee_bytes = kGuaranteeBytes;
   config.machine.contig.cma_baseline = cma;

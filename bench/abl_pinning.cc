@@ -74,7 +74,6 @@ double FomPinUs(uint64_t bytes) {
 // only casualties, and the cost is per victim extent, not per page.
 double ContigPinUs(uint64_t bytes) {
   SystemConfig config = BenchConfig();
-  config.machine.contig.enabled = true;
   config.machine.contig.area_bytes = 1 * kGiB;
   System sys(config);
   auto proc = sys.Launch(Backend::kFom);

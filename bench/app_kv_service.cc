@@ -35,7 +35,7 @@ constexpr int kOps = 20000;
 constexpr uint64_t kRecords = kStateBytes / kRecordBytes;
 
 // --procfs-dump: print the /proc-style snapshot of each backend's System at
-// the end of its run (meminfo/vmstat/tierstat/pmfs/trace/latency sections).
+// the end of its run (System::DumpProcSnapshot).
 bool g_procfs_dump = false;
 
 void MaybeProcfsDump(System& sys, const char* which) {
@@ -398,16 +398,7 @@ void ChaosMain(BenchJson& json, int shards, const std::string& campaign_spec,
   const TailSnapshot& tail = r.tail;
   json.Metric("p999_us", tail.p999_us);
   json.Metric("tail_blame_coverage", tail.blame_coverage);
-  Table ttable("Tail blame: p999 + top component per shard (service-side accounting)");
-  ttable.AddRow({"shard", "requests", "p999_us", "top_component", "share"});
-  ttable.AddRow({"all", std::to_string(r.all_latency.count()), Table::Num(tail.p999_us),
-                 tail.top_component.empty() ? "-" : tail.top_component,
-                 Table::Num(tail.top_share)});
-  for (const TailShardStat& st : tail.shards) {
-    ttable.AddRow({std::to_string(st.shard), std::to_string(st.requests), Table::Num(st.p999_us),
-                   st.top_component.empty() ? "-" : st.top_component, Table::Num(st.top_share)});
-  }
-  json.Emit(ttable);
+  json.Emit(TailTable(tail));
 
   if (r.overload.enabled) {
     const OverloadReport& ov = r.overload;

@@ -156,34 +156,18 @@ inline std::string SizeLabel(uint64_t bytes) {
   return buf;
 }
 
-// Per-tier occupancy in every BENCH_*.json: the slot is stamped while a
-// System is still alive (SimTimer does it automatically on destruction;
-// helpers without a timer call CaptureOccupancy(sys) themselves -- last
-// writer wins), and BenchMain records it after the body ran. Makes tier
-// pressure visible in the artifacts next to the timing tables. Benches that
-// drive a bare Machine report all-zero occupancy.
+// Machine state in every BENCH_*.json: the slot is stamped while a System
+// is still alive (SimTimer does it automatically on destruction; helpers
+// without a timer call CaptureOccupancy(sys) themselves -- last writer wins),
+// and BenchMain records each O1MEM_OCCUPANCY_FIELDS field as a metric after
+// the body ran, under the name procfs prints it with. Benches that drive a
+// bare Machine report all-zero state.
 inline TierOccupancy& LastOccupancy() {
   static TierOccupancy occupancy;
   return occupancy;
 }
 
 inline void CaptureOccupancy(System& sys) { LastOccupancy() = sys.Occupancy(); }
-
-// Mirrors the merged latency histograms as a table in the bench JSON (one
-// row per non-empty (op, size class) slot). Column names carry "cycles" so
-// tools/bench_diff.py gates the tail latencies like any other cost column.
-inline void RecordLatency(BenchJson& json) {
-  const BenchObsState& state = BenchObs();
-  Table table("latency histograms (cycles)");
-  table.AddRow({"op", "class", "count", "p50_cycles", "p99_cycles", "max_cycles"});
-  state.hist.ForEachNonEmpty([&table](TraceKind kind, SizeClass size_class,
-                                      const LatencyHistogram& h) {
-    table.AddRow({TraceKindName(kind), SizeClassName(size_class),
-                  std::to_string(h.count()), std::to_string(h.Percentile(50)),
-                  std::to_string(h.Percentile(99)), std::to_string(h.max())});
-  });
-  json.AddTable(table);
-}
 
 // Writes the merged Chrome trace when --trace=<path> was passed. False when
 // the file cannot be written.
@@ -199,31 +183,13 @@ inline bool WriteBenchTrace() {
   return true;
 }
 
-inline void RecordOccupancy(BenchJson& json) {
-  const TierOccupancy& o = LastOccupancy();
-  json.Metric("dram_total_bytes", static_cast<double>(o.dram_total_bytes));
-  json.Metric("dram_used_bytes", static_cast<double>(o.dram_used_bytes));
-  json.Metric("dram_free_bytes", static_cast<double>(o.dram_free_bytes));
-  json.Metric("nvm_total_bytes", static_cast<double>(o.nvm_total_bytes));
-  json.Metric("nvm_used_bytes", static_cast<double>(o.nvm_used_bytes));
-  json.Metric("nvm_free_bytes", static_cast<double>(o.nvm_free_bytes));
-  json.Metric("dram_cache_bytes", static_cast<double>(o.dram_cache_bytes));
-  json.Metric("dram_cache_used_bytes", static_cast<double>(o.dram_cache_used_bytes));
-  json.Metric("dram_cache_free_bytes", static_cast<double>(o.dram_cache_free_bytes));
-  json.Metric("contig_area_bytes", static_cast<double>(o.contig_area_bytes));
-  json.Metric("contig_claimed_bytes", static_cast<double>(o.contig_claimed_bytes));
-  json.Metric("contig_lent_file_bytes", static_cast<double>(o.contig_lent_file_bytes));
-  json.Metric("contig_lent_tier_bytes", static_cast<double>(o.contig_lent_tier_bytes));
-  json.Metric("contig_free_bytes", static_cast<double>(o.contig_free_bytes));
-}
-
 // RAII stopwatch over the simulated clock.
 class SimTimer {
  public:
   explicit SimTimer(System& sys) : sys_(sys), start_(sys.ctx().now()) {}
   // Leaves a final occupancy snapshot behind and drains the observer (the
-  // System outlives the timer's scope), so every timed measurement feeds
-  // RecordOccupancy/RecordLatency and the merged --trace file.
+  // System outlives the timer's scope), so every timed measurement feeds the
+  // JSON's machine state, its latency table and the merged --trace file.
   ~SimTimer() {
     CaptureOccupancy(sys_);
     CaptureObs(sys_);
@@ -340,8 +306,9 @@ class BenchArgs {
 // Parses --json, --trace and the bench's own `flags` before any System is
 // built (BenchConfig() reads --trace) and exits 2 on an argument none of
 // them reads, without running the body. Then runs `body`, records the
-// occupancy metrics and the latency table, and writes the trace and the
-// JSON; returns 1 when either file cannot be written.
+// machine state and the merged latency table (LatencyTable, the same table
+// procfs prints), and writes the trace and the JSON; returns 1 when either
+// file cannot be written.
 inline int BenchMain(int argc, char** argv, const std::string& bench,
                      std::vector<BenchFlag> flags,
                      const std::function<void(BenchJson&, const BenchArgs&)>& body) {
@@ -353,8 +320,10 @@ inline int BenchMain(int argc, char** argv, const std::string& bench,
   BenchObs().trace_path = args->Text("trace");
   BenchJson json(bench, args->Text("json"));
   body(json, *args);
-  RecordOccupancy(json);
-  RecordLatency(json);
+  LastOccupancy().ForEachField([&json](const char*, const char* name, uint64_t value) {
+    json.Metric(name, static_cast<double>(value));
+  });
+  json.AddTable(LatencyTable(BenchObs().hist));
   const bool trace_written = WriteBenchTrace();
   const bool json_written = json.Write();
   return trace_written && json_written ? 0 : 1;

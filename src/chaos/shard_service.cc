@@ -296,8 +296,8 @@ void ShardedKvService::TailPool::Offer(const TailSample& sample) {
 
 void ShardedKvService::FinalizeTail() {
   TailSnapshot& tail = report_.tail;
-  tail.valid = report_.all_latency.count() > 0;
-  if (!tail.valid) {
+  tail.requests = report_.all_latency.count();
+  if (tail.requests == 0) {
     return;
   }
   const auto& clock = sys_.ctx().clock();

@@ -12,12 +12,10 @@
 namespace o1mem {
 
 struct ContigConfig {
-  // Master switch. Off: no area is carved, PhysManager::contig() is null,
-  // and every lending hook in tmpfs/tier is a dead branch.
-  bool enabled = false;
-
   // Bytes reserved off the top of DRAM at boot (page-aligned up). The buddy
   // allocator never sees this range; the ContigAllocator owns it outright.
+  // 0 (the default): no area is carved, PhysManager::contig() is null, and
+  // every lending hook in tmpfs/tier is a dead branch.
   uint64_t area_bytes = 0;
 
   // Upper bound on total outstanding Claim() bytes. A claim that would push

@@ -407,7 +407,6 @@ Status DemandPager::PinRange(Vaddr vaddr, uint64_t len) {
     auto it = FindResident(page);
     if (it == pages_.end()) {
       O1_RETURN_IF_ERROR(HandleFault(page, AccessType::kRead));
-      machine_->ctx().counters().minor_faults++;
       it = FindResident(page);
       if (it == pages_.end()) {
         return FaultError("pin could not fault page in");
@@ -425,14 +424,19 @@ Status DemandPager::PinRange(Vaddr vaddr, uint64_t len) {
 }
 
 Status DemandPager::UnpinRange(Vaddr vaddr, uint64_t len) {
+  // Like munlock(2), any mapped range unpins: a page holding no pin,
+  // resident or not, is skipped.
   for (Vaddr page = AlignDown(vaddr, kPageSize); page < vaddr + len; page += kPageSize) {
     auto it = FindResident(page);
     if (it == pages_.end()) {
-      return NotFound("unpin of non-resident page");
+      if (!vmas_->Find(page).has_value()) {
+        return NotFound("unpin outside any VMA");
+      }
+      continue;
     }
     PageMeta& m = phys_mgr_->meta().Of(it->second.frame + (page - it->first));
     if (!m.Test(PageFlag::kMlocked)) {
-      return InvalidArgument("page was not pinned");
+      continue;
     }
     m.Clear(PageFlag::kMlocked);
     m.Clear(PageFlag::kUnevictable);

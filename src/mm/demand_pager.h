@@ -92,7 +92,9 @@ class DemandPager : public FaultHandler {
   // mlock-like pinning: faults pages in if needed and marks them unevictable
   // (per-page work, the baseline DMA-prep cost of Sec. 3.1's "memory
   // locking"). Pinning a pinned page changes nothing, as with mlock(2), so
-  // one unpin or unmap releases it. Unpin clears the marks.
+  // one unpin or unmap releases it. Unpin clears the marks and, like
+  // munlock(2), skips pages holding no pin; only a page outside every VMA
+  // fails.
   Status PinRange(Vaddr vaddr, uint64_t len);
   Status UnpinRange(Vaddr vaddr, uint64_t len);
 

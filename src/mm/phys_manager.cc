@@ -6,7 +6,7 @@ namespace o1mem {
 
 uint64_t PhysManager::ContigCarveBytes(Machine* machine) {
   const ContigConfig& contig = machine->config().contig;
-  if (!contig.enabled || contig.area_bytes == 0) {
+  if (contig.area_bytes == 0) {
     return 0;
   }
   // The area comes off the top of DRAM before the buddy is seeded; cap it at

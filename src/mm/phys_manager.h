@@ -82,8 +82,8 @@ class PhysManager {
 
   // --- Guaranteed-contiguous area (src/contig) ---------------------------
   // Reserved off the top of DRAM before the buddy is seeded, when
-  // MachineConfig.contig is enabled: the buddy manages [0, dram - area) and
-  // the ContigAllocator owns [dram - area, dram). Null when disabled.
+  // MachineConfig.contig.area_bytes > 0: the buddy manages [0, dram - area)
+  // and the ContigAllocator owns [dram - area, dram). Null without an area.
   ContigAllocator* contig() { return contig_.get(); }
   const ContigAllocator* contig() const { return contig_.get(); }
 
@@ -123,7 +123,7 @@ class PhysManager {
   void CarveCacheZone(uint64_t bytes);
   void InsertCacheFree(Paddr base, uint64_t bytes);
 
-  // Bytes reserved for the contiguous area (0 when ContigConfig is off);
+  // Bytes reserved for the contiguous area (0 without one);
   // computed before the buddy is constructed so its range excludes the area.
   static uint64_t ContigCarveBytes(Machine* machine);
 

@@ -150,25 +150,30 @@ bool WriteChromeTraceFile(const std::string& path, const std::vector<TraceGroup>
   return n == json.size();
 }
 
-std::string HistogramSummaryText(const HistogramRegistry& hist) {
-  std::string out;
-  char buf[256];
-  std::snprintf(buf, sizeof(buf), "%-16s %-5s %10s %12s %12s %12s\n", "op", "class", "count",
-                "p50_cycles", "p99_cycles", "max_cycles");
-  out += buf;
-  bool any = false;
-  hist.ForEachNonEmpty([&](TraceKind kind, SizeClass c, const LatencyHistogram& h) {
-    any = true;
-    std::snprintf(buf, sizeof(buf), "%-16s %-5s %10" PRIu64 " %12" PRIu64 " %12" PRIu64
-                  " %12" PRIu64 "\n",
-                  TraceKindName(kind), SizeClassName(c), h.count(), h.Percentile(50),
-                  h.Percentile(99), h.max());
-    out += buf;
+Table LatencyTable(const HistogramRegistry& hist) {
+  Table table("latency histograms (cycles)");
+  table.AddRow({"op", "class", "count", "p50_cycles", "p99_cycles", "max_cycles"});
+  hist.ForEachNonEmpty([&table](TraceKind kind, SizeClass c, const LatencyHistogram& h) {
+    table.AddRow({TraceKindName(kind), SizeClassName(c), Table::Int(h.count()),
+                  Table::Int(h.Percentile(50)), Table::Int(h.Percentile(99)),
+                  Table::Int(h.max())});
   });
-  if (!any) {
-    out += "(none)\n";
+  return table;
+}
+
+Table TailTable(const TailSnapshot& tail) {
+  Table table("Tail blame: p999 + top component per shard (service-side accounting)");
+  table.AddRow({"shard", "requests", "p999_us", "top_component", "share"});
+  const auto top = [](const std::string& component) {
+    return component.empty() ? std::string("-") : component;
+  };
+  table.AddRow({"all", Table::Int(tail.requests), Table::Num(tail.p999_us),
+                top(tail.top_component), Table::Num(tail.top_share)});
+  for (const TailShardStat& st : tail.shards) {
+    table.AddRow({Table::Int(st.shard), Table::Int(st.requests), Table::Num(st.p999_us),
+                  top(st.top_component), Table::Num(st.top_share)});
   }
-  return out;
+  return table;
 }
 
 }  // namespace o1mem

@@ -4,8 +4,9 @@
 //     parsed by tools/trace_report.py. Events carry args.bytes /
 //     args.size_class / args.cycles so the O(1) verdict (flat p99 across
 //     size classes) can be computed mechanically downstream.
-//   * procfs-style histogram summary -- the `latency` section of
-//     System::DumpProcSnapshot(), one row per non-empty (op, size class).
+//   * the latency and tail tables -- each defined once here and rendered
+//     both by System::DumpProcSnapshot() (its `latency` and `tailstat`
+//     sections) and into bench JSON (bench/common.h, app_kv_service).
 //
 // Traces from several machines (benchmarks build one System per
 // measurement) merge into one file: each group becomes a Chrome `pid` whose
@@ -20,6 +21,7 @@
 #include "src/obs/latency_histogram.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace_event.h"
+#include "src/support/table.h"
 
 namespace o1mem {
 
@@ -45,9 +47,14 @@ std::string ChromeTraceJson(const std::vector<TraceGroup>& groups, double cpu_gh
 bool WriteChromeTraceFile(const std::string& path, const std::vector<TraceGroup>& groups,
                           double cpu_ghz);
 
-// Aligned text block: op, class, count, p50/p99/max cycles per non-empty
-// histogram slot ("(none)" when everything is empty).
-std::string HistogramSummaryText(const HistogramRegistry& hist);
+// One row per non-empty (op, size class) histogram slot: count and
+// p50/p99/max cycles. Column names carry "cycles" so tools/bench_diff.py
+// gates the tail latencies like any other cost column.
+Table LatencyTable(const HistogramRegistry& hist);
+
+// An "all" row, then one row per shard: completed requests, p999 and the
+// largest blame component with its share of the tail's latency.
+Table TailTable(const TailSnapshot& tail);
 
 }  // namespace o1mem
 

@@ -38,9 +38,10 @@ using MetricsRing = FixedRing<MetricSample>;
 
 // End-of-run tail summary published by the service into the Observer so the
 // procfs `tailstat` section and `app_kv_service --json` report per-shard
-// p999 + the top blame component without any trace post-processing. Host
-// bookkeeping only (strings/vectors are fine: written once at end of run,
-// never on the request path, never charged cycles).
+// p999 + the top blame component without any trace post-processing; both
+// render it through TailTable (src/obs/exporters.h). Host bookkeeping only
+// (strings/vectors are fine: written once at end of run, never on the
+// request path, never charged cycles).
 struct TailShardStat {
   uint32_t shard = 0;
   uint64_t requests = 0;
@@ -50,7 +51,7 @@ struct TailShardStat {
 };
 
 struct TailSnapshot {
-  bool valid = false;
+  uint64_t requests = 0;          // completed requests, all shards; 0: no service ran
   double p999_us = 0.0;           // completed-request p999, all shards
   double blame_coverage = 0.0;    // attributed / measured, gate >= 0.95
   std::string top_component;

@@ -52,14 +52,6 @@ Result<Vaddr> SizeClassAllocator::AcquireChunk() {
   return *chunk;
 }
 
-Status SizeClassAllocator::ReleaseChunk(Vaddr base) {
-  if (chunk_by_base_.count(base) != 0) {
-    return InvalidArgument("chunk is owned by the buddy heap");
-  }
-  pool_.push_back(base);
-  return OkStatus();
-}
-
 // --- Buddy backend --------------------------------------------------------
 
 void SizeClassAllocator::PushFree(uint32_t chunk_idx, uint32_t granule, int order) {

@@ -18,7 +18,7 @@
 //    merged buddy -- every backend operation is constant-bounded, which is
 //    the WCET argument (DESIGN.md section 13). A chunk whose blocks fully
 //    coalesce returns to a chunk pool (still mapped) and is reused by later
-//    refills or by chained ObjectArenas instead of growing the mapping.
+//    refills instead of growing the mapping.
 //
 // Requests above kMaxClassBytes bypass the heap and map directly. Allocator
 // metadata lives host-side (out of band): the simulated bytes belong to the
@@ -77,14 +77,11 @@ class SizeClassAllocator {
   static int ClassFor(uint64_t bytes);
   static uint64_t ClassBytes(int cls);
 
-  // Chunk pool, shared with chained ObjectArenas: Acquire hands out a
-  // mapped 1 MiB chunk (pool first, kernel second); Release returns one for
-  // reuse. Released chunks stay mapped -- the point is to recycle the
-  // address space and its backing instead of leaking until teardown.
-  Result<Vaddr> AcquireChunk();
-  Status ReleaseChunk(Vaddr base);
-
  private:
+  // Hands out a mapped 1 MiB chunk: the pool of fully free chunks first, the
+  // kernel second.
+  Result<Vaddr> AcquireChunk();
+
   // Buddy layout: chunk offsets are tracked in 16-byte granules; a block of
   // order o spans (1 << o) granules, so order kMaxOrder is the whole chunk.
   static constexpr uint64_t kGranule = 16;

@@ -1,7 +1,9 @@
 #include "src/os/system.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <sstream>
+#include <string_view>
 
 #include "src/obs/exporters.h"
 #include "src/obs/span.h"
@@ -592,13 +594,25 @@ TierOccupancy System::Occupancy() const {
   o.nvm_total_bytes = machine_->config().nvm_bytes;
   o.nvm_free_bytes = pmfs_->free_bytes();
   o.nvm_used_bytes = o.nvm_total_bytes - o.nvm_free_bytes;
+  if (tier_ != nullptr) {
+    o.tier_enabled = 1;
+    o.tier_resident_bytes = tier_->promoted_bytes();
+    o.tier_quarantined_bytes = tier_->quarantined_bytes();
+  }
   if (const ContigAllocator* contig = phys_mgr_->contig()) {
+    o.contig_cma = contig->cma_baseline() ? 1 : 0;
     o.contig_area_bytes = contig->area_bytes();
     o.contig_claimed_bytes = contig->claimed_bytes();
     o.contig_lent_file_bytes = contig->lent_bytes(LenderClass::kDiscardableFile);
     o.contig_lent_tier_bytes = contig->lent_bytes(LenderClass::kTierCleanCopy);
     o.contig_free_bytes = contig->free_bytes();
+    o.contig_lent_regions = contig->lent_regions();
+    o.contig_guarantee_bytes = contig->guarantee_bytes();
   }
+  o.pmfs_degraded = pmfs_->mount_mode() == MountMode::kReadWrite ? 0 : 1;
+  o.pmfs_journal_records = pmfs_->journal_records();
+  o.pmfs_journal_tail_bytes = pmfs_->journal_tail_bytes();
+  o.pmfs_journal_slot_bytes = pmfs_->journal_slot_bytes();
   return o;
 }
 
@@ -648,51 +662,18 @@ Result<uint64_t> System::ReclaimFom(uint64_t bytes_needed) {
 
 std::string System::DumpProcSnapshot() {
   std::ostringstream out;
-  const TierOccupancy o = Occupancy();
-  auto kb = [](uint64_t bytes) { return bytes / 1024; };
-
-  out << "== meminfo ==\n";
-  out << "DramTotal:      " << kb(o.dram_total_bytes) << " kB\n";
-  out << "DramUsed:       " << kb(o.dram_used_bytes) << " kB\n";
-  out << "DramFree:       " << kb(o.dram_free_bytes) << " kB\n";
-  out << "NvmTotal:       " << kb(o.nvm_total_bytes) << " kB\n";
-  out << "NvmUsed:        " << kb(o.nvm_used_bytes) << " kB\n";
-  out << "NvmFree:        " << kb(o.nvm_free_bytes) << " kB\n";
-  out << "DramCache:      " << kb(o.dram_cache_bytes) << " kB\n";
-  out << "DramCacheUsed:  " << kb(o.dram_cache_used_bytes) << " kB\n";
-  out << "DramCacheFree:  " << kb(o.dram_cache_free_bytes) << " kB\n";
+  std::string_view section;
+  Occupancy().ForEachField([&](std::string_view sec, const char* name, uint64_t value) {
+    if (sec != section) {
+      out << (section.empty() ? "" : "\n") << "== " << sec << " ==\n";
+      section = sec;
+    }
+    out << name << " " << value << "\n";
+  });
 
   out << "\n== vmstat ==\n";
   ctx().counters().ForEachField(
       [&](const char* name, uint64_t value) { out << name << " " << value << "\n"; });
-
-  out << "\n== tierstat ==\n";
-  out << "enabled " << (tier_ != nullptr ? 1 : 0) << "\n";
-  if (tier_ != nullptr) {
-    out << "promoted_bytes " << tier_->promoted_bytes() << "\n";
-    out << "quarantined_bytes " << tier_->quarantined_bytes() << "\n";
-  }
-
-  out << "\n== contigstat ==\n";
-  const ContigAllocator* contig = phys_mgr_->contig();
-  out << "enabled " << (contig != nullptr ? 1 : 0) << "\n";
-  if (contig != nullptr) {
-    out << "mode " << (contig->cma_baseline() ? "cma" : "gcma") << "\n";
-    out << "area_bytes " << o.contig_area_bytes << "\n";
-    out << "claimed_bytes " << o.contig_claimed_bytes << "\n";
-    out << "lent_file_bytes " << o.contig_lent_file_bytes << "\n";
-    out << "lent_tier_bytes " << o.contig_lent_tier_bytes << "\n";
-    out << "free_bytes " << o.contig_free_bytes << "\n";
-    out << "lent_regions " << contig->lent_regions() << "\n";
-    out << "guarantee_bytes " << contig->guarantee_bytes() << "\n";
-  }
-
-  out << "\n== pmfs ==\n";
-  out << "mount_mode " << (pmfs_->mount_mode() == MountMode::kReadWrite ? "rw" : "degraded")
-      << "\n";
-  out << "journal_records " << pmfs_->journal_records() << "\n";
-  out << "journal_tail_bytes " << pmfs_->journal_tail_bytes() << "\n";
-  out << "journal_slot_bytes " << pmfs_->journal_slot_bytes() << "\n";
 
   const Observer& obs = machine_->observer();
   out << "\n== trace ==\n";
@@ -705,33 +686,17 @@ std::string System::DumpProcSnapshot() {
   }
 
   out << "\n== latency ==\n";
-  if (obs.hist_enabled()) {
-    out << HistogramSummaryText(*obs.hist());
-  } else {
-    out << "(histograms off)\n";
-  }
+  out << (obs.hist_enabled() ? LatencyTable(*obs.hist()).Text() : "(histograms off)\n");
 
   // Tail attribution published by the serving layer (ShardedKvService
   // computes it from service-side accounting; empty when no service ran).
   out << "\n== tailstat ==\n";
   const TailSnapshot& tail = obs.tail();
-  out << "valid " << (tail.valid ? 1 : 0) << "\n";
-  if (tail.valid) {
-    char line[160];
-    std::snprintf(line, sizeof(line), "p999_us %.3f\n", tail.p999_us);
-    out << line;
+  out << "valid " << (tail.requests > 0 ? 1 : 0) << "\n";
+  if (tail.requests > 0) {
+    char line[64];
     std::snprintf(line, sizeof(line), "blame_coverage %.4f\n", tail.blame_coverage);
-    out << line;
-    std::snprintf(line, sizeof(line), "top_component %s %.4f\n", tail.top_component.c_str(),
-                  tail.top_share);
-    out << line;
-    for (const TailShardStat& st : tail.shards) {
-      std::snprintf(line, sizeof(line),
-                    "shard%u requests %llu p999_us %.3f top %s %.4f\n", st.shard,
-                    static_cast<unsigned long long>(st.requests), st.p999_us,
-                    st.top_component.empty() ? "-" : st.top_component.c_str(), st.top_share);
-      out << line;
-    }
+    out << line << TailTable(tail).Text();
   }
   return out.str();
 }

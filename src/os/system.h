@@ -48,29 +48,68 @@ struct MmapArgs {
   std::optional<MapMechanism> mechanism;
 };
 
-// Point-in-time per-tier occupancy: how full each physical tier is and how
-// much of the DRAM file-cache carve is in use. Surfaced next to the event
-// counters in every bench's --json output (bench/common.h) so tier pressure
-// is visible in BENCH_*.json artifacts.
+// X(section, name) for every machine-state field, grouped by the procfs
+// section that prints it. This list is the only declaration of each field:
+// the struct below, System::DumpProcSnapshot() and every bench's --json
+// (bench/common.h) all go through it, so a field added here reaches both
+// outputs and a field added anywhere else breaks the static size check.
+#define O1MEM_OCCUPANCY_FIELDS(X)                                                    \
+  /* Per-tier occupancy; the DRAM file-cache carve is part of DRAM. */                \
+  X(meminfo, dram_total_bytes)                                                        \
+  X(meminfo, dram_used_bytes)                                                         \
+  X(meminfo, dram_free_bytes)                                                         \
+  X(meminfo, nvm_total_bytes)                                                         \
+  X(meminfo, nvm_used_bytes)                                                          \
+  X(meminfo, nvm_free_bytes)                                                          \
+  X(meminfo, dram_cache_bytes)                                                        \
+  X(meminfo, dram_cache_used_bytes)                                                   \
+  X(meminfo, dram_cache_free_bytes)                                                   \
+  /* Tiering engine (src/tier). */                                                    \
+  X(tierstat, tier_enabled)           /* 1 when MachineConfig::tier is on */          \
+  X(tierstat, tier_resident_bytes)    /* promoted extents held in the DRAM cache */   \
+  X(tierstat, tier_quarantined_bytes) /* fenced off after a media error */            \
+  /* Guaranteed-contiguous area (src/contig; all zero without one): total size,      \
+     first-class claims, second-class lender bytes by class, and what is left        \
+     entirely idle. */                                                                \
+  X(contigstat, contig_cma) /* 1 = Linux-CMA baseline, 0 = GCMA */                    \
+  X(contigstat, contig_area_bytes)                                                    \
+  X(contigstat, contig_claimed_bytes)                                                 \
+  X(contigstat, contig_lent_file_bytes)                                               \
+  X(contigstat, contig_lent_tier_bytes)                                               \
+  X(contigstat, contig_free_bytes)                                                    \
+  X(contigstat, contig_lent_regions)                                                  \
+  X(contigstat, contig_guarantee_bytes)                                               \
+  /* PMFS mount and journal fill. */                                                  \
+  X(pmfs, pmfs_degraded) /* 1 = mounted read-only after a failed recovery */          \
+  X(pmfs, pmfs_journal_records)                                                       \
+  X(pmfs, pmfs_journal_tail_bytes)                                                    \
+  X(pmfs, pmfs_journal_slot_bytes)
+
+// Point-in-time machine state: how full each physical tier is, the tiering
+// engine's and the contiguous area's footprint, and the PMFS journal fill.
 struct TierOccupancy {
-  uint64_t dram_total_bytes = 0;
-  uint64_t dram_used_bytes = 0;
-  uint64_t dram_free_bytes = 0;
-  uint64_t nvm_total_bytes = 0;
-  uint64_t nvm_used_bytes = 0;
-  uint64_t nvm_free_bytes = 0;
-  uint64_t dram_cache_bytes = 0;
-  uint64_t dram_cache_used_bytes = 0;
-  uint64_t dram_cache_free_bytes = 0;
-  // Guaranteed-contiguous area (src/contig; all zero when disabled): total
-  // size, first-class claims, second-class lender bytes by class, and what
-  // is left entirely idle.
-  uint64_t contig_area_bytes = 0;
-  uint64_t contig_claimed_bytes = 0;
-  uint64_t contig_lent_file_bytes = 0;
-  uint64_t contig_lent_tier_bytes = 0;
-  uint64_t contig_free_bytes = 0;
+#define O1MEM_DECLARE_OCCUPANCY(section, name) uint64_t name = 0;
+  O1MEM_OCCUPANCY_FIELDS(O1MEM_DECLARE_OCCUPANCY)
+#undef O1MEM_DECLARE_OCCUPANCY
+
+  static constexpr size_t kFieldCount = 0
+#define O1MEM_COUNT_OCCUPANCY(section, name) +1
+      O1MEM_OCCUPANCY_FIELDS(O1MEM_COUNT_OCCUPANCY)
+#undef O1MEM_COUNT_OCCUPANCY
+      ;
+
+  // Visits fn("section", "name", value) for every field, in declaration
+  // order.
+  template <typename Fn>
+  void ForEachField(Fn&& fn) const {
+#define O1MEM_VISIT_OCCUPANCY(section, name) fn(#section, #name, name);
+    O1MEM_OCCUPANCY_FIELDS(O1MEM_VISIT_OCCUPANCY)
+#undef O1MEM_VISIT_OCCUPANCY
+  }
 };
+
+static_assert(sizeof(TierOccupancy) == TierOccupancy::kFieldCount * sizeof(uint64_t),
+              "every TierOccupancy field must be declared via O1MEM_OCCUPANCY_FIELDS");
 
 struct ProcessImage {
   uint64_t code_bytes = 256 * kKiB;
@@ -94,9 +133,9 @@ class System {
   SimContext& ctx() { return machine_->ctx(); }
   // Non-null only when MachineConfig::tier.enabled.
   TierEngine* tier() { return tier_.get(); }
-  // Non-null only when MachineConfig::contig.enabled (src/contig).
+  // Non-null only when MachineConfig::contig.area_bytes > 0 (src/contig).
   ContigAllocator* contig() { return phys_mgr_->contig(); }
-  // Per-tier occupancy snapshot (DRAM buddy + cache carve, NVM via PMFS).
+  // Machine-state snapshot: every O1MEM_OCCUPANCY_FIELDS field filled.
   TierOccupancy Occupancy() const;
 
   // --- Process lifecycle ---------------------------------------------------
@@ -212,9 +251,10 @@ class System {
   Status MadviseTier(Process& proc, Vaddr vaddr, uint64_t len, TierHint hint);
 
   // --- Observability ---------------------------------------------------------
-  // procfs-style text snapshot: vmstat (every event counter via the X-macro
-  // visitor), meminfo (per-tier occupancy), tierstat, the PMFS journal
-  // gauges, trace-ring fill, and latency-histogram summaries. Purely
+  // procfs-style text snapshot: one `name value` block per
+  // O1MEM_OCCUPANCY_FIELDS section (meminfo, tierstat, contigstat, pmfs),
+  // vmstat (every event counter), trace-ring fill, and the latency and tail
+  // tables bench JSON carries too (src/obs/exporters.h). Purely
   // observational -- reads state, charges no cycles.
   std::string DumpProcSnapshot();
 
@@ -239,7 +279,7 @@ class System {
   Result<Vaddr> MmapFom(Process& proc, const MmapArgs& args);
   void ChargeSyscall();
   // Registers the per-lender-class revoke callbacks on the ContigAllocator
-  // (no-op when contig is disabled). Runs at boot and again after Crash(),
+  // (no-op without a contiguous area). Runs at boot and again after Crash(),
   // once the lender subsystems have been rebuilt.
   void WireContigLenders();
 

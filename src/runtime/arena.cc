@@ -23,54 +23,11 @@ Result<ObjectArena> ObjectArena::Create(System* sys, Process* proc, std::string 
   return ObjectArena(sys, proc, std::move(path), *inode, *base, capacity_bytes);
 }
 
-Result<ObjectArena> ObjectArena::CreateChained(System* sys, Process* proc,
-                                               SizeClassAllocator* heap,
-                                               uint64_t capacity_bytes) {
-  O1_CHECK(sys != nullptr && proc != nullptr && heap != nullptr);
-  if (capacity_bytes == 0) {
-    return InvalidArgument("zero-capacity arena");
-  }
-  const uint64_t chunk_count =
-      AlignUp(capacity_bytes, SizeClassAllocator::kChunkBytes) / SizeClassAllocator::kChunkBytes;
-  std::vector<Vaddr> chunks;
-  chunks.reserve(chunk_count);
-  for (uint64_t i = 0; i < chunk_count; ++i) {
-    auto chunk = heap->AcquireChunk();
-    if (!chunk.ok()) {
-      for (Vaddr held : chunks) {
-        (void)heap->ReleaseChunk(held);
-      }
-      return chunk.status();
-    }
-    chunks.push_back(*chunk);
-  }
-  return ObjectArena(sys, proc, heap, std::move(chunks));
-}
-
 Result<Vaddr> ObjectArena::Allocate(uint64_t bytes, uint64_t align) {
   if (bytes == 0 || !IsPowerOfTwo(align)) {
     return InvalidArgument("bad arena allocation");
   }
   sys_->ctx().Charge(sys_->ctx().cost().user_alloc_cycles);
-  if (chained()) {
-    if (bytes > SizeClassAllocator::kChunkBytes) {
-      return InvalidArgument("chained-arena objects are chunk-bounded");
-    }
-    uint64_t start = AlignUp(chunk_cursor_, align);
-    if (start + bytes > SizeClassAllocator::kChunkBytes) {
-      // Current chunk can't fit it; bump into the next one.
-      if (cur_chunk_ + 1 == chunks_.size()) {
-        return OutOfMemory("arena exhausted");
-      }
-      ++cur_chunk_;
-      chunk_cursor_ = 0;
-      start = 0;
-    }
-    chunk_cursor_ = start + bytes;
-    cursor_ = cur_chunk_ * SizeClassAllocator::kChunkBytes + chunk_cursor_;
-    ++allocations_;
-    return chunks_[cur_chunk_] + start;
-  }
   const uint64_t start = AlignUp(cursor_, align);
   if (start + bytes > capacity_ || start + bytes < start) {
     return OutOfMemory("arena exhausted");
@@ -81,34 +38,14 @@ Result<Vaddr> ObjectArena::Allocate(uint64_t bytes, uint64_t align) {
 }
 
 Status ObjectArena::Reset() {
-  // The O(1) drop: no sweep, no per-object work, no page work. In chained
-  // mode the spare chunks go back to the allocator's pool (host-side
-  // bookkeeping, constant simulated cost) instead of staying reserved.
+  // The O(1) drop: no sweep, no per-object work, no page work.
   sys_->ctx().Charge(sys_->ctx().cost().user_alloc_cycles);
-  if (chained()) {
-    while (chunks_.size() > 1) {
-      O1_RETURN_IF_ERROR(heap_->ReleaseChunk(chunks_.back()));
-      chunks_.pop_back();
-    }
-    capacity_ = chunks_.size() * SizeClassAllocator::kChunkBytes;
-    cur_chunk_ = 0;
-    chunk_cursor_ = 0;
-  }
   cursor_ = 0;
   allocations_ = 0;
   return OkStatus();
 }
 
 Status ObjectArena::Destroy() {
-  if (chained()) {
-    for (Vaddr chunk : chunks_) {
-      O1_RETURN_IF_ERROR(heap_->ReleaseChunk(chunk));
-    }
-    chunks_.clear();
-    cursor_ = 0;
-    capacity_ = 0;
-    return OkStatus();
-  }
   O1_RETURN_IF_ERROR(sys_->fom().Unmap(proc_->fom(), base_));
   // The segment may already be unlinked if the path was reused; ignore a
   // missing path but propagate real failures.

@@ -9,20 +9,11 @@
 // reserved at creation (cheap under ample memory) and Reset() never touches
 // the pages at all: recycled bytes are cleaned by the file system's
 // zero-on-free machinery when the segment is eventually deleted.
-//
-// Chained mode (CreateChained) draws 1 MiB chunks from a SizeClassAllocator's
-// shared chunk pool instead of reserving a private segment. Reset() keeps
-// one chunk warm and returns the rest to the pool, and Destroy() returns
-// them all, so arena churn recycles backing through the allocator instead of
-// holding the full reservation until teardown. Reset stays O(1) in simulated
-// cycles: handing chunks back is host bookkeeping on the shared pool.
 #ifndef O1MEM_SRC_RUNTIME_ARENA_H_
 #define O1MEM_SRC_RUNTIME_ARENA_H_
 
 #include <string>
-#include <vector>
 
-#include "src/os/malloc.h"
 #include "src/os/system.h"
 
 namespace o1mem {
@@ -33,12 +24,6 @@ class ObjectArena {
   static Result<ObjectArena> Create(System* sys, Process* proc, std::string path,
                                     uint64_t capacity_bytes,
                                     const FileFlags& flags = FileFlags{});
-
-  // Chained mode: capacity (rounded up to whole 1 MiB chunks) is acquired
-  // from `heap`'s chunk pool up front. Objects are chunk-bounded
-  // (<= SizeClassAllocator::kChunkBytes after alignment).
-  static Result<ObjectArena> CreateChained(System* sys, Process* proc,
-                                           SizeClassAllocator* heap, uint64_t capacity_bytes);
 
   ObjectArena(ObjectArena&&) = default;
   ObjectArena& operator=(ObjectArena&&) = default;
@@ -61,19 +46,11 @@ class ObjectArena {
   Vaddr base() const { return base_; }
   Process& process() { return *proc_; }
 
-  bool chained() const { return heap_ != nullptr; }
-
  private:
   ObjectArena(System* sys, Process* proc, std::string path, InodeId inode, Vaddr base,
               uint64_t capacity)
       : sys_(sys), proc_(proc), path_(std::move(path)), inode_(inode), base_(base),
         capacity_(capacity) {}
-
-  ObjectArena(System* sys, Process* proc, SizeClassAllocator* heap,
-              std::vector<Vaddr> chunks)
-      : sys_(sys), proc_(proc), inode_(InodeId{}), base_(chunks.front()),
-        capacity_(chunks.size() * SizeClassAllocator::kChunkBytes), heap_(heap),
-        chunks_(std::move(chunks)) {}
 
   System* sys_;
   Process* proc_;
@@ -83,12 +60,6 @@ class ObjectArena {
   uint64_t capacity_;
   uint64_t cursor_ = 0;
   uint64_t allocations_ = 0;
-
-  // Chained mode only.
-  SizeClassAllocator* heap_ = nullptr;
-  std::vector<Vaddr> chunks_;
-  size_t cur_chunk_ = 0;
-  uint64_t chunk_cursor_ = 0;
 };
 
 }  // namespace o1mem

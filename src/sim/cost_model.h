@@ -89,8 +89,8 @@ struct CostModel {
   uint64_t tier_region_op_cycles = 120;  // split or merge one monitoring region
   uint64_t tier_policy_cycles = 40;      // evaluate one region at aggregation time
 
-  // --- Guaranteed-contiguous area (no-ops while ContigConfig.enabled is
-  //     false). The GCMA path charges a flat claim base plus a per-victim
+  // --- Guaranteed-contiguous area (no-ops while ContigConfig.area_bytes
+  //     is 0). The GCMA path charges a flat claim base plus a per-victim
   //     extent revoke; the CMA baseline charges per granule scanned and per
   //     page migrated, and a failed claim pays a full direct-compaction
   //     scan over the area. ---------------------------------------------

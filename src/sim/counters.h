@@ -5,8 +5,8 @@
 // plot that corroborates Figure 1b).
 //
 // The field list is a single X-macro so a new counter can never be silently
-// dropped from Delta(), the procfs-style vmstat dump, or bench JSON: adding
-// a field anywhere but O1MEM_COUNTER_FIELDS breaks the static size check
+// dropped from Delta() or the procfs-style vmstat dump: adding a field
+// anywhere but O1MEM_COUNTER_FIELDS breaks the static size check
 // (tests/sim/counters_test.cc) at compile/test time.
 #ifndef O1MEM_SRC_SIM_COUNTERS_H_
 #define O1MEM_SRC_SIM_COUNTERS_H_
@@ -119,8 +119,8 @@ struct EventCounters {
   }
 
   // Visits fn("name", value) for every counter, in declaration order. The
-  // vmstat section of System::DumpProcSnapshot() and the counters dumps in
-  // benches go through this, so they always carry the full list.
+  // vmstat section of System::DumpProcSnapshot() and o1bench's counter dump
+  // go through this, so they always carry the full list.
   template <typename Fn>
   void ForEachField(Fn&& fn) const {
 #define O1MEM_VISIT_COUNTER(name) fn(#name, name);

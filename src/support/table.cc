@@ -24,11 +24,8 @@ std::string Table::Int(uint64_t v) {
   return buf;
 }
 
-void Table::Print(std::FILE* out) const {
-  std::fprintf(out, "\n=== %s ===\n", title_.c_str());
-  if (rows_.empty()) {
-    return;
-  }
+std::string Table::Text() const {
+  std::string out;
   size_t cols = 0;
   for (const auto& row : rows_) {
     cols = std::max(cols, row.size());
@@ -41,30 +38,25 @@ void Table::Print(std::FILE* out) const {
   }
   for (size_t r = 0; r < rows_.size(); ++r) {
     for (size_t c = 0; c < rows_[r].size(); ++c) {
-      std::fprintf(out, "%-*s  ", static_cast<int>(width[c]), rows_[r][c].c_str());
+      out += rows_[r][c];
+      out.append(width[c] - rows_[r][c].size() + 2, ' ');
     }
-    std::fprintf(out, "\n");
+    out += '\n';
     if (r == 0) {
       size_t total = 0;
       for (size_t c = 0; c < cols; ++c) {
         total += width[c] + 2;
       }
-      for (size_t i = 0; i < total; ++i) {
-        std::fputc('-', out);
-      }
-      std::fprintf(out, "\n");
+      out.append(total, '-');
+      out += '\n';
     }
   }
+  return out;
 }
 
-void Table::PrintCsv(std::FILE* out) const {
-  std::fprintf(out, "# %s\n", title_.c_str());
-  for (const auto& row : rows_) {
-    for (size_t c = 0; c < row.size(); ++c) {
-      std::fprintf(out, "%s%s", row[c].c_str(), c + 1 == row.size() ? "" : ",");
-    }
-    std::fprintf(out, "\n");
-  }
+void Table::Print(std::FILE* out) const {
+  std::fprintf(out, "\n=== %s ===\n", title_.c_str());
+  std::fputs(Text().c_str(), out);
 }
 
 }  // namespace o1mem

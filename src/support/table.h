@@ -1,5 +1,6 @@
-// Aligned-table and CSV reporter used by the benchmark harness to print the
-// paper-figure series (one table per figure, same axes as the paper).
+// Aligned-table reporter used by the benchmark harness to print the
+// paper-figure series (one table per figure, same axes as the paper) and by
+// the procfs snapshot for its latency and tail tables.
 #ifndef O1MEM_SRC_SUPPORT_TABLE_H_
 #define O1MEM_SRC_SUPPORT_TABLE_H_
 
@@ -9,9 +10,8 @@
 
 namespace o1mem {
 
-// Collects rows of string cells and renders them either as an aligned text
-// table (for the terminal) or CSV (for replotting). The first added row is
-// the header.
+// Collects rows of string cells and renders them as an aligned text table.
+// The first added row is the header.
 class Table {
  public:
   explicit Table(std::string title) : title_(std::move(title)) {}
@@ -23,11 +23,12 @@ class Table {
   static std::string Num(double v);
   static std::string Int(uint64_t v);
 
-  // Renders the aligned table to `out` (default stdout).
-  void Print(std::FILE* out = stdout) const;
+  // The aligned rows: every cell padded to its column's width, the header
+  // underlined with dashes.
+  std::string Text() const;
 
-  // Renders as CSV (header first) to `out`.
-  void PrintCsv(std::FILE* out = stdout) const;
+  // Writes a `=== title ===` banner and Text() to `out` (default stdout).
+  void Print(std::FILE* out = stdout) const;
 
   const std::string& title() const { return title_; }
   size_t row_count() const { return rows_.empty() ? 0 : rows_.size() - 1; }

@@ -1,7 +1,8 @@
 // BenchMain, the one entry point of every bench binary: it must refuse an
 // argument no flag reads before the body runs (a mistyped or bare flag would
 // otherwise run the default configuration), hand the declared flags to the
-// body, and fail the run when --json or --trace cannot be written.
+// body, fail the run when --json or --trace cannot be written, and render
+// machine state and latency from the same definitions procfs does.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -46,6 +47,39 @@ std::string ReadFile(const std::string& path) {
   std::stringstream text;
   text << in.rdbuf();
   return text.str();
+}
+
+// The table procfs prints under `== section ==`, written the way BenchJson
+// writes a table titled `title`: each line's whitespace-separated cells as
+// one JSON row, the first line as the columns, the dashed underline skipped.
+std::string ProcfsTableAsJson(const std::string& procfs, const std::string& section,
+                              const std::string& title) {
+  const std::string head = "== " + section + " ==\n";
+  const size_t begin = procfs.find(head);
+  if (begin == std::string::npos) {
+    return "";
+  }
+  std::istringstream lines(procfs.substr(begin + head.size()));
+  std::vector<std::string> rows;
+  for (std::string line; std::getline(lines, line) && !line.empty();) {
+    if (line.front() == '-') {
+      continue;
+    }
+    std::istringstream words(line);
+    std::string cells;
+    for (std::string word; words >> word;) {
+      cells += (cells.empty() ? "\"" : ",\"") + word + "\"";
+    }
+    rows.push_back("[" + cells + "]");
+  }
+  if (rows.empty()) {
+    return "";
+  }
+  std::string out = "{\"title\":\"" + title + "\",\"columns\":" + rows[0] + ",\"rows\":[";
+  for (size_t r = 1; r < rows.size(); ++r) {
+    out += (r != 1 ? "," : "") + rows[r];
+  }
+  return out + "]}";
 }
 
 TEST(BenchMainTest, RejectsArgumentsNoFlagReadsWithoutRunning) {
@@ -139,6 +173,55 @@ TEST(BenchMainTest, GoodRunWritesEmittedTableToJson) {
                       "\"rows\":[[\"3\"]]}"),
             std::string::npos)
       << text;
+  std::remove(path.c_str());
+}
+
+// Each machine-state field and the latency table are defined once; procfs
+// and the bench JSON must both carry every field with the same value and the
+// same latency rows.
+TEST(BenchMainTest, ProcfsAndJsonRenderOneSchema) {
+  const std::string path = ::testing::TempDir() + "/bench_main_schema.json";
+  std::remove(path.c_str());
+  std::string procfs;
+  TierOccupancy state;
+  bool ran = false;
+  EXPECT_EQ(RunBench({"--json=" + path}, &ran,
+                     [&](BenchJson&, const BenchArgs&) {
+                       SystemConfig config = BenchConfig();
+                       config.machine.contig.area_bytes = 64 * kMiB;
+                       config.machine.tier.enabled = true;
+                       config.machine.tier.dram_cache_bytes = 32 * kMiB;
+                       System sys(config);
+                       auto proc = sys.Launch(Backend::kFom);
+                       ASSERT_TRUE(proc.ok());
+                       auto va = sys.Mmap(**proc, MmapArgs{.length = 4 * kMiB});
+                       ASSERT_TRUE(va.ok());
+                       ASSERT_TRUE(sys.MadviseTier(**proc, *va, 2 * kMiB, TierHint::kHot).ok());
+                       CaptureOccupancy(sys);
+                       state = LastOccupancy();
+                       procfs = sys.DumpProcSnapshot();
+                       CaptureObs(sys);
+                     }),
+            0);
+  ASSERT_TRUE(ran);
+  EXPECT_EQ(state.tier_enabled, 1u);
+  EXPECT_GT(state.tier_resident_bytes, 0u);
+  EXPECT_EQ(state.contig_area_bytes, 64 * kMiB);
+  EXPECT_GT(state.pmfs_journal_records, 0u);
+
+  const std::string json = ReadFile(path);
+  state.ForEachField([&](const char*, const char* name, uint64_t value) {
+    const std::string shown = std::to_string(value);
+    EXPECT_NE(json.find(std::string("\"") + name + "\":" + shown + ","), std::string::npos)
+        << name << " " << shown << " missing from the JSON";
+    EXPECT_NE(procfs.find(std::string("\n") + name + " " + shown + "\n"), std::string::npos)
+        << name << " " << shown << " missing from procfs\n"
+        << procfs;
+  });
+
+  const std::string latency = ProcfsTableAsJson(procfs, "latency", "latency histograms (cycles)");
+  EXPECT_NE(latency.find("\"rows\":[[\""), std::string::npos) << procfs;
+  EXPECT_NE(json.find(latency), std::string::npos) << latency << "\n" << json;
   std::remove(path.c_str());
 }
 

@@ -179,7 +179,8 @@ TEST_F(QuarantineTest, SnapshotExposesQuarantineState) {
   ASSERT_TRUE(sys_->MadviseTier(*proc_, va_, bytes_, TierHint::kHot).ok());
 
   const std::string snap = sys_->DumpProcSnapshot();
-  EXPECT_NE(snap.find("quarantined_bytes " + std::to_string(bytes_)), std::string::npos)
+  EXPECT_NE(snap.find("\ntier_quarantined_bytes " + std::to_string(bytes_) + "\n"),
+            std::string::npos)
       << snap;
   EXPECT_NE(snap.find("poison_quarantines"), std::string::npos);
   EXPECT_NE(snap.find("degraded_reads"), std::string::npos);

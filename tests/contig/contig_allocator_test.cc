@@ -15,7 +15,6 @@ constexpr uint64_t kArea = 16 * kMiB;
 
 ContigConfig Gcma(uint64_t guarantee = 0) {
   ContigConfig config;
-  config.enabled = true;
   config.area_bytes = kArea;
   config.guarantee_bytes = guarantee;
   return config;

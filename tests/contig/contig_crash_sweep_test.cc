@@ -38,7 +38,6 @@ SystemConfig SweepConfig(PersistenceModel persistence) {
   // swept segment's promotion lands on a borrowed area extent.
   config.machine.tier.dram_cache_bytes = 4 * kPageSize;
   config.machine.tier.min_region_bytes = 4 * kPageSize;
-  config.machine.contig.enabled = true;
   config.machine.contig.area_bytes = kAreaBytes;
   config.machine.smp.num_cpus = 2;
   config.machine.smp.batched_shootdowns = true;

@@ -21,7 +21,6 @@ SystemConfig ContigOn() {
   SystemConfig config;
   config.machine.dram_bytes = 64 * kMiB;
   config.machine.nvm_bytes = 128 * kMiB;
-  config.machine.contig.enabled = true;
   config.machine.contig.area_bytes = kAreaBytes;
   return config;
 }
@@ -259,8 +258,8 @@ TEST_F(ContigRevokeTest, OccupancyAndProcSnapshotExposeAreaState) {
   EXPECT_EQ(o.contig_free_bytes, kAreaBytes - 1 * kMiB);
   const std::string snapshot = sys_->DumpProcSnapshot();
   EXPECT_NE(snapshot.find("== contigstat =="), std::string::npos);
-  EXPECT_NE(snapshot.find("mode gcma"), std::string::npos);
-  EXPECT_NE(snapshot.find("lent_file_bytes 1048576"), std::string::npos);
+  EXPECT_NE(snapshot.find("\ncontig_cma 0\n"), std::string::npos);
+  EXPECT_NE(snapshot.find("\ncontig_lent_file_bytes 1048576\n"), std::string::npos);
 }
 
 TEST_F(ContigRevokeTest, LendingSurvivesCrashRewire) {

@@ -117,23 +117,6 @@ TEST(TableTest, PrintProducesAlignedColumns) {
   ASSERT_NE(header_pos, std::string::npos);
 }
 
-TEST(TableTest, CsvOutput) {
-  Table table("csv-demo");
-  table.AddRow({"a", "b"});
-  table.AddRow({"1", "2"});
-  std::FILE* f = std::tmpfile();
-  ASSERT_NE(f, nullptr);
-  table.PrintCsv(f);
-  std::rewind(f);
-  char buf[256] = {};
-  const size_t n = std::fread(buf, 1, sizeof(buf) - 1, f);
-  std::fclose(f);
-  const std::string out(buf, n);
-  EXPECT_NE(out.find("# csv-demo\n"), std::string::npos);
-  EXPECT_NE(out.find("a,b\n"), std::string::npos);
-  EXPECT_NE(out.find("1,2\n"), std::string::npos);
-}
-
 TEST(ForkPbmTest, PbmMappingsForkAtTheSameAddress) {
   System sys(MiscConfig());
   auto parent = sys.Launch(Backend::kFom);

@@ -7,13 +7,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/chaos/shard_service.h"
 #include "src/obs/exemplar.h"
+#include "src/support/table.h"
 
 namespace o1mem {
 namespace {
@@ -261,7 +265,7 @@ TEST(CausalTraceTest, MetricsRingSamplesEveryTick) {
 
 TEST(CausalTraceTest, TailSnapshotPublishedToObserver) {
   const TracedRun run = RunTraced(true);
-  EXPECT_TRUE(run.tail.valid);
+  EXPECT_GT(run.tail.requests, 0u);
   EXPECT_GT(run.tail.p999_us, 0.0);
   EXPECT_GE(run.tail.blame_coverage, 0.0);
   EXPECT_LE(run.tail.blame_coverage, 1.0);
@@ -274,11 +278,40 @@ TEST(CausalTraceTest, TailSnapshotPublishedToObserver) {
 TEST(CausalTraceTest, ProcSnapshotHasTailstatSection) {
   System sys(ServiceMachine(true));
   ShardedKvService service(sys, BurstService());
-  (void)service.Run();
+  const TailSnapshot tail = service.Run().tail;
+  ASSERT_GT(tail.requests, 0u);
+  ASSERT_EQ(tail.shards.size(), 3u);
   const std::string snap = sys.DumpProcSnapshot();
-  EXPECT_NE(snap.find("== tailstat =="), std::string::npos) << snap;
-  EXPECT_NE(snap.find("p999_us"), std::string::npos);
-  EXPECT_NE(snap.find("top "), std::string::npos);
+  const size_t at = snap.find("== tailstat ==\n");
+  ASSERT_NE(at, std::string::npos) << snap;
+  // tailstat is the last section; split each of its lines on whitespace.
+  std::vector<std::vector<std::string>> lines;
+  std::istringstream section(snap.substr(at));
+  for (std::string line; std::getline(section, line);) {
+    std::istringstream words(line);
+    lines.emplace_back(std::istream_iterator<std::string>(words),
+                       std::istream_iterator<std::string>());
+  }
+  // Line 4 is the rule under the table header: one run of dashes.
+  ASSERT_GT(lines.size(), 4u) << snap;
+  ASSERT_EQ(lines[4].size(), 1u) << snap;
+  EXPECT_EQ(lines[4][0].find_first_not_of('-'), std::string::npos);
+  lines.erase(lines.begin() + 4);
+  const auto top = [](const std::string& c) { return c.empty() ? std::string("-") : c; };
+  char coverage[32];
+  std::snprintf(coverage, sizeof(coverage), "%.4f", tail.blame_coverage);
+  std::vector<std::vector<std::string>> want = {
+      {"==", "tailstat", "=="},
+      {"valid", "1"},
+      {"blame_coverage", coverage},
+      {"shard", "requests", "p999_us", "top_component", "share"},
+      {"all", Table::Int(tail.requests), Table::Num(tail.p999_us), top(tail.top_component),
+       Table::Num(tail.top_share)}};
+  for (const TailShardStat& st : tail.shards) {
+    want.push_back({Table::Int(st.shard), Table::Int(st.requests), Table::Num(st.p999_us),
+                    top(st.top_component), Table::Num(st.top_share)});
+  }
+  EXPECT_EQ(lines, want) << snap.substr(at);
 }
 
 TEST(CausalTraceTest, ReservoirMemoryIsBoundedUnderLongRuns) {

@@ -162,8 +162,8 @@ TEST(ObsSystemTest, ProcSnapshotHasAllSections) {
 
   const std::string snap = sys.DumpProcSnapshot();
   for (const char* section :
-       {"== meminfo ==", "== vmstat ==", "== tierstat ==", "== pmfs ==", "== trace ==",
-        "== latency =="}) {
+       {"== meminfo ==", "== tierstat ==", "== contigstat ==", "== pmfs ==", "== vmstat ==",
+        "== trace ==", "== latency ==", "== tailstat =="}) {
     EXPECT_NE(snap.find(section), std::string::npos) << "missing " << section << "\n" << snap;
   }
   // vmstat rows come from the X-macro visitor, so every counter is present.

@@ -149,8 +149,23 @@ TEST_F(PinTest, PinFaultsPagesInFirst) {
   auto vaddr = sys_.Mmap(**proc, MmapArgs{.length = 8 * kPageSize});
   ASSERT_TRUE(vaddr.ok());
   EXPECT_EQ((*proc)->pager().resident_anon_pages(), resident_base);
+  const uint64_t faults_before = sys_.ctx().counters().minor_faults;
   ASSERT_TRUE(sys_.Mlock(**proc, *vaddr, 8 * kPageSize).ok());
   EXPECT_EQ((*proc)->pager().resident_anon_pages(), resident_base + 8);
+  // One minor fault per page faulted in, as touching the pages would count.
+  EXPECT_EQ(sys_.ctx().counters().minor_faults - faults_before, 8u);
+}
+
+// munlock(2) succeeds on any mapped range: pages never touched, and touched
+// pages never locked, hold no pin and are skipped. Only unmapped space fails.
+TEST_F(PinTest, MunlockSkipsPagesHoldingNoPin) {
+  auto proc = sys_.Launch(Backend::kBaseline);
+  ASSERT_TRUE(proc.ok());
+  auto vaddr = sys_.Mmap(**proc, MmapArgs{.length = 8 * kPageSize});
+  ASSERT_TRUE(vaddr.ok());
+  ASSERT_TRUE(sys_.UserTouch(**proc, *vaddr, 4 * kPageSize, AccessType::kWrite).ok());
+  EXPECT_TRUE(sys_.Munlock(**proc, *vaddr, 8 * kPageSize).ok());
+  EXPECT_EQ(sys_.Munlock(**proc, /*vaddr=*/0, kPageSize).code(), StatusCode::kNotFound);
 }
 
 TEST_F(PinTest, FomMlockIsValidationOnly) {
@@ -165,9 +180,9 @@ TEST_F(PinTest, FomMlockIsValidationOnly) {
   EXPECT_FALSE(sys_.Mlock(**proc, *vaddr + kPageSize, kPageSize).ok());
 }
 
-// Runs mmap 4 pages, touch them, `mlocks` x Mlock, an optional Munlock and
+// Runs mmap 4 pages, touch them, `mlocks` x Mlock, `munlocks` x Munlock and
 // Munmap on a fresh baseline System; returns DRAM's free bytes after that.
-uint64_t DramFreeAfterPinCycle(int mlocks, bool munlock) {
+uint64_t DramFreeAfterPinCycle(int mlocks, int munlocks) {
   System sys(FeatureConfig());
   auto proc = sys.Launch(Backend::kBaseline);
   O1_CHECK(proc.ok());
@@ -177,7 +192,7 @@ uint64_t DramFreeAfterPinCycle(int mlocks, bool munlock) {
   for (int i = 0; i < mlocks; ++i) {
     EXPECT_TRUE(sys.Mlock(**proc, *vaddr, 4 * kPageSize).ok());
   }
-  if (munlock) {
+  for (int i = 0; i < munlocks; ++i) {
     EXPECT_TRUE(sys.Munlock(**proc, *vaddr, 4 * kPageSize).ok());
   }
   EXPECT_TRUE(sys.Munmap(**proc, *vaddr, 4 * kPageSize).ok());
@@ -187,13 +202,17 @@ uint64_t DramFreeAfterPinCycle(int mlocks, bool munlock) {
 // mlock(2) is idempotent: locking a locked page takes no second pin, so the
 // munmap (with or without one munlock first) gives every frame back.
 TEST(RepeatPinTest, SecondMlockThenMunmapFreesEveryFrame) {
-  EXPECT_EQ(DramFreeAfterPinCycle(2, /*munlock=*/false),
-            DramFreeAfterPinCycle(1, /*munlock=*/false));
+  EXPECT_EQ(DramFreeAfterPinCycle(2, /*munlocks=*/0), DramFreeAfterPinCycle(1, /*munlocks=*/0));
 }
 
 TEST(RepeatPinTest, SecondMlockThenMunlockAndMunmapFreesEveryFrame) {
-  EXPECT_EQ(DramFreeAfterPinCycle(2, /*munlock=*/true),
-            DramFreeAfterPinCycle(1, /*munlock=*/true));
+  EXPECT_EQ(DramFreeAfterPinCycle(2, /*munlocks=*/1), DramFreeAfterPinCycle(1, /*munlocks=*/1));
+}
+
+// So is munlock(2): a second munlock succeeds and drops no reference the
+// pages do not hold.
+TEST(RepeatPinTest, SecondMunlockThenMunmapFreesEveryFrame) {
+  EXPECT_EQ(DramFreeAfterPinCycle(1, /*munlocks=*/2), DramFreeAfterPinCycle(1, /*munlocks=*/1));
 }
 
 class CountingUserFault : public System::UserFaultHandler {

@@ -117,6 +117,33 @@ TEST_P(MallocTest, RandomChurnStaysConsistent) {
   }
 }
 
+// A chunk whose blocks all come back coalesces into the chunk pool, and a
+// later refill takes it from there: pool_reuses grows while the address
+// space obtained from the kernel (mmap_bytes) stays flat.
+TEST_P(MallocTest, CoalescedChunksAreReusedFromThePool) {
+  // 256 KiB blocks: four fill a chunk, and one refill pulls two chunks.
+  constexpr int kBlocks = 32;
+  std::vector<Vaddr> blocks;
+  for (int i = 0; i < kBlocks; ++i) {
+    auto p = alloc_->Malloc(256 * kKiB);
+    ASSERT_TRUE(p.ok());
+    blocks.push_back(*p);
+  }
+  const MallocStats filled = alloc_->stats();
+  // Bin overflows flush the oldest blocks to the buddy heap, where their
+  // chunks coalesce whole.
+  for (Vaddr p : blocks) {
+    ASSERT_TRUE(alloc_->Free(p).ok());
+  }
+  ASSERT_GT(alloc_->stats().chunks_recycled, filled.chunks_recycled);
+  for (int i = 0; i < kBlocks; ++i) {
+    ASSERT_TRUE(alloc_->Malloc(256 * kKiB).ok());
+  }
+  EXPECT_GT(alloc_->stats().pool_reuses, filled.pool_reuses);
+  EXPECT_EQ(alloc_->stats().mmap_bytes, filled.mmap_bytes);
+  EXPECT_EQ(alloc_->stats().chunk_refills, filled.chunk_refills);
+}
+
 TEST_P(MallocTest, ZeroByteRejected) {
   EXPECT_FALSE(alloc_->Malloc(0).ok());
 }

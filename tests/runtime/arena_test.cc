@@ -77,49 +77,6 @@ TEST_F(ArenaTest, DestroyReleasesStorage) {
   EXPECT_EQ(sys_.pmfs().free_bytes(), free_before);
 }
 
-// Regression: chained arenas must recycle their chunks through the shared
-// pool instead of leaking mappings. A Reset keeps one chunk warm and
-// returns the rest; re-acquiring capacity is then served from the pool
-// (pool_reuses grows) with no new address space (mmap_bytes flat).
-TEST_F(ArenaTest, ChainedResetReturnsChunksToPool) {
-  SizeClassAllocator heap(&sys_, proc_);
-  auto arena = ObjectArena::CreateChained(&sys_, proc_, &heap, 4 * kMiB);
-  ASSERT_TRUE(arena.ok());
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(arena->Allocate(300 * kKiB).ok());
-  }
-  const uint64_t mmap_after_create = heap.stats().mmap_bytes;
-  ASSERT_TRUE(arena->Reset().ok());
-  const uint64_t reuses_before = heap.stats().pool_reuses;
-  // A second chained arena of the same capacity must be fed from the pool.
-  auto again = ObjectArena::CreateChained(&sys_, proc_, &heap, 3 * kMiB);
-  ASSERT_TRUE(again.ok());
-  EXPECT_GT(heap.stats().pool_reuses, reuses_before);
-  EXPECT_EQ(heap.stats().mmap_bytes, mmap_after_create);
-  ASSERT_TRUE(again->Destroy().ok());
-  ASSERT_TRUE(arena->Destroy().ok());
-}
-
-// Regression: arena churn (create/fill/destroy in a loop) must not grow the
-// mapped footprint -- after the first round every acquisition is a pool
-// reuse.
-TEST_F(ArenaTest, ChainedChurnDoesNotLeakMappings) {
-  SizeClassAllocator heap(&sys_, proc_);
-  uint64_t mmap_after_first = 0;
-  for (int round = 0; round < 5; ++round) {
-    auto arena = ObjectArena::CreateChained(&sys_, proc_, &heap, 2 * kMiB);
-    ASSERT_TRUE(arena.ok());
-    ASSERT_TRUE(arena->Allocate(kMiB).ok());
-    ASSERT_TRUE(arena->Destroy().ok());
-    if (round == 0) {
-      mmap_after_first = heap.stats().mmap_bytes;
-    } else {
-      EXPECT_EQ(heap.stats().mmap_bytes, mmap_after_first) << "round " << round;
-    }
-  }
-  EXPECT_GE(heap.stats().pool_reuses, 4u);
-}
-
 TEST_F(ArenaTest, InvalidRequestsRejected) {
   auto arena = ObjectArena::Create(&sys_, proc_, "/arena/v", kMiB);
   ASSERT_TRUE(arena.ok());
