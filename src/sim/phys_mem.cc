@@ -1,17 +1,28 @@
 #include "src/sim/phys_mem.h"
 
 #include <sys/mman.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 
 #include "src/sim/fault_injector.h"
-#include "src/support/bits.h"
 
 namespace o1mem {
+
+namespace {
+
+// Per-frame copies and clears call the library routines out of line. Inline,
+// GCC bounds their length by a frame and expands them into `rep movsq` /
+// `rep stosq`, which is slower on the simulator's hot paths.
+[[gnu::noipa]] void CopyBytes(uint8_t* to, const uint8_t* from, uint64_t bytes) {
+  std::memcpy(to, from, bytes);
+}
+[[gnu::noipa]] void ClearBytes(uint8_t* to, uint64_t bytes) { std::memset(to, 0, bytes); }
+
+}  // namespace
 
 PhysicalMemory::PhysicalMemory(SimContext* ctx, uint64_t dram_bytes, uint64_t nvm_bytes,
                                PersistenceModel persistence)
@@ -22,18 +33,20 @@ PhysicalMemory::PhysicalMemory(SimContext* ctx, uint64_t dram_bytes, uint64_t nv
   // MAP_NORESERVE: the reservation takes no commit charge up front, so a
   // machine of terabytes fits on a small host. A host that refuses it (for
   // example one with vm.overcommit_memory=2) cannot run the simulator.
-  void* base = mmap(nullptr, total_bytes(), PROT_READ | PROT_WRITE,
+  void* pool = mmap(nullptr, total_bytes(), PROT_READ | PROT_WRITE,
                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
-  if (base == MAP_FAILED) {
+  if (pool == MAP_FAILED) {
     std::fprintf(stderr, "PhysicalMemory: cannot reserve %llu bytes of host address space: %s\n",
                  static_cast<unsigned long long>(total_bytes()), std::strerror(errno));
     O1_CHECK_MSG(false, "host reservation for simulated physical memory failed");
   }
-  base_ = static_cast<uint8_t*>(base);
-  live_.resize((total_bytes() + kNodeBytes - 1) >> kNodeShift);
+  pool_ = static_cast<uint8_t*>(pool);
+  O1_CHECK_MSG((total_bytes() >> kPageShift) <= std::numeric_limits<HostPage>::max(),
+               "simulated physical memory over 16 TiB: pool page numbers are 32 bits");
+  nodes_.resize((total_bytes() + kNodeBytes - 1) >> kNodeShift);
 }
 
-PhysicalMemory::~PhysicalMemory() { O1_CHECK(munmap(base_, total_bytes()) == 0); }
+PhysicalMemory::~PhysicalMemory() { O1_CHECK(munmap(pool_, total_bytes()) == 0); }
 
 void PhysicalMemory::AttachFaultInjector(FaultInjector* injector) {
   injector_ = injector;
@@ -77,8 +90,8 @@ void PhysicalMemory::ShadowBeforeWrite(Paddr paddr, uint64_t len, bool post_trig
       continue;
     }
     auto& shadow = line_shadow_[line];
-    if (IsLive(line >> kPageShift)) {
-      std::memcpy(shadow.data(), base_ + line, 64);
+    if (const uint8_t* host = HostAddr(line)) {
+      std::memcpy(shadow.data(), host, 64);
     } else {
       shadow.fill(0);
     }
@@ -122,19 +135,40 @@ Status PhysicalMemory::FlushLines(Paddr paddr, uint64_t len) {
   return OkStatus();
 }
 
-void PhysicalMemory::AssignLive(uint64_t frame, uint64_t count, bool live) {
-  const uint64_t end = frame + count;
-  while (frame < end) {
-    const uint64_t node_end = std::min(AlignDown(frame, kDirFanout) + kDirFanout, end);
-    std::unique_ptr<LiveBits>& bits = live_[frame >> kDirShift];
-    if (bits == nullptr && live) {
-      bits = std::make_unique<LiveBits>();
+uint8_t* PhysicalMemory::EnsureLive(Paddr paddr) {
+  if (uint8_t* host = HostAddr(paddr)) {
+    return host;
+  }
+  HostPage page;
+  if (free_pages_.empty()) {
+    page = ++pool_used_;
+  } else {
+    page = free_pages_.back();
+    free_pages_.pop_back();
+  }
+  std::unique_ptr<Node>& node = nodes_[paddr >> kNodeShift];
+  if (node == nullptr) {
+    if (spare_nodes_.empty()) {
+      node = std::make_unique<Node>();
+    } else {
+      node = std::move(spare_nodes_.back());
+      spare_nodes_.pop_back();
     }
-    if (bits != nullptr) {
-      const uint64_t changed = AssignBits(*bits, frame & (kDirFanout - 1), node_end - frame, live);
-      materialized_ = live ? materialized_ + changed : materialized_ - changed;
-    }
-    frame = node_end;
+  }
+  node->page[(paddr >> kPageShift) & (kDirFanout - 1)] = page;
+  ++node->live;
+  ++materialized_;
+  return PageAddr(page) + (paddr & (kPageSize - 1));
+}
+
+void PhysicalMemory::ReleaseLive(uint64_t frame) {
+  std::unique_ptr<Node>& node = nodes_[frame >> kDirShift];
+  HostPage& page = node->page[frame & (kDirFanout - 1)];
+  free_pages_.push_back(page);
+  page = 0;
+  --materialized_;
+  if (--node->live == 0) {
+    spare_nodes_.push_back(std::move(node));
   }
 }
 
@@ -142,30 +176,41 @@ template <typename Fn>
 void PhysicalMemory::ForEachRun(Paddr paddr, uint64_t len, Fn&& fn) const {
   const Paddr end = paddr + len;
   for (Paddr at = paddr; at < end;) {
-    const Paddr node_base = AlignDown(at, kNodeBytes);
-    const Paddr node_end = std::min(node_base + kNodeBytes, end);
-    const LiveBits* bits = live_[at >> kNodeShift].get();
-    if (bits == nullptr) {
-      fn(at, node_end - at, false);
+    const Paddr node_end = std::min(AlignDown(at, kNodeBytes) + kNodeBytes, end);
+    // Read afresh on each piece: `fn` takes the table away when it releases
+    // the node's last live frame.
+    const Node* node = nodes_[at >> kNodeShift].get();
+    if (node == nullptr) {
+      fn(at, node_end - at, nullptr);
       at = node_end;
       continue;
     }
-    // Node-relative frames [f, limit) cover the rest of the span in this node.
-    const uint64_t limit = ((node_end - 1 - node_base) >> kPageShift) + 1;
-    for (uint64_t f = (at - node_base) >> kPageShift; f < limit;) {
-      const bool live = (((*bits)[f >> 6] >> (f & 63)) & 1) != 0;
-      const uint64_t run_end = FindBit(*bits, f, limit, !live);
-      const Paddr stop = std::min(node_base + (run_end << kPageShift), node_end);
-      fn(at, stop - at, live);
-      at = stop;
-      f = run_end;
+    const auto page_of = [node](Paddr p) {
+      return node->page[(p >> kPageShift) & (kDirFanout - 1)];
+    };
+    Paddr stop = std::min(AlignDown(at, kPageSize) + kPageSize, node_end);
+    if (const HostPage page = page_of(at); page != 0) {
+      fn(at, stop - at, PageAddr(page) + (at & (kPageSize - 1)));
+    } else {
+      while (stop < node_end && page_of(stop) == 0) {
+        stop = std::min(stop + kPageSize, node_end);
+      }
+      fn(at, stop - at, nullptr);
     }
+    at = stop;
   }
 }
 
-uint8_t* PhysicalMemory::EnsureLive(Paddr paddr) {
-  AssignLive(paddr >> kPageShift, 1, true);
-  return base_ + paddr;
+void PhysicalMemory::ClearLive(Paddr paddr, uint64_t len) {
+  ForEachRun(paddr, len, [this](Paddr at, uint64_t bytes, uint8_t* host) {
+    if (host == nullptr) {
+      return;
+    }
+    ClearBytes(host, bytes);
+    if (bytes == kPageSize) {
+      ReleaseLive(at >> kPageShift);
+    }
+  });
 }
 
 void PhysicalMemory::ChargeBulk(Paddr paddr, uint64_t len, bool is_write) {
@@ -198,12 +243,12 @@ Status PhysicalMemory::ReadUncharged(Paddr paddr, std::span<uint8_t> out) {
   if (injector_ != nullptr && injector_->has_poison()) {
     O1_RETURN_IF_ERROR(injector_->CheckRead(paddr, out.size()));
   }
-  // Live runs are copied; the rest read as zero and are zero-filled without
-  // touching the reservation, so the host faults no page in for them.
-  ForEachRun(paddr, out.size(), [&](Paddr at, uint64_t bytes, bool live) {
+  // Live frames are copied; the rest read as zero and are zero-filled
+  // without touching the pool, so they take no host page.
+  ForEachRun(paddr, out.size(), [&](Paddr at, uint64_t bytes, const uint8_t* host) {
     uint8_t* to = out.data() + (at - paddr);
-    if (live) {
-      std::memcpy(to, base_ + at, bytes);
+    if (host != nullptr) {
+      CopyBytes(to, host, bytes);
     } else {
       std::memset(to, 0, bytes);
     }
@@ -224,12 +269,12 @@ Status PhysicalMemory::WriteUncharged(Paddr paddr, std::span<const uint8_t> data
     return InvalidArgument("physical write out of range");
   }
   ShadowBeforeWrite(paddr, data.size(), NoteNvmWrite(paddr, data.size()));
-  if (data.empty()) {
-    return OkStatus();
+  for (uint64_t done = 0; done < data.size();) {
+    const Paddr at = paddr + done;
+    const uint64_t bytes = std::min(kPageSize - (at & (kPageSize - 1)), data.size() - done);
+    CopyBytes(EnsureLive(at), data.data() + done, bytes);
+    done += bytes;
   }
-  std::memcpy(base_ + paddr, data.data(), data.size());
-  const uint64_t first = paddr >> kPageShift;
-  AssignLive(first, ((paddr + data.size() - 1) >> kPageShift) - first + 1, true);
   return OkStatus();
 }
 
@@ -247,20 +292,10 @@ Status PhysicalMemory::ZeroUncharged(Paddr paddr, uint64_t len) {
   }
   ShadowBeforeWrite(paddr, len, NoteNvmWrite(paddr, len));
   ctx_->counters().bytes_zeroed += len;
-  // Frames that are not live already read as zero and stay untouched. Each
-  // live run is cleared with one memset, and the whole frames in it leave the
-  // live set; a partly cleared frame keeps its other bytes and stays live.
-  ForEachRun(paddr, len, [this](Paddr at, uint64_t bytes, bool live) {
-    if (!live) {
-      return;
-    }
-    std::memset(base_ + at, 0, bytes);
-    const uint64_t first = AlignUp(at, kPageSize) >> kPageShift;
-    const uint64_t last = AlignDown(at + bytes, kPageSize) >> kPageShift;
-    if (last > first) {
-      AssignLive(first, last - first, false);
-    }
-  });
+  // Frames that are not live already read as zero and stay untouched. A
+  // whole frame cleared leaves the live set; a partly cleared frame keeps its
+  // other bytes and stays live.
+  ClearLive(paddr, len);
   return OkStatus();
 }
 
@@ -282,10 +317,10 @@ Status PhysicalMemory::Copy(Paddr dst, Paddr src, uint64_t len) {
     const Paddr d = dst + done;
     const uint64_t chunk = std::min({kPageSize - (s & (kPageSize - 1)),
                                      kPageSize - (d & (kPageSize - 1)), len - done});
-    if (IsLive(s >> kPageShift)) {
-      std::memmove(EnsureLive(d), base_ + s, chunk);
-    } else if (IsLive(d >> kPageShift)) {
-      std::memset(base_ + d, 0, chunk);
+    if (const uint8_t* from = HostAddr(s)) {
+      std::memmove(EnsureLive(d), from, chunk);
+    } else if (uint8_t* to = HostAddr(d)) {
+      ClearBytes(to, chunk);
     }
     done += chunk;
   }
@@ -302,7 +337,8 @@ Status PhysicalMemory::Move(Paddr dst, Paddr src, uint64_t len) {
 
 uint8_t PhysicalMemory::PeekByte(Paddr paddr) const {
   O1_CHECK(Contains(paddr, 1));
-  return IsLive(paddr >> kPageShift) ? base_[paddr] : 0;
+  const uint8_t* host = HostAddr(paddr);
+  return host != nullptr ? *host : 0;
 }
 
 void PhysicalMemory::PokeByte(Paddr paddr, uint8_t value) {
@@ -331,14 +367,9 @@ std::optional<Paddr> PhysicalMemory::FindUnreadableLineUncharged(Paddr paddr,
 }
 
 void PhysicalMemory::DropVolatile() {
-  // DRAM contents vanish: the host drops DRAM's pages, which read back as
-  // zero-filled, and DRAM's frames leave the live set. On a host whose pages
-  // are larger than a frame, the host page DRAM shares with NVM is cleared
-  // by hand instead.
-  const uint64_t dropped = AlignDown(dram_bytes_, static_cast<uint64_t>(sysconf(_SC_PAGESIZE)));
-  O1_CHECK(madvise(base_, dropped, MADV_DONTNEED) == 0);
-  std::memset(base_ + dropped, 0, dram_bytes_ - dropped);
-  AssignLive(0, dram_bytes_ >> kPageShift, false);
+  // DRAM contents vanish: each live DRAM frame is cleared and gives its page
+  // back to the pool.
+  ClearLive(0, dram_bytes_);
   // Unflushed NVM lines were only in the (volatile) cache hierarchy; revert
   // them to their last durable contents. The injector can override per line:
   // post-crash-point lines always revert, and torn-persist mode lets some

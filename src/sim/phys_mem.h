@@ -4,11 +4,13 @@
 //   [0, dram_bytes)                        -- volatile DRAM
 //   [dram_bytes, dram_bytes + nvm_bytes)   -- persistent NVM (3D XPoint-class)
 //
-// Contents live in one host address-space reservation that the host kernel
-// backs page by page, and only where the simulation writes, so a simulated
-// machine can expose terabytes while benches only pay for what they touch.
-// Reads of never-written frames return zeros, matching hardware that hands
-// out zeroed lines after an erase.
+// Contents live in host pages that PhysicalMemory recycles itself: a frame
+// takes a zeroed host page on its first write and gives it back when it is
+// zeroed whole or lost at a crash, so host memory follows the frames live at
+// once, not every frame ever written, and a simulated machine can expose
+// terabytes while benches only pay for what they keep. Reads of frames that
+// hold nothing return zeros, matching hardware that hands out zeroed lines
+// after an erase.
 //
 // Bulk operations (Zero/Copy/Read/Write) charge the cost model's per-line
 // bulk costs for the tier they touch; single-access costs on the load/store
@@ -97,7 +99,8 @@ class PhysicalMemory {
   // point -- though the NVM line-write count campaigns calibrate against is
   // still maintained), there is nothing to shadow (auto-durable mount, or
   // the span never leaves DRAM), and the span sits inside one live frame
-  // (so the live-bit bookkeeping the bypass skips would be a no-op).
+  // (so it already has its host page, and the liveness bookkeeping the
+  // bypass skips would be a no-op).
   // Header-inline: this runs once per simulated data access in hot loops.
   uint8_t* FastSpan(Paddr paddr, uint64_t len, AccessType type) {
     const bool write = type == AccessType::kWrite;
@@ -113,10 +116,10 @@ class PhysicalMemory {
     if (write && nvm && persistence_ != PersistenceModel::kAutoDurable) {
       return nullptr;
     }
-    if ((paddr & (kPageSize - 1)) + len > kPageSize || !IsLive(paddr >> kPageShift)) {
+    if ((paddr & (kPageSize - 1)) + len > kPageSize) {
       return nullptr;
     }
-    return base_ + paddr;
+    return HostAddr(paddr);
   }
 
   // Books the NVM line-write events for a write through a FastSpan pointer.
@@ -162,6 +165,10 @@ class PhysicalMemory {
   // a frame out of the count.
   uint64_t materialized_pages() const { return materialized_; }
 
+  // Host pages the pool has handed out: the most frames that were live at
+  // once. No other host page of the pool is ever written.
+  uint64_t host_pages() const { return pool_used_; }
+
   // Fault-injection wiring (set by Machine; nullptr on raw instances). With
   // an injector attached, NVM writes/flushes are counted as crash-sweep
   // events, post-crash-point writes stay volatile, and reads of poisoned
@@ -179,53 +186,79 @@ class PhysicalMemory {
   std::optional<Paddr> FindUnreadableLineUncharged(Paddr paddr, uint64_t len) const;
 
  private:
-  // Backing store layout: one MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE
-  // host reservation spans the whole simulated physical range, mapped at
-  // construction and unmapped at destruction, so physical address p is host
-  // byte base_ + p. The host kernel commits and zero-fills a 4 KiB page on
-  // its first write, so untouched frames cost no resident host memory and no
-  // commit charge.
+  // Backing store layout: the contents of live frames sit in a pool of 4 KiB
+  // host pages, one MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE host
+  // reservation of total_bytes(), mapped at construction and unmapped at
+  // destruction. The pool hands its pages out densely from its bottom, so it
+  // can back every frame at once and never grows. The host kernel commits
+  // and zero-fills a page on its first write, so the pool's resident size is
+  // the most frames that were live at once, and it takes no commit charge
+  // up front.
   //
-  // A frame is live once the simulation has written it. Live bits sit in one
-  // 64-byte bitmap per 2 MiB node, allocated on the node's first write;
-  // construction only sizes the directory of node pointers (8 bytes per
-  // 2 MiB) and touches no frame.
+  // A frame is live while it holds data the simulation wrote, and a frame
+  // has a host page iff it is live. Each 2 MiB node with a live frame has a
+  // table of 512 host page numbers, 0 for a frame that is not live. A node
+  // takes a table on its first write and gives it back, all zero, when its
+  // last live frame leaves; tables are recycled like pages, so they too
+  // follow the live set. Construction only sizes the directory of node
+  // pointers (8 bytes per 2 MiB) and touches no pool page.
   //
-  // Invariant: a frame whose live bit is clear holds all-zero bytes. Three
-  // rules keep it and keep the host from touching what it need not:
+  // Invariant: a frame that is not live reads as zero, and a pool page that
+  // backs no frame holds zeros. Three rules keep them and keep the host from
+  // touching what it need not:
+  //   * A frame's first write takes the page given back last (LIFO), else
+  //     the next page never handed out.
   //   * Reads copy live frames and zero-fill the rest without touching the
-  //     reservation, so reading never-written memory faults no page in.
-  //   * Zeroing clears live runs only, and whole frames it clears leave the
-  //     live set, so a later zeroing or read skips them.
-  //   * DropVolatile releases DRAM with one madvise(MADV_DONTNEED), after
-  //     which the host reads it back as zero, and clears DRAM's live bits.
+  //     pool, so reading never-written memory takes no page.
+  //   * Zeroing clears live frames only, and a whole frame it clears gives
+  //     its page back, already zero. DropVolatile clears each live DRAM frame
+  //     the same way.
   static constexpr uint64_t kDirShift = 9;  // 512 frames (2 MiB) per node
   static constexpr uint64_t kDirFanout = 1ull << kDirShift;
   static constexpr uint64_t kNodeShift = kDirShift + kPageShift;
   static constexpr uint64_t kNodeBytes = 1ull << kNodeShift;
-  using LiveBits = std::array<uint64_t, kDirFanout / 64>;
 
-  bool IsLive(uint64_t frame) const {
-    const uint64_t node_idx = frame >> kDirShift;
-    if (node_idx >= live_.size() || live_[node_idx] == nullptr) {
-      return false;
-    }
-    const uint64_t in_node = frame & (kDirFanout - 1);
-    return (((*live_[node_idx])[in_node >> 6] >> (in_node & 63)) & 1) != 0;
+  // Pool page number: page n sits at pool_ + (n - 1) * kPageSize, and 0 means
+  // none. 32 bits cover 16 TiB of simulated memory.
+  using HostPage = uint32_t;
+  struct Node {
+    std::array<HostPage, kDirFanout> page{};  // by frame within the node
+    uint32_t live = 0;                        // nonzero entries
+  };
+
+  uint8_t* PageAddr(HostPage page) const {
+    return pool_ + (uint64_t{page - 1} << kPageShift);
   }
 
-  // Sets (`live`) or clears the live bits of `count` frames from `frame`,
-  // keeping materialized_ in step.
-  void AssignLive(uint64_t frame, uint64_t count, bool live);
+  // Host address of `paddr` if its frame is live, else nullptr. One table
+  // read, as FastSpan runs on every simulated data access.
+  uint8_t* HostAddr(Paddr paddr) const {
+    const uint64_t node_idx = paddr >> kNodeShift;
+    if (node_idx >= nodes_.size() || nodes_[node_idx] == nullptr) {
+      return nullptr;
+    }
+    const HostPage page = nodes_[node_idx]->page[(paddr >> kPageShift) & (kDirFanout - 1)];
+    return page == 0 ? nullptr : PageAddr(page) + (paddr & (kPageSize - 1));
+  }
 
-  // Calls fn(at, bytes, live) on each maximal run of [paddr, paddr + len)
-  // whose frames are all live or all not, in ascending order. A run never
-  // crosses a 2 MiB node. `fn` may clear live bits of the run it is given.
+  // Returns paddr's host address, first giving its frame a zeroed page if it
+  // is not live.
+  uint8_t* EnsureLive(Paddr paddr);
+
+  // Takes live `frame`, whose page must already be zero, out of the live set
+  // and gives its page back to the pool.
+  void ReleaseLive(uint64_t frame);
+
+  // Calls fn(at, bytes, host) on the pieces of [paddr, paddr + len) in
+  // ascending order: each live frame's part alone, with `host` its host
+  // address, and each maximal run of frames that are not live, inside one
+  // 2 MiB node, with `host` nullptr. `fn` may release the frame it is given.
   template <typename Fn>
   void ForEachRun(Paddr paddr, uint64_t len, Fn&& fn) const;
 
-  // Marks the frame holding `paddr` live and returns paddr's host address.
-  uint8_t* EnsureLive(Paddr paddr);
+  // Clears the live frames of [paddr, paddr + len); whole frames it clears
+  // leave the live set.
+  void ClearLive(Paddr paddr, uint64_t len);
 
   void ChargeBulk(Paddr paddr, uint64_t len, bool is_write);
 
@@ -244,8 +277,11 @@ class PhysicalMemory {
   uint64_t dram_bytes_;
   uint64_t nvm_bytes_;
   PersistenceModel persistence_;
-  uint8_t* base_ = nullptr;                      // the host reservation
-  std::vector<std::unique_ptr<LiveBits>> live_;  // indexed by frame >> kDirShift
+  uint8_t* pool_ = nullptr;                         // the host reservation
+  HostPage pool_used_ = 0;                          // pages handed out from the bottom
+  std::vector<HostPage> free_pages_;                // zeroed pages given back, LIFO
+  std::vector<std::unique_ptr<Node>> nodes_;        // indexed by frame >> kDirShift
+  std::vector<std::unique_ptr<Node>> spare_nodes_;  // all-zero tables given back
   uint64_t materialized_ = 0;
   // Dirty NVM line -> last durable 64 bytes (kExplicitFlush only).
   std::unordered_map<Paddr, std::array<uint8_t, 64>> line_shadow_;

@@ -1,7 +1,6 @@
 // Word-at-a-time scans over packed bitmaps: bit i lives in words[i / 64] at
-// position i % 64. Used wherever a per-block or per-frame bitmap must answer
-// "where is the next set/clear bit" or flip a run without touching bits one
-// by one.
+// position i % 64. Used wherever a per-block bitmap must answer "where is the
+// next set/clear bit" or flip a run without touching bits one by one.
 #ifndef O1MEM_SRC_SUPPORT_BITS_H_
 #define O1MEM_SRC_SUPPORT_BITS_H_
 

@@ -1,6 +1,10 @@
 #include "src/os/system.h"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+
+#include <string>
+#include <vector>
 
 namespace o1mem {
 namespace {
@@ -248,6 +252,48 @@ TEST_F(SystemTest, FomMmapUsesConfiguredMechanism) {
       **proc, MmapArgs{.length = 4 * kMiB, .mechanism = MapMechanism::kPtSplice});
   ASSERT_TRUE(with_splice.ok());
   EXPECT_GT(sys_.ctx().counters().subtree_splices, 0u);
+}
+
+// Under kZeroEpoch, PMFS zeroes a file's blocks when it is unlinked, so their
+// frames give their host pages back. Files written and dropped one at a time
+// then reuse the first file's host pages, though PMFS's next-fit puts each
+// on new blocks: after the first file, the host faults in next to nothing
+// per file, not one page per page written.
+TEST(SystemHostMemoryTest, DroppedPmfsFilesRecycleHostPages) {
+  SystemConfig config = SmallConfig();
+  config.pmfs_zero_policy = ZeroPolicy::kZeroEpoch;
+  System sys(config);
+  auto proc = sys.Launch(Backend::kFom);
+  ASSERT_TRUE(proc.ok());
+  const auto minor_faults = [] {
+    rusage usage{};
+    O1_CHECK(getrusage(RUSAGE_THREAD, &usage) == 0);
+    return usage.ru_minflt;
+  };
+  const std::vector<uint8_t> page(kPageSize, 0xa5);
+  std::vector<long> faults;
+  for (int i = 0; i < 64; ++i) {
+    const long before = minor_faults();
+    const std::string path = "/recycled" + std::to_string(i);
+    auto fd = sys.Creat(**proc, sys.pmfs(), path, FileFlags{});
+    ASSERT_TRUE(fd.ok());
+    ASSERT_TRUE(sys.Ftruncate(**proc, *fd, kMiB).ok());
+    auto vaddr = sys.Mmap(**proc, MmapArgs{.length = kMiB, .fd = *fd});
+    ASSERT_TRUE(vaddr.ok());
+    for (uint64_t off = 0; off < kMiB; off += kPageSize) {
+      ASSERT_TRUE(sys.UserWrite(**proc, *vaddr + off, page).ok());
+    }
+    ASSERT_TRUE(sys.Munmap(**proc, *vaddr, kMiB).ok());
+    ASSERT_TRUE(sys.Close(**proc, *fd).ok());
+    ASSERT_TRUE(sys.Unlink(path).ok());
+    faults.push_back(minor_faults() - before);
+  }
+  // Keeping every frame ever written would fault in 256 pages per file. The
+  // bound leaves room for the System's own allocations, which a sanitizer's
+  // allocator serves from fresh memory.
+  for (size_t i = 1; i < faults.size(); ++i) {
+    EXPECT_LT(faults[i], 64) << "file " << i << "; the first faulted in " << faults[0];
+  }
 }
 
 }  // namespace

@@ -14,6 +14,13 @@
 namespace o1mem {
 namespace {
 
+// Minor faults this thread has taken: host pages it faulted in.
+long ThreadMinorFaults() {
+  rusage usage{};
+  O1_CHECK(getrusage(RUSAGE_THREAD, &usage) == 0);
+  return usage.ru_minflt;
+}
+
 class PhysMemTest : public ::testing::Test {
  protected:
   SimContext ctx_;
@@ -159,12 +166,9 @@ TEST_F(PhysMemTest, ReadOfNeverWrittenFramesFaultsInNoHostPage) {
   ASSERT_TRUE(mem_.Write(0, page).ok());
   std::vector<uint8_t> out(512 * kPageSize, 0xff);
   const auto read_faults = [&](Paddr at) {
-    rusage before{};
-    rusage after{};
-    O1_CHECK(getrusage(RUSAGE_THREAD, &before) == 0);
+    const long before = ThreadMinorFaults();
     O1_CHECK(mem_.ReadUncharged(at, out).ok());
-    O1_CHECK(getrusage(RUSAGE_THREAD, &after) == 0);
-    return after.ru_minflt - before.ru_minflt;
+    return ThreadMinorFaults() - before;
   };
   // The first read, of the never-written node at 4 MiB, faults in `out` and
   // the stack the read path uses; the second has only the store left.
@@ -173,6 +177,47 @@ TEST_F(PhysMemTest, ReadOfNeverWrittenFramesFaultsInNoHostPage) {
   EXPECT_TRUE(std::equal(page.begin(), page.end(), out.begin()));
   EXPECT_EQ(std::count(out.begin() + kPageSize, out.end(), 0),
             static_cast<std::ptrdiff_t>(511 * kPageSize));
+}
+
+// A frame zeroed whole gives its host page back and the next frame written
+// takes it, so writing 1,024 distinct frames across both nodes of each tier,
+// each zeroed right after its write, faults in a handful of host pages, not
+// one per frame.
+TEST_F(PhysMemTest, ZeroedFramesGiveTheirHostPagesBack) {
+  const std::array<uint8_t, 1> one = {0x7e};
+  const auto write_and_zero = [&](uint64_t frame) {
+    O1_CHECK(mem_.Write(frame * kPageSize + (frame * 40) % kPageSize, one).ok());
+    O1_CHECK(mem_.Zero(frame * kPageSize, kPageSize).ok());
+  };
+  // One frame outside the measured ones first, so the faults counted are
+  // the frames', not the first run of the code and the bookkeeping it
+  // allocates.
+  write_and_zero(1);
+  const long before = ThreadMinorFaults();
+  for (uint64_t frame = 0; frame < 2048; frame += 2) {
+    write_and_zero(frame);
+  }
+  EXPECT_LE(ThreadMinorFaults() - before, 8);
+  EXPECT_EQ(mem_.materialized_pages(), 0u);
+}
+
+// A crash gives every live DRAM frame's host page back: after it, writing as
+// many other DRAM frames faults in no host page.
+TEST_F(PhysMemTest, DropVolatileGivesDramPagesBack) {
+  const std::vector<uint8_t> page(kPageSize, 0x3c);
+  const auto write_faults = [&](uint64_t first_frame) {
+    const long before = ThreadMinorFaults();
+    for (uint64_t frame = first_frame; frame < first_frame + 256; ++frame) {
+      O1_CHECK(mem_.Write(frame * kPageSize, page).ok());
+    }
+    return ThreadMinorFaults() - before;
+  };
+  (void)write_faults(0);
+  mem_.DropVolatile();
+  EXPECT_EQ(write_faults(512), 0);
+  EXPECT_EQ(mem_.PeekByte(0), 0);
+  EXPECT_EQ(mem_.PeekByte(512 * kPageSize), 0x3c);
+  EXPECT_EQ(mem_.materialized_pages(), 256u);
 }
 
 TEST(PhysMemDeathTest, FailedReservationIsAClearError) {
@@ -311,10 +356,20 @@ void RunDifferential(PersistenceModel persistence, uint64_t seed) {
   DenseModel model(kDram, mem.total_bytes(), persistence);
   std::vector<uint8_t> all(mem.total_bytes());
   Rng rng(seed);
+  const auto random_bytes = [&rng](uint64_t len) {
+    std::vector<uint8_t> data(len);
+    for (uint8_t& b : data) {
+      b = static_cast<uint8_t>(rng.NextBelow(255) + 1);
+    }
+    return data;
+  };
+  uint64_t peak_live = 0;  // the most frames live at once
+  uint64_t entered = 0;    // frames that entered the live set, net per op
   for (int op = 0; op < 400; ++op) {
     SCOPED_TRACE(testing::Message() << "op " << op);
+    const uint64_t live_before = mem.materialized_pages();
     const Span span = PickSpan(rng, kDram, mem.total_bytes());
-    switch (rng.NextBelow(20)) {
+    switch (rng.NextBelow(22)) {
       case 0:
       case 1:
       case 2: {
@@ -329,10 +384,7 @@ void RunDifferential(PersistenceModel persistence, uint64_t seed) {
       case 5:
       case 6:
       case 7: {
-        std::vector<uint8_t> data(span.len);
-        for (uint8_t& b : data) {
-          b = static_cast<uint8_t>(rng.NextBelow(255) + 1);
-        }
+        const std::vector<uint8_t> data = random_bytes(span.len);
         ASSERT_TRUE((rng.NextBool(0.5) ? mem.Write(span.at, data)
                                        : mem.WriteUncharged(span.at, data))
                         .ok());
@@ -385,6 +437,20 @@ void RunDifferential(PersistenceModel persistence, uint64_t seed) {
         ASSERT_TRUE(mem.FlushLines(span.at, span.len).ok());
         model.Flush(span.at, span.len);
         break;
+      case 19:
+      case 20: {
+        // Whole frames are zeroed, then other frames written take the host
+        // pages just given back, across frames, nodes and the tier boundary.
+        const Paddr from = AlignDown(span.at, kPageSize);
+        const uint64_t bytes = std::min(AlignUp(span.len, kPageSize), mem.total_bytes() - from);
+        ASSERT_TRUE(mem.Zero(from, bytes).ok());
+        model.Zero(from, bytes);
+        const Span other = PickSpan(rng, kDram, mem.total_bytes());
+        const std::vector<uint8_t> data = random_bytes(other.len);
+        ASSERT_TRUE(mem.Write(other.at, data).ok());
+        model.Write(other.at, data);
+        break;
+      }
       default:
         if (rng.NextBool(0.3)) {
           mem.DropVolatile();
@@ -393,7 +459,16 @@ void RunDifferential(PersistenceModel persistence, uint64_t seed) {
         break;
     }
     ASSERT_NO_FATAL_FAILURE(ExpectMatchesModel(mem, ctx, model, all));
+    // The pool hands out a page it never used only when no page was given
+    // back, so its footprint is the most frames live at once.
+    const uint64_t live = mem.materialized_pages();
+    entered += live > live_before ? live - live_before : 0;
+    peak_live = std::max(peak_live, live);
+    ASSERT_EQ(mem.host_pages(), peak_live);
   }
+  // More frames entered the live set than the pool has pages: pages were
+  // reused.
+  EXPECT_GT(entered, mem.host_pages());
 }
 
 TEST(PhysMemDifferentialTest, AutoDurableMatchesDenseModel) {

@@ -23,7 +23,9 @@ it to pin the chaos-campaign SLO fields so a refactor cannot silently drop
 them. --require-table=a,b does the same for tables: the candidate must hold
 a table whose title contains each given substring (case-insensitive) -- CI
 pins the tail-blame table of the serving benches this way, so the p999
-attribution cannot vanish without failing the diff. --identical switches to
+attribution cannot vanish without failing the diff. Both flags may be
+repeated, and each repeat adds its names to the ones before, so
+--require-table=a --require-table=b pins both tables. --identical switches to
 determinism mode: the two documents must match
 exactly -- every config entry, metric, and table cell -- except metrics
 prefixed host_ (wall-clock noise), which replaces byte-for-byte `diff` in
@@ -140,9 +142,9 @@ def main(argv):
         if arg.startswith("--threshold="):
             threshold = float(arg.split("=", 1)[1])
         elif arg.startswith("--require="):
-            required = [m for m in arg.split("=", 1)[1].split(",") if m]
+            required += [m for m in arg.split("=", 1)[1].split(",") if m]
         elif arg.startswith("--require-table="):
-            required_tables = [t for t in arg.split("=", 1)[1].split(",") if t]
+            required_tables += [t for t in arg.split("=", 1)[1].split(",") if t]
         elif arg == "--identical":
             identical = True
         else:
