@@ -98,12 +98,11 @@ class FaultInjector {
   void ClearUnreadable(Paddr paddr);
   bool has_poison() const { return !poisoned_.empty(); }
 
-  // True when folding N per-page writes into one whole-span write cannot
-  // change injector behavior: no armed crash point whose write/flush count
-  // could trip mid-span, not already triggered, no torn-persist sampling,
-  // and no poison to heal at per-page granularity. The Mmu bulk fast path
-  // gates on this so chaos and crash-sweep runs keep their exact per-page
-  // event sequence.
+  // True when a write may skip NoteNvmLineWrites' checks and book only its
+  // line count: no armed crash point whose write/flush count could trip,
+  // not already triggered, no torn-persist sampling, and no poison to heal.
+  // PhysicalMemory::FastSpan gates writes through its host pointer on this,
+  // so chaos and crash-sweep runs keep their exact event sequence.
   bool WriteBatchSafe() const {
     return !armed_write_.has_value() && !armed_flush_.has_value() && !triggered_ && !torn_ &&
            poisoned_.empty();

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <cstring>
 
 #include "src/obs/span.h"
-#include "src/sim/fault_injector.h"
 
 namespace o1mem {
 
@@ -24,6 +22,7 @@ Mmu::Mmu(SimContext* ctx, PhysicalMemory* phys, const MmuConfig& config)
       fastpath_(std::getenv("O1MEM_NO_HOST_FASTPATH") == nullptr),
       pwc_entries_(config.pwc_entries) {
   O1_CHECK(ctx != nullptr && phys != nullptr);
+  O1_CHECK(config.pwc_entries > 0);
   cpus_.reserve(static_cast<size_t>(ctx->num_cpus()));
   for (int i = 0; i < ctx->num_cpus(); ++i) {
     cpus_.emplace_back(config);
@@ -34,24 +33,23 @@ bool Mmu::PwcLookupOrInsert(Asid asid, Vaddr vaddr) {
   CpuState& c = cpu();
   const uint64_t key = (static_cast<uint64_t>(asid) << 43) | (vaddr >> kLargePageShift);
   ++c.pwc_tick;
-  auto it = c.pwc.find(key);
-  if (it != c.pwc.end()) {
-    c.pwc_by_tick.erase(it->second);
-    c.pwc_by_tick.emplace(c.pwc_tick, key);
-    it->second = c.pwc_tick;
-    return true;
+  PwcSlot* victim = nullptr;
+  for (PwcSlot& slot : c.pwc) {
+    if (slot.key == key) {
+      slot.tick = c.pwc_tick;
+      return true;
+    }
+    if (victim == nullptr || slot.tick < victim->tick) {
+      victim = &slot;
+    }
   }
-  if (c.pwc.size() >= static_cast<size_t>(pwc_entries_)) {
-    // Evict the least recently used tag. Ticks are unique and monotonic, so
-    // the smallest tick in the ordered index IS the linear-scan minimum the
-    // previous implementation found -- same victim, O(log n) instead of a
-    // full scan per insert.
-    auto victim = c.pwc_by_tick.begin();
-    c.pwc.erase(victim->second);
-    c.pwc_by_tick.erase(victim);
+  // Miss: fill a free slot, else evict the least recently used tag (ticks
+  // are unique and monotonic, so the smallest is the one victim).
+  if (c.pwc.size() < static_cast<size_t>(pwc_entries_)) {
+    c.pwc.push_back(PwcSlot{key, c.pwc_tick});
+  } else {
+    *victim = PwcSlot{key, c.pwc_tick};
   }
-  c.pwc.emplace(key, c.pwc_tick);
-  c.pwc_by_tick.emplace(c.pwc_tick, key);
   return false;
 }
 
@@ -79,23 +77,22 @@ void Mmu::ChargeShootdown(uint64_t cycles) {
   ctx_->counters().shootdown_cycles += cycles;
 }
 
-void Mmu::InvalidateOn(CpuState& state, Asid asid, Vaddr vaddr, uint64_t len) {
+void Mmu::InvalidateOn(CpuState& state, const PendingInval& inval) {
   state.fast.valid = false;  // conservative: any invalidation clears the fast path
-  state.l1_tlb.InvalidateRange(asid, vaddr, len);
-  state.l2_tlb.InvalidateRange(asid, vaddr, len);
-  state.range_tlb.InvalidateRange(asid, vaddr, len);
+  if (inval.whole_asid) {
+    state.l1_tlb.InvalidateAsid(inval.asid);
+    state.l2_tlb.InvalidateAsid(inval.asid);
+    state.range_tlb.InvalidateAsid(inval.asid);
+  } else {
+    state.l1_tlb.InvalidateRange(inval.asid, inval.vaddr, inval.len);
+    state.l2_tlb.InvalidateRange(inval.asid, inval.vaddr, inval.len);
+    state.range_tlb.InvalidateRange(inval.asid, inval.vaddr, inval.len);
+  }
 }
 
 void Mmu::ApplyPending(CpuState& state) {
-  state.fast.valid = false;
   for (const PendingInval& inval : state.pending) {
-    if (inval.whole_asid) {
-      state.l1_tlb.InvalidateAsid(inval.asid);
-      state.l2_tlb.InvalidateAsid(inval.asid);
-      state.range_tlb.InvalidateAsid(inval.asid);
-    } else {
-      InvalidateOn(state, inval.asid, inval.vaddr, inval.len);
-    }
+    InvalidateOn(state, inval);
   }
   state.pending.clear();
 }
@@ -178,37 +175,15 @@ std::optional<TranslationInfo> Mmu::TryTranslate(AddressSpace& as, Vaddr vaddr) 
   return std::nullopt;
 }
 
-TranslationInfo Mmu::ReplayFastHit(const FastEntry& fast, Vaddr vaddr) {
-  const CostModel& c = ctx_->cost();
-  if (fast.page_backed) {
-    // The entry is (now) present in the L1 TLB: replay an L1 hit.
-    ctx_->counters().tlb_l1_hits++;
-    ctx_->Charge(c.tlb_l1_hit_cycles);
-    return TranslationInfo{.paddr = fast.pbase + (vaddr - fast.vbase),
-                           .prot = fast.prot,
-                           .source = TranslationInfo::Source::kL1Tlb};
-  }
-  // Range-backed spans never enter the L1/L2 page TLBs: replay the L1+L2
-  // miss followed by the range-TLB hit, exactly as the slow path charges it.
-  ctx_->counters().tlb_misses++;
-  ctx_->counters().range_tlb_hits++;
-  ctx_->Charge(c.range_tlb_hit_cycles);
-  return TranslationInfo{.paddr = fast.pbase + (vaddr - fast.vbase),
-                         .prot = fast.prot,
-                         .source = TranslationInfo::Source::kRangeTlb};
-}
-
 Result<TranslationInfo> Mmu::Translate(AddressSpace& as, Vaddr vaddr, AccessType type) {
-  if (fastpath_) {
-    CpuState& hw = cpu();
-    const FastEntry& f = hw.fast;
-    // Queued invalidations force the slow path so DrainForTranslate keeps
-    // its exact charges; a protection mismatch takes the slow path too and
-    // traps there, unchanged.
-    if (f.valid && f.asid == as.asid() && vaddr >= f.vbase && vaddr - f.vbase < f.bytes &&
-        HasProt(f.prot, RequiredProt(type)) && hw.pending.empty()) {
-      return ReplayFastHit(f, vaddr);
-    }
+  // A protection mismatch or a queued invalidation takes the full lookup
+  // below (FastEntryFor says no), which traps or drains and charges that.
+  if (const FastEntry* f = FastEntryFor(as, vaddr, type)) {
+    ctx_->Charge(FastHitCycles(*f));
+    return TranslationInfo{.paddr = f->pbase + (vaddr - f->vbase),
+                           .prot = f->prot,
+                           .source = f->page_backed ? TranslationInfo::Source::kL1Tlb
+                                                    : TranslationInfo::Source::kRangeTlb};
   }
   bool faulted = false;
   for (int attempt = 0; attempt <= kMaxFaultRetries; ++attempt) {
@@ -238,169 +213,23 @@ Result<TranslationInfo> Mmu::Translate(AddressSpace& as, Vaddr vaddr, AccessType
   return FaultError("fault handler loop did not install a translation");
 }
 
-void Mmu::ChargeDataTouch(Paddr paddr, uint64_t len, AccessType type) {
-  const CostModel& c = ctx_->cost();
-  const bool nvm = phys_->TierOf(paddr) == MemTier::kNvm;
-  if (len >= kStreamingThreshold) {
-    if (nvm) {
-      ctx_->Charge(type == AccessType::kWrite ? c.NvmWriteBulkCycles(len)
-                                              : c.NvmReadBulkCycles(len));
-    } else {
-      ctx_->Charge(c.DramBulkCycles(len));
-    }
-    return;
-  }
-  const uint64_t lines = (len + 63) / 64;
-  if (nvm) {
-    ctx_->Charge(lines * (type == AccessType::kWrite ? c.nvm_write_cycles : c.nvm_read_cycles));
-  } else {
-    ctx_->Charge(lines * c.dram_access_cycles);
-  }
-}
-
-uint64_t Mmu::TryBulkSpan(AddressSpace& as, Vaddr vaddr, uint64_t len, AccessType type,
-                          Paddr* paddr_out) {
-  if (!fastpath_) {
-    return 0;
-  }
-  CpuState& hw = cpu();
-  const FastEntry& f = hw.fast;
-  if (!f.valid || f.asid != as.asid() || vaddr < f.vbase || vaddr - f.vbase >= f.bytes ||
-      !HasProt(f.prot, RequiredProt(type)) || !hw.pending.empty()) {
-    return 0;
-  }
-  const uint64_t span = std::min(len, f.vbase + f.bytes - vaddr);
-  const Paddr pstart = f.pbase + (vaddr - f.vbase);
-  // ChargeDataTouch picks its rate by tier; a span that straddles the
-  // DRAM/NVM boundary must go per-page to split the charge identically.
-  if (phys_->TierOf(pstart) != phys_->TierOf(pstart + span - 1)) {
-    return 0;
-  }
-  // Replay the per-page loop's charges in closed form: one translation hit
-  // per page chunk, plus the data-touch decomposition (a possibly-short
-  // head, whole pages, a possibly-short tail). Full 4 KiB chunks always
-  // take the streaming rate, and the bulk formulas are exactly linear per
-  // 64-byte line, so per-chunk and summed charges are equal to the cycle.
-  const uint64_t head = std::min<uint64_t>(kPageSize - (vaddr & (kPageSize - 1)), span);
-  const uint64_t chunks = PageSpan(vaddr, span);
-  const CostModel& c = ctx_->cost();
-  if (f.page_backed) {
-    ctx_->counters().tlb_l1_hits += chunks;
-    ctx_->Charge(chunks * c.tlb_l1_hit_cycles);
-  } else {
-    ctx_->counters().tlb_misses += chunks;
-    ctx_->counters().range_tlb_hits += chunks;
-    ctx_->Charge(chunks * c.range_tlb_hit_cycles);
-  }
-  ChargeDataTouch(pstart, head, type);
-  if (span > head) {
-    const uint64_t body = span - head;
-    const uint64_t whole = body / kPageSize;
-    const uint64_t tail = body % kPageSize;
-    if (whole > 0) {
-      // A full page is past the streaming threshold: same bulk branch as
-      // ChargeDataTouch, multiplied out.
-      const bool nvm = phys_->TierOf(pstart) == MemTier::kNvm;
-      uint64_t per_page = 0;
-      if (nvm) {
-        per_page = type == AccessType::kWrite ? c.NvmWriteBulkCycles(kPageSize)
-                                              : c.NvmReadBulkCycles(kPageSize);
-      } else {
-        per_page = c.DramBulkCycles(kPageSize);
-      }
-      ctx_->Charge(whole * per_page);
-    }
-    if (tail > 0) {
-      ChargeDataTouch(pstart, tail, type);
-    }
-  }
-  *paddr_out = pstart;
-  return span;
-}
-
-Status Mmu::TouchSlow(AddressSpace& as, Vaddr vaddr, uint64_t len, AccessType type) {
-  if (len == 0) {
-    return OkStatus();
-  }
-  uint64_t done = 0;
-  while (done < len) {
+Status Mmu::AccessPages(AddressSpace& as, Vaddr vaddr, uint64_t len, AccessType type,
+                        uint8_t* out, const uint8_t* data) {
+  for (uint64_t done = 0; done < len;) {
     const Vaddr cur = vaddr + done;
-    Paddr pstart = 0;
-    if (const uint64_t span = TryBulkSpan(as, cur, len - done, type, &pstart); span > 0) {
-      done += span;
-      continue;
-    }
     const uint64_t in_page = std::min<uint64_t>(kPageSize - (cur & (kPageSize - 1)), len - done);
     auto t = Translate(as, cur, type);
     if (!t.ok()) {
       return t.status();
     }
-    ChargeDataTouch(t->paddr, in_page, type);
-    done += in_page;
-  }
-  return OkStatus();
-}
-
-Status Mmu::ReadVirtSlow(AddressSpace& as, Vaddr vaddr, std::span<uint8_t> out) {
-  // With poison armed, a batched read would charge every page before the
-  // poison check instead of failing mid-loop; take the per-page path so
-  // fault-injection runs keep their exact charge sequence.
-  const FaultInjector* inj = phys_->fault_injector();
-  const bool batchable = inj == nullptr || !inj->has_poison();
-  uint64_t done = 0;
-  while (done < out.size()) {
-    const Vaddr cur = vaddr + done;
-    if (batchable) {
-      Paddr pstart = 0;
-      if (const uint64_t span = TryBulkSpan(as, cur, out.size() - done, AccessType::kRead, &pstart);
-          span > 0) {
-        O1_RETURN_IF_ERROR(phys_->ReadUncharged(pstart, out.subspan(done, span)));
-        done += span;
-        continue;
-      }
+    // Charged before the bytes move: a poisoned read fails after its
+    // charges, and a write that trips a crash point is already charged.
+    ctx_->Charge(DataTouchCycles(t->paddr, in_page, type));
+    if (out != nullptr) {
+      O1_RETURN_IF_ERROR(phys_->ReadUncharged(t->paddr, {out + done, in_page}));
+    } else if (data != nullptr) {
+      O1_RETURN_IF_ERROR(phys_->WriteUncharged(t->paddr, {data + done, in_page}));
     }
-    const uint64_t in_page =
-        std::min<uint64_t>(kPageSize - (cur & (kPageSize - 1)), out.size() - done);
-    auto t = Translate(as, cur, AccessType::kRead);
-    if (!t.ok()) {
-      return t.status();
-    }
-    ChargeDataTouch(t->paddr, in_page, AccessType::kRead);
-    O1_RETURN_IF_ERROR(phys_->ReadUncharged(t->paddr, out.subspan(done, in_page)));
-    done += in_page;
-  }
-  return OkStatus();
-}
-
-Status Mmu::WriteVirtSlow(AddressSpace& as, Vaddr vaddr, std::span<const uint8_t> data) {
-  // Batched writes fold N per-page NoteNvmWrite/ShadowBeforeWrite calls into
-  // one whole-span call. That is only byte-identical while the injector has
-  // nothing armed (no crash-point counting whose threshold could trip
-  // mid-span, no torn-persist sampling, no poison healing granularity);
-  // otherwise take the per-page path.
-  const FaultInjector* inj = phys_->fault_injector();
-  const bool batchable = inj == nullptr || inj->WriteBatchSafe();
-  uint64_t done = 0;
-  while (done < data.size()) {
-    const Vaddr cur = vaddr + done;
-    if (batchable) {
-      Paddr pstart = 0;
-      if (const uint64_t span =
-              TryBulkSpan(as, cur, data.size() - done, AccessType::kWrite, &pstart);
-          span > 0) {
-        O1_RETURN_IF_ERROR(phys_->WriteUncharged(pstart, data.subspan(done, span)));
-        done += span;
-        continue;
-      }
-    }
-    const uint64_t in_page =
-        std::min<uint64_t>(kPageSize - (cur & (kPageSize - 1)), data.size() - done);
-    auto t = Translate(as, cur, AccessType::kWrite);
-    if (!t.ok()) {
-      return t.status();
-    }
-    ChargeDataTouch(t->paddr, in_page, AccessType::kWrite);
-    O1_RETURN_IF_ERROR(phys_->WriteUncharged(t->paddr, data.subspan(done, in_page)));
     done += in_page;
   }
   return OkStatus();
@@ -411,6 +240,15 @@ void Mmu::ShootdownPage(Asid asid, Vaddr vaddr) {
 }
 
 void Mmu::ShootdownRange(Asid asid, Vaddr vaddr, uint64_t len) {
+  Shootdown(PendingInval{asid, vaddr, len, false}, PageSpan(vaddr, len));
+}
+
+void Mmu::ShootdownAsid(Asid asid) {
+  // A whole-ASID flush is one operation however large the space is.
+  Shootdown(PendingInval{asid, 0, 0, true}, 1);
+}
+
+void Mmu::Shootdown(const PendingInval& inval, uint64_t ipis_per_remote) {
   const CostModel& c = ctx_->cost();
   const int self = ctx_->current_cpu();
   const uint64_t remotes = static_cast<uint64_t>(ctx_->num_cpus() - 1);
@@ -418,60 +256,26 @@ void Mmu::ShootdownRange(Asid asid, Vaddr vaddr, uint64_t len) {
   if (batched_) {
     // Invalidate locally now; remotes get a queued invalidation that the OS
     // flushes once per operation (or the remote drains before translating).
-    InvalidateOn(cpus_[static_cast<size_t>(self)], asid, vaddr, len);
-    ChargeShootdown(c.tlb_local_invalidate_cycles +
-                    remotes * c.shootdown_queue_cycles);
+    InvalidateOn(cpus_[static_cast<size_t>(self)], inval);
+    ChargeShootdown(c.tlb_local_invalidate_cycles + remotes * c.shootdown_queue_cycles);
     for (size_t i = 0; i < cpus_.size(); ++i) {
-      if (static_cast<int>(i) == self) {
-        continue;
+      if (static_cast<int>(i) != self) {
+        cpus_[i].pending.push_back(inval);
+        ctx_->counters().shootdown_invals_batched++;
       }
-      cpus_[i].pending.push_back(PendingInval{asid, vaddr, len, false});
-      ctx_->counters().shootdown_invals_batched++;
     }
     return;
   }
   // Eager: every CPU is interrupted now. With more than one CPU the
-  // initiator pays one IPI per page per remote -- the linear cost batched
-  // mode amortizes away. At num_cpus == 1 this is the seed's flat charge.
+  // initiator pays one IPI per page per remote for a range -- the linear
+  // cost batched mode amortizes away. At num_cpus == 1 this is the seed's
+  // flat charge.
   for (CpuState& state : cpus_) {
-    InvalidateOn(state, asid, vaddr, len);
+    InvalidateOn(state, inval);
   }
-  const uint64_t ipis = PageSpan(vaddr, len) * remotes;
+  const uint64_t ipis = ipis_per_remote * remotes;
   ChargeShootdown(c.tlb_shootdown_cycles + ipis * c.shootdown_ipi_cycles);
   ctx_->counters().shootdown_ipis_sent += ipis;
-}
-
-void Mmu::ShootdownAsid(Asid asid) {
-  const CostModel& c = ctx_->cost();
-  const int self = ctx_->current_cpu();
-  const uint64_t remotes = static_cast<uint64_t>(ctx_->num_cpus() - 1);
-  ctx_->counters().tlb_shootdowns++;
-  if (batched_) {
-    CpuState& me = cpus_[static_cast<size_t>(self)];
-    me.fast.valid = false;
-    me.l1_tlb.InvalidateAsid(asid);
-    me.l2_tlb.InvalidateAsid(asid);
-    me.range_tlb.InvalidateAsid(asid);
-    ChargeShootdown(c.tlb_local_invalidate_cycles +
-                    remotes * c.shootdown_queue_cycles);
-    for (size_t i = 0; i < cpus_.size(); ++i) {
-      if (static_cast<int>(i) == self) {
-        continue;
-      }
-      cpus_[i].pending.push_back(PendingInval{asid, 0, 0, true});
-      ctx_->counters().shootdown_invals_batched++;
-    }
-    return;
-  }
-  for (CpuState& state : cpus_) {
-    state.fast.valid = false;
-    state.l1_tlb.InvalidateAsid(asid);
-    state.l2_tlb.InvalidateAsid(asid);
-    state.range_tlb.InvalidateAsid(asid);
-  }
-  // A whole-ASID flush is one operation however large the space is.
-  ChargeShootdown(c.tlb_shootdown_cycles + remotes * c.shootdown_ipi_cycles);
-  ctx_->counters().shootdown_ipis_sent += remotes;
 }
 
 void Mmu::FlushPending() {
@@ -518,7 +322,6 @@ void Mmu::InvalidateAll() {
     state.l2_tlb.InvalidateAll();
     state.range_tlb.InvalidateAll();
     state.pwc.clear();
-    state.pwc_by_tick.clear();
     state.pending.clear();
   }
 }

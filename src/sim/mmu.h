@@ -12,6 +12,12 @@
 // runs, per-cache-line demand rate below that), so PhysicalMemory's
 // *uncharged* accessors are used for the actual bytes.
 //
+// Touch/ReadVirt/WriteVirt have one reference path, AccessPages: for each
+// page, Translate, charge the data touch, then move that page's bytes. The
+// only shortcut is the inline fast-entry hit below the class, which charges
+// exactly what that loop would for an in-page access the current fast entry
+// covers.
+//
 // SMP: each simulated CPU (SimContext::current_cpu) owns a private set of
 // TLBs and a private PWC, so translations hit or miss per CPU. Shootdowns
 // come in two flavours:
@@ -29,10 +35,7 @@
 
 #include <cstdint>
 #include <cstring>
-#include <list>
-#include <map>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "src/sim/address_space.h"
@@ -73,13 +76,12 @@ class Mmu {
 
   // Performs an access of `len` bytes at `vaddr` without moving data
   // (charges translation + data-touch costs). Spans page boundaries.
-  // Inline wrapper below the class, like ReadVirt/WriteVirt.
   Status Touch(AddressSpace& as, Vaddr vaddr, uint64_t len, AccessType type);
 
   // Data-moving accesses (used by examples and the OS read/write paths).
-  // Defined inline below the class: the small-access fast path must flatten
-  // into the caller for hot repeated accesses; everything else tail-calls
-  // the general out-of-line paths.
+  // Touch, ReadVirt and WriteVirt are defined inline below the class, so the
+  // fast-entry hit flattens into callers' hot loops; everything else calls
+  // the out-of-line per-page path.
   Status ReadVirt(AddressSpace& as, Vaddr vaddr, std::span<uint8_t> out);
   Status WriteVirt(AddressSpace& as, Vaddr vaddr, std::span<const uint8_t> data);
 
@@ -108,7 +110,8 @@ class Mmu {
   // the hardware prefetcher hides latency on longer runs.
   static constexpr uint64_t kStreamingThreshold = 256;
 
-  // One deferred invalidation queued on a remote CPU.
+  // One invalidation: a range of one ASID, or the whole ASID. Eager
+  // shootdowns apply it to every CPU; batched ones queue it on the remotes.
   struct PendingInval {
     Asid asid = 0;
     Vaddr vaddr = 0;
@@ -117,22 +120,27 @@ class Mmu {
   };
 
   // Host-speed fast path: a single-entry cache of the last successful
-  // translation on this CPU. A consecutive access inside the cached span
-  // skips the TLB/range structures on the host and instead REPLAYS exactly
-  // the charges and counter bumps the slow path would have produced (an L1
-  // hit for page-backed spans, a miss + range-TLB hit for range-backed
-  // spans). Simulated cycles and counters are bit-identical with the cache
-  // off; only host work changes. See DESIGN.md §13 for the invariant
-  // argument (why skipped LRU refreshes cannot change eviction victims).
+  // translation on this CPU. An access it covers skips the TLB/range
+  // structures on the host and instead REPLAYS exactly the charges and
+  // counter bumps the lookup would have produced (FastHitCycles). Simulated
+  // cycles and counters are bit-identical with the cache off; only host
+  // work changes. See DESIGN.md §13.2 for the invariant argument (why
+  // skipped LRU refreshes cannot change eviction victims).
   struct FastEntry {
     bool valid = false;
-    // True when subsequent hits replay as L1 hits; false for range-TLB hits.
+    // True when hits replay as L1 hits; false for range-TLB hits.
     bool page_backed = true;
     Asid asid = 0;
     Vaddr vbase = 0;
     uint64_t bytes = 0;
     Paddr pbase = 0;
     Prot prot = Prot::kNone;
+  };
+
+  // One page-walk-cache tag: (asid, 2 MiB region) and its last-use tick.
+  struct PwcSlot {
+    uint64_t key = 0;
+    uint64_t tick = 0;
   };
 
   // Translation state owned by one simulated CPU.
@@ -145,32 +153,76 @@ class Mmu {
     Tlb l2_tlb;
     RangeTlb range_tlb;
     uint64_t pwc_tick = 0;
-    std::unordered_map<uint64_t, uint64_t> pwc;  // (asid,2MiB region) -> last-use tick
-    std::map<uint64_t, uint64_t> pwc_by_tick;    // last-use tick -> key (LRU order)
-    std::vector<PendingInval> pending;           // queued lazy invalidations
+    std::vector<PwcSlot> pwc;           // at most pwc_entries, LRU by tick
+    std::vector<PendingInval> pending;  // queued lazy invalidations
     FastEntry fast;
   };
 
   CpuState& cpu() { return cpus_[static_cast<size_t>(ctx_->current_cpu())]; }
 
-  // Small-access fast path shared by Touch/ReadVirt/WriteVirt: when `len`
-  // bytes at `vaddr` sit inside the current fast span, one page, and one
-  // live (written) frame with no injector or shadow tracking in play
-  // (PhysicalMemory::FastSpan), replays the exact slow-path charges (one
-  // translation hit + the data touch) and returns the host pointer for the
-  // caller to memcpy through. nullptr = take the general path.
-  // `moves_data` is true for ReadVirt/WriteVirt and false for charge-only
-  // Touch: only a write that actually moves bytes books NVM line-write
-  // events with the fault injector. Defined inline below the class so the
-  // whole chain flattens into callers.
-  uint8_t* FastDataPrologue(AddressSpace& as, Vaddr vaddr, uint64_t len, AccessType type,
-                            bool moves_data);
+  // The current CPU's fast entry if it may stand in for a lookup of `vaddr`
+  // for `type`, else nullptr. It may when the fast path is on, the entry is
+  // valid for this ASID, covers `vaddr` with the protection `type` needs,
+  // and no invalidation is queued (DrainForTranslate would charge one).
+  const FastEntry* FastEntryFor(const AddressSpace& as, Vaddr vaddr, AccessType type) {
+    const CpuState& hw = cpu();
+    const FastEntry& f = hw.fast;
+    const bool hit = fastpath_ && f.valid && f.asid == as.asid() && vaddr >= f.vbase &&
+                     vaddr - f.vbase < f.bytes && HasProt(f.prot, RequiredProt(type)) &&
+                     hw.pending.empty();
+    return hit ? &f : nullptr;
+  }
 
-  // General chunking paths behind the inline Touch/ReadVirt/WriteVirt
-  // wrappers.
-  Status TouchSlow(AddressSpace& as, Vaddr vaddr, uint64_t len, AccessType type);
-  Status ReadVirtSlow(AddressSpace& as, Vaddr vaddr, std::span<uint8_t> out);
-  Status WriteVirtSlow(AddressSpace& as, Vaddr vaddr, std::span<const uint8_t> data);
+  // Books the counters of one fast-entry hit and returns its cycles: an L1
+  // hit for a page-backed span, an L1+L2 miss then a range-TLB hit for a
+  // range-backed one (range entries never enter the page TLBs).
+  uint64_t FastHitCycles(const FastEntry& f) {
+    EventCounters& n = ctx_->counters();
+    if (f.page_backed) {
+      n.tlb_l1_hits++;
+      return ctx_->cost().tlb_l1_hit_cycles;
+    }
+    n.tlb_misses++;
+    n.range_tlb_hits++;
+    return ctx_->cost().range_tlb_hit_cycles;
+  }
+
+  // Cycles to touch `len` bytes from `paddr` on, within one page: the
+  // streaming (bulk) rate from kStreamingThreshold bytes, the per-line
+  // demand rate below it, both for `paddr`'s tier.
+  uint64_t DataTouchCycles(Paddr paddr, uint64_t len, AccessType type) const {
+    const CostModel& c = ctx_->cost();
+    const bool nvm = phys_->TierOf(paddr) == MemTier::kNvm;
+    const bool write = type == AccessType::kWrite;
+    if (len >= kStreamingThreshold) {
+      return !nvm ? c.DramBulkCycles(len)
+                  : (write ? c.NvmWriteBulkCycles(len) : c.NvmReadBulkCycles(len));
+    }
+    return (len + 63) / 64 *
+           (!nvm ? c.dram_access_cycles : (write ? c.nvm_write_cycles : c.nvm_read_cycles));
+  }
+
+  // The inline hit: if the fast entry covers an in-page access of `len`
+  // bytes at `vaddr`, charges one hit plus the data touch in one Charge
+  // (addition commutes; redirect sinks add too), sets `*paddr` and returns
+  // true. Charging comes before any byte moves, as in AccessPages.
+  bool InlineHit(const AddressSpace& as, Vaddr vaddr, uint64_t len, AccessType type,
+                 Paddr* paddr) {
+    const FastEntry* f = FastEntryFor(as, vaddr, type);
+    if (f == nullptr || len == 0 || (vaddr & (kPageSize - 1)) + len > kPageSize) {
+      return false;
+    }
+    *paddr = f->pbase + (vaddr - f->vbase);
+    ctx_->Charge(FastHitCycles(*f) + DataTouchCycles(*paddr, len, type));
+    return true;
+  }
+
+  // The reference path behind Touch/ReadVirt/WriteVirt: for each page of
+  // [vaddr, vaddr + len), Translate, charge the data touch, then move that
+  // page's bytes -- into `out` for a read, from `data` for a write, none
+  // when both are null (Touch).
+  Status AccessPages(AddressSpace& as, Vaddr vaddr, uint64_t len, AccessType type,
+                     uint8_t* out, const uint8_t* data);
 
   // One translation attempt with no fault handling; nullopt = no mapping.
   std::optional<TranslationInfo> TryTranslate(AddressSpace& as, Vaddr vaddr);
@@ -181,32 +233,23 @@ class Mmu {
   // PWC: true (and refresh) if the 2 MiB region's upper levels are cached.
   bool PwcLookupOrInsert(Asid asid, Vaddr vaddr);
 
-  void ChargeDataTouch(Paddr paddr, uint64_t len, AccessType type);
-
-  // Fast-path hit: replay the slow path's charges + counters for one access
-  // inside the cached span and return the translation.
-  TranslationInfo ReplayFastHit(const FastEntry& fast, Vaddr vaddr);
-
-  // Bulk fast path for Touch/ReadVirt/WriteVirt: if the cached span covers
-  // [vaddr, vaddr + min(len, span)) with sufficient protection, charges the
-  // exact per-page translation + data-touch sequence the loop would have
-  // produced and returns the number of bytes covered (0 = take the per-page
-  // loop). `*paddr_out` gets the physical start of the covered run.
-  uint64_t TryBulkSpan(AddressSpace& as, Vaddr vaddr, uint64_t len, AccessType type,
-                       Paddr* paddr_out);
-
   // Charge() that also books the cycles under counters().shootdown_cycles.
   void ChargeShootdown(uint64_t cycles);
 
+  // The body of every shootdown: eager, `inval` is applied on every CPU and
+  // the initiator sends `ipis_per_remote` IPIs to each other CPU; batched,
+  // it is applied here and queued on the others.
+  void Shootdown(const PendingInval& inval, uint64_t ipis_per_remote);
+
   // Applies and clears every queued invalidation of `state`.
-  void ApplyPending(CpuState& state);
+  static void ApplyPending(CpuState& state);
 
   // Lazy-shootdown correctness rule: if the current CPU has queued
   // invalidations touching `asid`, drain its whole queue before looking up.
   void DrainForTranslate(Asid asid);
 
-  // Invalidates [vaddr, vaddr+len) of `asid` in one CPU's TLBs.
-  static void InvalidateOn(CpuState& state, Asid asid, Vaddr vaddr, uint64_t len);
+  // Applies `inval` to one CPU's TLBs and drops its fast entry.
+  static void InvalidateOn(CpuState& state, const PendingInval& inval);
 
   SimContext* ctx_;
   PhysicalMemory* phys_;
@@ -216,80 +259,41 @@ class Mmu {
   std::vector<CpuState> cpus_;
 };
 
-inline uint8_t* Mmu::FastDataPrologue(AddressSpace& as, Vaddr vaddr, uint64_t len,
-                                      AccessType type, bool moves_data) {
-  if (!fastpath_ || len == 0) {
-    return nullptr;
-  }
-  CpuState& hw = cpu();
-  const FastEntry& f = hw.fast;
-  // The in-page test ((vaddr % page) + len > page) also rejects any
-  // len > kPageSize, so no separate length bound is needed.
-  if (!f.valid || f.asid != as.asid() || vaddr < f.vbase || (vaddr - f.vbase) + len > f.bytes ||
-      !HasProt(f.prot, RequiredProt(type)) || !hw.pending.empty() ||
-      (vaddr & (kPageSize - 1)) + len > kPageSize) {
-    return nullptr;
-  }
-  const Paddr pstart = f.pbase + (vaddr - f.vbase);
-  uint8_t* host = phys_->FastSpan(pstart, len, type);
-  if (host == nullptr) {
-    return nullptr;
-  }
-  const bool nvm = phys_->TierOf(pstart) == MemTier::kNvm;
-  if (moves_data && nvm && type == AccessType::kWrite) {
-    phys_->AccountFastNvmLineWrites(pstart, len);
-  }
-  // Replay the general path's charges for a single in-page chunk: one
-  // translation hit (TryBulkSpan's per-chunk shape) plus the data touch,
-  // folded into a single Charge (addition commutes; redirect sinks add too).
-  const CostModel& c = ctx_->cost();
-  uint64_t cycles = 0;
-  if (f.page_backed) {
-    ctx_->counters().tlb_l1_hits++;
-    cycles = c.tlb_l1_hit_cycles;
-  } else {
-    ctx_->counters().tlb_misses++;
-    ctx_->counters().range_tlb_hits++;
-    cycles = c.range_tlb_hit_cycles;
-  }
-  if (len >= kStreamingThreshold) {
-    if (nvm) {
-      cycles += type == AccessType::kWrite ? c.NvmWriteBulkCycles(len) : c.NvmReadBulkCycles(len);
-    } else {
-      cycles += c.DramBulkCycles(len);
-    }
-  } else {
-    const uint64_t lines = (len + 63) / 64;
-    cycles += lines * (nvm ? (type == AccessType::kWrite ? c.nvm_write_cycles : c.nvm_read_cycles)
-                           : c.dram_access_cycles);
-  }
-  ctx_->Charge(cycles);
-  return host;
-}
-
 inline Status Mmu::Touch(AddressSpace& as, Vaddr vaddr, uint64_t len, AccessType type) {
-  if (FastDataPrologue(as, vaddr, len, type, /*moves_data=*/false) != nullptr) {
+  Paddr paddr = 0;
+  if (InlineHit(as, vaddr, len, type, &paddr)) {
     return OkStatus();
   }
-  return TouchSlow(as, vaddr, len, type);
+  return AccessPages(as, vaddr, len, type, nullptr, nullptr);
 }
 
 inline Status Mmu::ReadVirt(AddressSpace& as, Vaddr vaddr, std::span<uint8_t> out) {
-  if (const uint8_t* host =
-          FastDataPrologue(as, vaddr, out.size(), AccessType::kRead, /*moves_data=*/true)) {
+  Paddr paddr = 0;
+  if (!InlineHit(as, vaddr, out.size(), AccessType::kRead, &paddr)) {
+    return AccessPages(as, vaddr, out.size(), AccessType::kRead, out.data(), nullptr);
+  }
+  if (const uint8_t* host = phys_->FastSpan(paddr, out.size(), AccessType::kRead)) {
     std::memcpy(out.data(), host, out.size());
     return OkStatus();
   }
-  return ReadVirtSlow(as, vaddr, out);
+  return phys_->ReadUncharged(paddr, out);
 }
 
 inline Status Mmu::WriteVirt(AddressSpace& as, Vaddr vaddr, std::span<const uint8_t> data) {
-  if (uint8_t* host =
-          FastDataPrologue(as, vaddr, data.size(), AccessType::kWrite, /*moves_data=*/true)) {
+  Paddr paddr = 0;
+  if (!InlineHit(as, vaddr, data.size(), AccessType::kWrite, &paddr)) {
+    return AccessPages(as, vaddr, data.size(), AccessType::kWrite, nullptr, data.data());
+  }
+  if (uint8_t* host = phys_->FastSpan(paddr, data.size(), AccessType::kWrite)) {
+    // WriteUncharged books its own NVM line writes; a write through the
+    // pointer must book them here.
+    if (phys_->TierOf(paddr) == MemTier::kNvm) {
+      phys_->AccountFastNvmLineWrites(paddr, data.size());
+    }
     std::memcpy(host, data.data(), data.size());
     return OkStatus();
   }
-  return WriteVirtSlow(as, vaddr, data);
+  return phys_->WriteUncharged(paddr, data);
 }
 
 }  // namespace o1mem

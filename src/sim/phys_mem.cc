@@ -311,16 +311,26 @@ Status PhysicalMemory::Copy(Paddr dst, Paddr src, uint64_t len) {
   ShadowBeforeWrite(dst, len, NoteNvmWrite(dst, len));
   ctx_->counters().bytes_copied += len;
   // Move bytes without further charging (charges above cover the transfer).
-  uint64_t done = 0;
-  while (done < len) {
+  // First each maximal destination run whose source is not live is cleared
+  // as ZeroUncharged clears it, so a frame it covers whole gives its page
+  // back; only then do live source pieces take pages for their destination.
+  Paddr zeros_from = src;  // [zeros_from, zeros_to): not live since the last live piece
+  Paddr zeros_to = src;
+  ForEachRun(src, len, [&](Paddr at, uint64_t bytes, const uint8_t* host) {
+    if (host != nullptr) {
+      ClearLive(dst + (zeros_from - src), zeros_to - zeros_from);
+      zeros_from = at + bytes;
+    }
+    zeros_to = at + bytes;
+  });
+  ClearLive(dst + (zeros_from - src), zeros_to - zeros_from);
+  for (uint64_t done = 0; done < len;) {
     const Paddr s = src + done;
     const Paddr d = dst + done;
     const uint64_t chunk = std::min({kPageSize - (s & (kPageSize - 1)),
                                      kPageSize - (d & (kPageSize - 1)), len - done});
     if (const uint8_t* from = HostAddr(s)) {
       std::memmove(EnsureLive(d), from, chunk);
-    } else if (uint8_t* to = HostAddr(d)) {
-      ClearBytes(to, chunk);
     }
     done += chunk;
   }

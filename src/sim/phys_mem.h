@@ -74,7 +74,8 @@ class PhysicalMemory {
   }
   MemTier TierOf(Paddr paddr) const { return paddr < dram_bytes_ ? MemTier::kDram : MemTier::kNvm; }
 
-  // Bulk data movement; charges bulk cycles for the tier(s) touched.
+  // Bulk data movement; charges bulk cycles for the tier(s) touched. Copy's
+  // ranges must not overlap.
   Status Read(Paddr paddr, std::span<uint8_t> out);
   Status Write(Paddr paddr, std::span<const uint8_t> data);
   Status Zero(Paddr paddr, uint64_t len);

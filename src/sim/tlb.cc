@@ -75,23 +75,6 @@ void Tlb::Insert(Asid asid, Vaddr vbase, Paddr pbase, uint64_t page_bytes, Prot 
                             .lru_tick = tick_};
 }
 
-int Tlb::InvalidatePage(Asid asid, Vaddr vaddr) {
-  int dropped = 0;
-  for (uint64_t page_bytes : kPageSizes) {
-    const Vaddr vbase = AlignDown(vaddr, page_bytes);
-    const size_t base = SetBase(vbase, page_bytes);
-    for (int w = 0; w < ways_; ++w) {
-      TlbEntry& e = slots_[base + static_cast<size_t>(w)];
-      if (e.valid && e.asid == asid && e.page_bytes == page_bytes && e.vbase == vbase) {
-        e.valid = false;
-        --valid_per_asid_[asid];
-        ++dropped;
-      }
-    }
-  }
-  return dropped;
-}
-
 int Tlb::InvalidateRange(Asid asid, Vaddr vaddr, uint64_t len) {
   if (ValidCount(asid) == 0) {
     return 0;

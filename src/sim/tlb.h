@@ -40,12 +40,10 @@ class Tlb {
 
   void Insert(Asid asid, Vaddr vbase, Paddr pbase, uint64_t page_bytes, Prot prot);
 
-  // Invalidation (shootdown targets). InvalidatePage removes any entry whose
-  // page contains `vaddr`; InvalidateRange removes entries overlapping the
-  // span; both return the number of entries dropped. InvalidateRange and
+  // Invalidation (shootdown targets). InvalidateRange removes entries
+  // overlapping the span and returns the number dropped. InvalidateRange and
   // InvalidateAsid return at once for an ASID holding no valid entry, so a
   // shootdown costs the host nothing on a TLB holding none of its entries.
-  int InvalidatePage(Asid asid, Vaddr vaddr);
   int InvalidateRange(Asid asid, Vaddr vaddr, uint64_t len);
   void InvalidateAsid(Asid asid);
   void InvalidateAll();

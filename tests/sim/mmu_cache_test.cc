@@ -124,5 +124,13 @@ TEST(MmuCacheTest, ReadVirtFailsCleanlyAcrossUnmappedBoundary) {
   EXPECT_TRUE(machine.mmu().Touch(*as, 0, kPageSize, AccessType::kRead).ok());
 }
 
+// A page-walk cache needs at least one slot: with none, the first walk's
+// insert would have no victim to evict.
+TEST(MmuCacheDeathTest, ZeroPwcEntriesIsRejected) {
+  MachineConfig config{.dram_bytes = 16 * kMiB, .nvm_bytes = 0};
+  config.mmu.pwc_entries = 0;
+  EXPECT_DEATH({ Machine machine(config); }, "pwc_entries");
+}
+
 }  // namespace
 }  // namespace o1mem

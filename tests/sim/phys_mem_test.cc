@@ -97,6 +97,32 @@ TEST_F(PhysMemTest, CopyFromUnmaterializedSourceZeroesDestination) {
   }
 }
 
+// A frame overwritten whole by a copy of never-written memory holds only
+// zeros, so it leaves the live set and gives its host page back, as it would
+// under Zero.
+TEST_F(PhysMemTest, CopyOfNeverWrittenFrameOverAWrittenOneGivesItsPageBack) {
+  const std::vector<uint8_t> page(kPageSize, 0x5a);
+  ASSERT_TRUE(mem_.Write(0, page).ok());
+  const uint64_t live = mem_.materialized_pages();
+  ASSERT_TRUE(mem_.Copy(0, 8 * kPageSize, kPageSize).ok());
+  EXPECT_EQ(mem_.materialized_pages(), live - 1);
+  EXPECT_EQ(mem_.FastSpan(0, 1, AccessType::kRead), nullptr);
+  EXPECT_EQ(mem_.PeekByte(kPageSize - 1), 0);
+}
+
+// The same with a source straddling two never-written frames on either side
+// of a 2 MiB node boundary: the zero runs of both frames clear the
+// destination frame as one run.
+TEST_F(PhysMemTest, CopyOfZerosStraddlingTwoFramesGivesThePageBack) {
+  const std::vector<uint8_t> page(kPageSize, 0x5a);
+  ASSERT_TRUE(mem_.Write(0, page).ok());
+  const uint64_t live = mem_.materialized_pages();
+  ASSERT_TRUE(mem_.Copy(0, 2 * kMiB - kPageSize / 2, kPageSize).ok());
+  EXPECT_EQ(mem_.materialized_pages(), live - 1);
+  EXPECT_EQ(mem_.FastSpan(0, 1, AccessType::kRead), nullptr);
+  EXPECT_EQ(mem_.PeekByte(kPageSize / 2), 0);
+}
+
 TEST_F(PhysMemTest, BulkCostsChargeDramCheaperThanNvmWrite) {
   std::vector<uint8_t> data(kPageSize, 1);
   const uint64_t t0 = ctx_.now();

@@ -58,14 +58,6 @@ TEST(TlbTest, ReinsertionRefreshesInPlace) {
   EXPECT_EQ(e->prot, Prot::kReadWrite);
 }
 
-TEST(TlbTest, InvalidatePage) {
-  Tlb tlb(64, 4);
-  tlb.Insert(1, 0x1000, 0x8000, kPageSize, Prot::kRead);
-  EXPECT_EQ(tlb.InvalidatePage(1, 0x1fff), 1);
-  EXPECT_FALSE(tlb.Lookup(1, 0x1000).has_value());
-  EXPECT_EQ(tlb.InvalidatePage(1, 0x1000), 0);
-}
-
 TEST(TlbTest, InvalidateRangeDropsOverlapsOnly) {
   Tlb tlb(64, 4);
   tlb.Insert(1, 0, 0, kPageSize, Prot::kRead);
@@ -192,17 +184,6 @@ class BruteForceTlb {
                        .lru_tick = tick_};
   }
 
-  int InvalidatePage(Asid asid, Vaddr vaddr) {
-    int dropped = 0;
-    for (TlbEntry& e : slots_) {
-      if (e.valid && e.asid == asid && e.vbase == AlignDown(vaddr, e.page_bytes)) {
-        e.valid = false;
-        ++dropped;
-      }
-    }
-    return dropped;
-  }
-
   int InvalidateRange(Asid asid, Vaddr vaddr, uint64_t len) {
     int dropped = 0;
     for (TlbEntry& e : slots_) {
@@ -296,9 +277,6 @@ TEST(TlbTest, SeededOpMixOverThreeAsidsMatchesBruteForceModel) {
         const Vaddr vaddr = vbase + rng.NextBelow(page_bytes);
         ASSERT_NO_FATAL_FAILURE(
             ExpectSameEntry(tlb.Lookup(asid, vaddr), model.Lookup(asid, vaddr)));
-      } else if (kind < 80) {
-        const Vaddr vaddr = vbase + rng.NextBelow(page_bytes);
-        ASSERT_EQ(tlb.InvalidatePage(asid, vaddr), model.InvalidatePage(asid, vaddr));
       } else if (kind < 95) {
         const uint64_t len = rng.NextInRange(1, 3 * kLargePageSize);
         ASSERT_EQ(tlb.InvalidateRange(asid, vbase, len), model.InvalidateRange(asid, vbase, len));
