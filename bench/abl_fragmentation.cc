@@ -90,7 +90,7 @@ struct ClassStats {
   uint64_t ok = 0;
   uint64_t fail = 0;
 
-  double Percentile(int p) const {
+  double Percentile(size_t p) const {
     std::vector<double> sorted = us;
     std::sort(sorted.begin(), sorted.end());
     if (sorted.empty()) {

@@ -65,9 +65,11 @@ TouchResult FinishTouch(System& sys, int cpus, uint64_t start_cycles,
   r.us_per_op = sys.ctx().clock().CyclesToUs(sys.ctx().now() - start_cycles) /
                 static_cast<double>(ops);
   const uint64_t allocs = d.frames_from_pcp + d.frames_from_buddy;
-  r.pcp_rate = allocs != 0 ? static_cast<double>(d.frames_from_pcp) / allocs : 0;
+  r.pcp_rate =
+      allocs != 0 ? static_cast<double>(d.frames_from_pcp) / static_cast<double>(allocs) : 0;
   const uint64_t zeroed = d.prezero_hits + d.prezero_misses;
-  r.prezero_rate = zeroed != 0 ? static_cast<double>(d.prezero_hits) / zeroed : 0;
+  r.prezero_rate =
+      zeroed != 0 ? static_cast<double>(d.prezero_hits) / static_cast<double>(zeroed) : 0;
   r.total_cycles = sys.ctx().now();
   for (int cpu = 0; cpu < cpus; ++cpu) {
     r.cpu_cycles.push_back(sys.ctx().cpu_cycles(cpu));

@@ -411,7 +411,10 @@ void ChaosMain(BenchJson& json, int shards, const std::string& campaign_spec,
       const ShardOverloadStats& st = ov.per_shard[i];
       std::string residency;
       for (size_t level = 0; level < st.brownout_ticks.size(); ++level) {
-        residency += (level == 0 ? "" : "/") + std::to_string(st.brownout_ticks[level]);
+        if (level != 0) {
+          residency += '/';
+        }
+        residency += std::to_string(st.brownout_ticks[level]);
       }
       otable.AddRow({std::to_string(i), std::to_string(st.admitted), std::to_string(st.served),
                      std::to_string(st.shed_deadline), std::to_string(st.shed_scan),

@@ -54,6 +54,14 @@ inline std::string JsonEscape(const std::string& s) {
   return out;
 }
 
+// `s` as a JSON string: escaped, between quotes.
+inline std::string JsonQuote(const std::string& s) {
+  std::string out(1, '"');
+  out += JsonEscape(s);
+  out += '"';
+  return out;
+}
+
 // Wall-clock stopwatch for BenchJson::HostRegion. Host time only -- the
 // simulated clock never sees it.
 class HostTimer {
@@ -78,12 +86,12 @@ class BenchJson {
   }
 
   void Config(const std::string& key, const std::string& value) {
-    config_.emplace_back(key, "\"" + JsonEscape(value) + "\"");
+    config_.emplace_back(key, JsonQuote(value));
   }
   void Config(const std::string& key, double value) { config_.emplace_back(key, NumStr(value)); }
 
   void Metric(const std::string& key, const std::string& value) {
-    metrics_.emplace_back(key, "\"" + JsonEscape(value) + "\"");
+    metrics_.emplace_back(key, JsonQuote(value));
   }
   void Metric(const std::string& key, double value) { metrics_.emplace_back(key, NumStr(value)); }
 

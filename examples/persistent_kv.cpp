@@ -31,6 +31,15 @@ struct Slot {
   char value[kValueBytes] = {};
 };
 
+// Copies `text` into a fixed-size field, cut short to leave room for its
+// terminator, and zero-fills the rest of the field.
+template <size_t N>
+void CopyField(char (&field)[N], const char* text) {
+  const size_t len = strnlen(text, N - 1);
+  std::memcpy(field, text, len);
+  std::memset(field + len, 0, N - len);
+}
+
 struct Header {
   uint64_t magic = 0;
   uint64_t slots = 0;
@@ -75,8 +84,8 @@ class KvStore {
       }
       const bool fresh = slot.used == 0;
       slot.used = 1;
-      std::strncpy(slot.key, key, kKeyBytes - 1);
-      std::strncpy(slot.value, value, kValueBytes - 1);
+      CopyField(slot.key, key);
+      CopyField(slot.value, value);
       O1_RETURN_IF_ERROR(WriteRaw(SlotOffset(index), &slot, sizeof(slot)));
       if (fresh) {
         Header header;

@@ -31,7 +31,7 @@ Result<std::string> Namespace::Normalize(std::string_view path) {
     i = j;
   }
   if (out.empty()) {
-    out = "/";
+    out.push_back('/');
   }
   return out;
 }

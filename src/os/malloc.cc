@@ -18,7 +18,7 @@ int SizeClassAllocator::ClassFor(uint64_t bytes) {
     return 0;
   }
   // Smallest class whose 16 << cls covers `bytes`; constant-time.
-  const int cls = std::bit_width(bytes - 1) - 4;
+  const int cls = static_cast<int>(std::bit_width(bytes - 1)) - 4;
   return cls > kClassCount ? kClassCount : cls;
 }
 

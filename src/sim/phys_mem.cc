@@ -7,6 +7,9 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <mutex>
+#include <type_traits>
+#include <utility>
 
 #include "src/sim/fault_injector.h"
 
@@ -22,6 +25,17 @@ namespace {
 }
 [[gnu::noipa]] void ClearBytes(uint8_t* to, uint64_t bytes) { std::memset(to, 0, bytes); }
 
+// The reservation the last PhysicalMemory left behind, all zero, for the next
+// one to take. Trivially destructible, so it is still usable while other
+// statics are destroyed.
+struct ParkedReservation {
+  std::mutex mu;
+  void* base = nullptr;
+  uint64_t bytes = 0;
+};
+static_assert(std::is_trivially_destructible_v<ParkedReservation>);
+constinit ParkedReservation parked;
+
 }  // namespace
 
 PhysicalMemory::PhysicalMemory(SimContext* ctx, uint64_t dram_bytes, uint64_t nvm_bytes,
@@ -30,23 +44,48 @@ PhysicalMemory::PhysicalMemory(SimContext* ctx, uint64_t dram_bytes, uint64_t nv
   O1_CHECK(ctx != nullptr);
   O1_CHECK(IsAligned(dram_bytes, kPageSize));
   O1_CHECK(IsAligned(nvm_bytes, kPageSize));
-  // MAP_NORESERVE: the reservation takes no commit charge up front, so a
-  // machine of terabytes fits on a small host. A host that refuses it (for
-  // example one with vm.overcommit_memory=2) cannot run the simulator.
-  void* pool = mmap(nullptr, total_bytes(), PROT_READ | PROT_WRITE,
-                    MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
-  if (pool == MAP_FAILED) {
-    std::fprintf(stderr, "PhysicalMemory: cannot reserve %llu bytes of host address space: %s\n",
-                 static_cast<unsigned long long>(total_bytes()), std::strerror(errno));
-    O1_CHECK_MSG(false, "host reservation for simulated physical memory failed");
+  {
+    std::lock_guard<std::mutex> lock(parked.mu);
+    if (parked.base != nullptr && parked.bytes >= total_bytes()) {
+      pool_ = static_cast<uint8_t*>(std::exchange(parked.base, nullptr));
+      reserved_bytes_ = std::exchange(parked.bytes, 0);
+    }
   }
-  pool_ = static_cast<uint8_t*>(pool);
+  if (pool_ == nullptr) {
+    // MAP_NORESERVE: the reservation takes no commit charge up front, so a
+    // machine of terabytes fits on a small host. A host that refuses it (for
+    // example one with vm.overcommit_memory=2) cannot run the simulator.
+    void* pool = mmap(nullptr, total_bytes(), PROT_READ | PROT_WRITE,
+                      MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    if (pool == MAP_FAILED) {
+      std::fprintf(stderr, "PhysicalMemory: cannot reserve %llu bytes of host address space: %s\n",
+                   static_cast<unsigned long long>(total_bytes()), std::strerror(errno));
+      O1_CHECK_MSG(false, "host reservation for simulated physical memory failed");
+    }
+    pool_ = static_cast<uint8_t*>(pool);
+    reserved_bytes_ = total_bytes();
+  }
   O1_CHECK_MSG((total_bytes() >> kPageShift) <= std::numeric_limits<HostPage>::max(),
                "simulated physical memory over 16 TiB: pool page numbers are 32 bits");
   nodes_.resize((total_bytes() + kNodeBytes - 1) >> kNodeShift);
 }
 
-PhysicalMemory::~PhysicalMemory() { O1_CHECK(munmap(pool_, total_bytes()) == 0); }
+PhysicalMemory::~PhysicalMemory() {
+  // Every pool page that backs no frame already holds zeros; clearing the
+  // live frames makes the whole reservation zero, so the next instance can
+  // take it as if freshly mapped, its pages already resident.
+  ClearLive(0, total_bytes());
+  void* older = nullptr;
+  uint64_t older_bytes = 0;
+  {
+    std::lock_guard<std::mutex> lock(parked.mu);
+    older = std::exchange(parked.base, pool_);
+    older_bytes = std::exchange(parked.bytes, reserved_bytes_);
+  }
+  if (older != nullptr) {
+    O1_CHECK(munmap(older, older_bytes) == 0);
+  }
+}
 
 void PhysicalMemory::AttachFaultInjector(FaultInjector* injector) {
   injector_ = injector;

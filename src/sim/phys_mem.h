@@ -8,7 +8,8 @@
 // takes a zeroed host page on its first write and gives it back when it is
 // zeroed whole or lost at a crash, so host memory follows the frames live at
 // once, not every frame ever written, and a simulated machine can expose
-// terabytes while benches only pay for what they keep. Reads of frames that
+// terabytes while benches only pay for what they keep. At destruction the
+// pages, zeroed, pass on to the next instance built. Reads of frames that
 // hold nothing return zeros, matching hardware that hands out zeroed lines
 // after an erase.
 //
@@ -167,7 +168,7 @@ class PhysicalMemory {
   uint64_t materialized_pages() const { return materialized_; }
 
   // Host pages the pool has handed out: the most frames that were live at
-  // once. No other host page of the pool is ever written.
+  // once. This instance writes no other host page of the pool.
   uint64_t host_pages() const { return pool_used_; }
 
   // Fault-injection wiring (set by Machine; nullptr on raw instances). With
@@ -189,12 +190,20 @@ class PhysicalMemory {
  private:
   // Backing store layout: the contents of live frames sit in a pool of 4 KiB
   // host pages, one MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE host
-  // reservation of total_bytes(), mapped at construction and unmapped at
-  // destruction. The pool hands its pages out densely from its bottom, so it
-  // can back every frame at once and never grows. The host kernel commits
-  // and zero-fills a page on its first write, so the pool's resident size is
-  // the most frames that were live at once, and it takes no commit charge
-  // up front.
+  // reservation of at least total_bytes(). The pool hands its pages out
+  // densely from its bottom, so it can back every frame at once and never
+  // grows. The host kernel commits and zero-fills a page on its first write,
+  // so the pool's resident size is the most frames that were live at once,
+  // and it takes no commit charge up front.
+  //
+  // The reservation outlives its instance. Destruction clears the live
+  // frames, which leaves every page of the reservation zero, and parks it in
+  // one process-wide slot; construction takes the parked reservation if it
+  // is large enough, else maps a fresh one. The slot holds the newest
+  // reservation and unmaps the one it displaces. So a System built after
+  // another hands out host pages that are already resident and zero, and
+  // the host faults in only pages beyond the previous instances' most frames
+  // live at once; that many zeroed pages stay resident between Systems.
   //
   // A frame is live while it holds data the simulation wrote, and a frame
   // has a host page iff it is live. Each 2 MiB node with a live frame has a
@@ -279,6 +288,7 @@ class PhysicalMemory {
   uint64_t nvm_bytes_;
   PersistenceModel persistence_;
   uint8_t* pool_ = nullptr;                         // the host reservation
+  uint64_t reserved_bytes_ = 0;                     // its size, >= total_bytes()
   HostPage pool_used_ = 0;                          // pages handed out from the bottom
   std::vector<HostPage> free_pages_;                // zeroed pages given back, LIFO
   std::vector<std::unique_ptr<Node>> nodes_;        // indexed by frame >> kDirShift

@@ -6,6 +6,12 @@ Status RangeTable::Insert(const RangeEntry& entry) {
   if (entry.bytes == 0) {
     return InvalidArgument("empty range");
   }
+  // The Mmu translates once per page, so an entry that ended inside a page
+  // would carry the rest of that page through its own physical run.
+  if (!IsAligned(entry.vbase, kPageSize) || !IsAligned(entry.bytes, kPageSize) ||
+      !IsAligned(entry.pbase, kPageSize)) {
+    return InvalidArgument("range not page-aligned");
+  }
   if (entry.vbase + entry.bytes < entry.vbase) {
     return InvalidArgument("range wraps VA space");
   }

@@ -37,7 +37,8 @@ class RangeTable {
  public:
   RangeTable() = default;
 
-  // Installs a translation; rejects overlap with an existing range.
+  // Installs a translation; rejects overlap with an existing range and an
+  // entry whose vbase, bytes or pbase is not page-aligned.
   Status Insert(const RangeEntry& entry);
 
   // Removes the entry whose vbase is exactly `vbase`.

@@ -254,10 +254,10 @@ class TeardownTest : public PagerTest {
     ASSERT_EQ(pager_.resident_anon_pages(), 1u + 512u - 2u);
     ASSERT_EQ(pager_.swapped_pages(), 2u);
     ASSERT_EQ(swap_.used_slots(), 2u);
-    ASSERT_EQ(PinnedRefcount(), 2u);  // one mapping plus the pin
+    ASSERT_EQ(PinnedRefcount(), 2);  // one mapping plus the pin
   }
 
-  uint64_t PinnedRefcount() { return phys_mgr_.meta().Peek(pinned_frame_).refcount; }
+  int32_t PinnedRefcount() { return phys_mgr_.meta().Peek(pinned_frame_).refcount; }
 
   // What System::Exit does to a pager: every VMA torn down in address order.
   static void ExitPager(DemandPager& pager, VmaTree& vmas, Machine& machine) {
@@ -284,7 +284,7 @@ TEST_F(TeardownTest, MunmapReleasesEveryKindOfPage) {
   EXPECT_EQ(pager_.resident_anon_pages(), 0u);
   EXPECT_EQ(pager_.swapped_pages(), 0u);
   EXPECT_EQ(swap_.used_slots(), 0u);
-  EXPECT_EQ(PinnedRefcount(), 0u);  // implicit munlock, then freed
+  EXPECT_EQ(PinnedRefcount(), 0);  // implicit munlock, then freed
   // Only the file's cached pages stay allocated.
   EXPECT_EQ(phys_mgr_.free_bytes(), free_at_start_ - kFilePages * kPageSize);
   EXPECT_FALSE(as_->page_table().Lookup(kLarge).has_value());
@@ -317,13 +317,13 @@ TEST_F(TeardownTest, ForkExitThenExitReleaseEveryKindOfPage) {
   EXPECT_EQ(phys_mgr_.free_bytes(), free_before_fork);
   // The mlock flag lives on the frame the child shared, so the child's exit
   // took the implicit munlock -- and the pin's reference -- with it.
-  EXPECT_EQ(PinnedRefcount(), 1u);
+  EXPECT_EQ(PinnedRefcount(), 1);
 
   ExitPager(pager_, vmas_, machine_);
   EXPECT_EQ(pager_.resident_anon_pages(), 0u);
   EXPECT_EQ(pager_.swapped_pages(), 0u);
   EXPECT_EQ(swap_.used_slots(), 0u);
-  EXPECT_EQ(PinnedRefcount(), 0u);
+  EXPECT_EQ(PinnedRefcount(), 0);
   EXPECT_EQ(phys_mgr_.free_bytes(), free_at_start_ - kFilePages * kPageSize);
 }
 

@@ -152,8 +152,8 @@ TEST_P(MallocDeterminismTest, HostFastpathIsChargeIdentical) {
 
 INSTANTIATE_TEST_SUITE_P(Backends, MallocDeterminismTest,
                          ::testing::Values(Backend::kBaseline, Backend::kFom),
-                         [](const ::testing::TestParamInfo<Backend>& info) {
-                           return info.param == Backend::kBaseline ? "Baseline" : "Fom";
+                         [](const ::testing::TestParamInfo<Backend>& backend) {
+                           return backend.param == Backend::kBaseline ? "Baseline" : "Fom";
                          });
 
 }  // namespace

@@ -4,7 +4,10 @@
 #include <sys/resource.h>
 
 #include <string>
+#include <utility>
 #include <vector>
+
+#include "src/sim/phys_mem.h"
 
 namespace o1mem {
 namespace {
@@ -14,6 +17,13 @@ SystemConfig SmallConfig() {
   config.machine.dram_bytes = 128 * kMiB;
   config.machine.nvm_bytes = 256 * kMiB;
   return config;
+}
+
+// Minor faults this thread has taken: host pages it faulted in.
+long ThreadMinorFaults() {
+  rusage usage{};
+  O1_CHECK(getrusage(RUSAGE_THREAD, &usage) == 0);
+  return usage.ru_minflt;
 }
 
 class SystemTest : public ::testing::Test {
@@ -265,15 +275,10 @@ TEST(SystemHostMemoryTest, DroppedPmfsFilesRecycleHostPages) {
   System sys(config);
   auto proc = sys.Launch(Backend::kFom);
   ASSERT_TRUE(proc.ok());
-  const auto minor_faults = [] {
-    rusage usage{};
-    O1_CHECK(getrusage(RUSAGE_THREAD, &usage) == 0);
-    return usage.ru_minflt;
-  };
   const std::vector<uint8_t> page(kPageSize, 0xa5);
   std::vector<long> faults;
   for (int i = 0; i < 64; ++i) {
-    const long before = minor_faults();
+    const long before = ThreadMinorFaults();
     const std::string path = "/recycled" + std::to_string(i);
     auto fd = sys.Creat(**proc, sys.pmfs(), path, FileFlags{});
     ASSERT_TRUE(fd.ok());
@@ -286,7 +291,7 @@ TEST(SystemHostMemoryTest, DroppedPmfsFilesRecycleHostPages) {
     ASSERT_TRUE(sys.Munmap(**proc, *vaddr, kMiB).ok());
     ASSERT_TRUE(sys.Close(**proc, *fd).ok());
     ASSERT_TRUE(sys.Unlink(path).ok());
-    faults.push_back(minor_faults() - before);
+    faults.push_back(ThreadMinorFaults() - before);
   }
   // Keeping every frame ever written would fault in 256 pages per file. The
   // bound leaves room for the System's own allocations, which a sanitizer's
@@ -294,6 +299,65 @@ TEST(SystemHostMemoryTest, DroppedPmfsFilesRecycleHostPages) {
   for (size_t i = 1; i < faults.size(); ++i) {
     EXPECT_LT(faults[i], 64) << "file " << i << "; the first faulted in " << faults[0];
   }
+}
+
+// A System built after another takes the host reservation the first left
+// behind, so its frames take host pages that are already resident and zero.
+// Two Systems on the o1bench machine run the same FOM write mix: they end in
+// the same simulated state, and the second faults in a small fraction of
+// the host pages the first did.
+TEST(SystemHostMemoryTest, NextSystemReusesTheLastOnesHostPages) {
+  SystemConfig config;
+  config.machine.dram_bytes = 4 * kGiB;
+  config.machine.nvm_bytes = 16 * kGiB;
+  config.pmfs_zero_policy = ZeroPolicy::kZeroEpoch;
+  // Holds any reservation an earlier test in this process left, so the
+  // first System maps a fresh one.
+  SimContext holder_ctx;
+  const PhysicalMemory holder(&holder_ctx, config.machine.dram_bytes, config.machine.nvm_bytes);
+  struct Run {
+    uint64_t clock = 0;
+    std::vector<std::pair<std::string, uint64_t>> counters;
+    long host_faults = 0;
+  };
+  // Pool pages outnumber the System's own allocations many times over, even
+  // under a sanitizer's allocator, which serves those from fresh memory.
+  constexpr uint64_t kFileBytes = 4 * kMiB;
+  const auto run_mix = [&config] {
+    Run run;
+    const long before = ThreadMinorFaults();
+    System sys(config);
+    auto proc = sys.Launch(Backend::kFom);
+    O1_CHECK(proc.ok());
+    const std::vector<uint8_t> page(kPageSize, 0x6d);
+    for (int i = 0; i < 16; ++i) {
+      const std::string path = "/mix" + std::to_string(i);
+      auto fd = sys.Creat(**proc, sys.pmfs(), path, FileFlags{});
+      O1_CHECK(fd.ok());
+      O1_CHECK(sys.Ftruncate(**proc, *fd, kFileBytes).ok());
+      auto vaddr = sys.Mmap(**proc, MmapArgs{.length = kFileBytes, .fd = *fd});
+      O1_CHECK(vaddr.ok());
+      for (uint64_t off = 0; off < kFileBytes; off += kPageSize) {
+        O1_CHECK(sys.UserWrite(**proc, *vaddr + off, page).ok());
+      }
+      O1_CHECK(sys.Munmap(**proc, *vaddr, kFileBytes).ok());
+      O1_CHECK(sys.Close(**proc, *fd).ok());
+      if (i % 4 == 3) {
+        O1_CHECK(sys.Unlink(path).ok());
+      }
+    }
+    run.host_faults = ThreadMinorFaults() - before;
+    run.clock = sys.ctx().now();
+    sys.ctx().counters().ForEachField(
+        [&run](const char* name, uint64_t value) { run.counters.emplace_back(name, value); });
+    return run;
+  };
+  const Run first = run_mix();
+  const Run second = run_mix();
+  EXPECT_EQ(second.clock, first.clock);
+  EXPECT_EQ(second.counters, first.counters);
+  EXPECT_LT(second.host_faults * 10, first.host_faults)
+      << "first " << first.host_faults << ", second " << second.host_faults;
 }
 
 }  // namespace

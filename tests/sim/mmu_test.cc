@@ -57,6 +57,28 @@ TEST_F(MmuTest, RangeTableServesTranslationsAndPopulatesRangeTlb) {
   EXPECT_EQ(t2->source, TranslationInfo::Source::kRangeTlb);
 }
 
+// The Mmu translates once per page, so a range entry ending inside a page
+// would move the rest of an access crossing its end through its own physical
+// run. Two adjacent 2 KiB entries at 1 GiB (-> 1 MiB) and 1 GiB + 2 KiB
+// (-> 8 MiB) are refused, so a 64-byte write across their seam faults and
+// neither physical run is written.
+TEST_F(MmuTest, RangeEntriesEndingInsideAPageAreRejected) {
+  RangeTable& rt = as_->range_table();
+  constexpr uint64_t kHalf = kPageSize / 2;
+  EXPECT_EQ(rt.Insert({.vbase = kGiB, .bytes = kHalf, .pbase = kMiB, .prot = Prot::kReadWrite})
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(rt.Insert({.vbase = kGiB + kHalf, .bytes = kHalf, .pbase = 8 * kMiB,
+                       .prot = Prot::kReadWrite})
+                .code(),
+            StatusCode::kInvalidArgument);
+  const std::vector<uint8_t> data(64, 0xab);
+  EXPECT_EQ(machine_.mmu().WriteVirt(*as_, kGiB + kHalf - 32, data).code(), StatusCode::kFault);
+  EXPECT_EQ(machine_.phys().PeekByte(kMiB + kHalf), 0);
+  EXPECT_EQ(machine_.phys().PeekByte(8 * kMiB), 0);
+  EXPECT_EQ(machine_.phys().materialized_pages(), 0u);
+}
+
 TEST_F(MmuTest, ProtectionViolationIsDenied) {
   ASSERT_TRUE(as_->page_table().MapPage(0, 0, kPageSize, Prot::kRead).ok());
   auto t = machine_.mmu().Translate(*as_, 0, AccessType::kWrite);

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <array>
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "src/sim/context.h"
@@ -244,6 +245,120 @@ TEST_F(PhysMemTest, DropVolatileGivesDramPagesBack) {
   EXPECT_EQ(mem_.PeekByte(0), 0);
   EXPECT_EQ(mem_.PeekByte(512 * kPageSize), 0x3c);
   EXPECT_EQ(mem_.materialized_pages(), 256u);
+}
+
+// Writes one byte into each of `count` frames spread from the first frame of
+// `mem` to its last and returns the host pages this thread faulted in doing
+// it; then checks that each frame reads back as its byte followed by zeros.
+long WriteSpreadFrames(PhysicalMemory& mem, uint64_t count) {
+  const uint64_t last = (mem.total_bytes() >> kPageShift) - 1;
+  const auto frame_base = [&](uint64_t i) { return i * last / (count - 1) * kPageSize; };
+  const auto byte_of = [](uint64_t i) { return static_cast<uint8_t>(0x40 + i % 64); };
+  const long before = ThreadMinorFaults();
+  for (uint64_t i = 0; i < count; ++i) {
+    const std::array<uint8_t, 1> one = {byte_of(i)};
+    O1_CHECK(mem.Write(frame_base(i), one).ok());
+  }
+  const long faults = ThreadMinorFaults() - before;
+  std::vector<uint8_t> page(kPageSize);
+  for (uint64_t i = 0; i < count; ++i) {
+    EXPECT_TRUE(mem.Read(frame_base(i), page).ok());
+    EXPECT_EQ(page[0], byte_of(i)) << "frame " << i;
+    EXPECT_EQ(std::count(page.begin() + 1, page.end(), 0),
+              static_cast<std::ptrdiff_t>(kPageSize - 1))
+        << "frame " << i;
+  }
+  return faults;
+}
+
+// A destroyed instance leaves its reservation, all zero, to the next one of
+// its size. The first writes DRAM and NVM frames whole and in part, then
+// zeroes some of them whole and some in part, and leaves the rest live. No
+// byte of it is readable from the second, which takes the host pages the
+// first faulted in: writing one byte into each of those frames faults in a
+// handful of host pages, not one per frame, and the rest of each frame reads
+// as zero.
+TEST(PhysMemReuseTest, NextInstanceTakesZeroedResidentPages) {
+  constexpr uint64_t kFrames = 128;  // 16 apart: both nodes of each tier
+  const auto frame_base = [](uint64_t i) { return i * 16 * kPageSize; };
+  SimContext ctx;
+  {
+    PhysicalMemory first(&ctx, 4 * kMiB, 4 * kMiB);
+    for (uint64_t i = 0; i < kFrames; ++i) {
+      const std::vector<uint8_t> pattern(kPageSize, static_cast<uint8_t>(0x11 + i));
+      const bool partial = i % 4 == 1;
+      ASSERT_TRUE(first
+                      .Write(frame_base(i) + (partial ? 1000 : 0),
+                             std::span(pattern).first(partial ? 200 : kPageSize))
+                      .ok());
+    }
+    for (uint64_t i = 0; i < kFrames; ++i) {
+      if (i % 4 == 2) {
+        ASSERT_TRUE(first.Zero(frame_base(i), kPageSize).ok());
+      } else if (i % 4 == 3) {
+        ASSERT_TRUE(first.Zero(frame_base(i) + 1024, 1024).ok());
+      }
+    }
+    ASSERT_EQ(first.host_pages(), kFrames);
+    ASSERT_EQ(first.materialized_pages(), kFrames * 3 / 4);
+  }
+  PhysicalMemory second(&ctx, 4 * kMiB, 4 * kMiB);
+  std::vector<uint8_t> page(kPageSize, 0xff);
+  for (uint64_t i = 0; i < kFrames; ++i) {
+    ASSERT_TRUE(second.Read(frame_base(i), page).ok());
+    EXPECT_EQ(std::count(page.begin(), page.end(), 0), static_cast<std::ptrdiff_t>(kPageSize))
+        << "frame " << i;
+  }
+  const long before = ThreadMinorFaults();
+  for (uint64_t i = 0; i < kFrames; ++i) {
+    const std::array<uint8_t, 1> one = {static_cast<uint8_t>(0x80 + i)};
+    ASSERT_TRUE(second.Write(frame_base(i), one).ok());
+  }
+  EXPECT_LE(ThreadMinorFaults() - before, 8);
+  for (uint64_t i = 0; i < kFrames; ++i) {
+    ASSERT_TRUE(second.Read(frame_base(i), page).ok());
+    EXPECT_EQ(page[0], static_cast<uint8_t>(0x80 + i)) << "frame " << i;
+    EXPECT_EQ(std::count(page.begin() + 1, page.end(), 0),
+              static_cast<std::ptrdiff_t>(kPageSize - 1))
+        << "frame " << i;
+  }
+  EXPECT_EQ(second.host_pages(), kFrames);
+}
+
+// The host address of frame 0, which WriteSpreadFrames writes first: the
+// first frame an instance writes takes its pool's first page, so this is the
+// base of the reservation the instance holds.
+const uint8_t* ReservationBase(PhysicalMemory& mem) {
+  return mem.FastSpan(0, 1, AccessType::kRead);
+}
+
+// A smaller instance takes a larger one's parked reservation and the host
+// pages the larger one faulted in. An instance larger than the reservation
+// parked maps a fresh one of its own size.
+TEST(PhysMemReuseTest, ReservationIsTakenOnlyWhenLargeEnough) {
+  constexpr uint64_t kFrames = 128;
+  SimContext ctx;
+  auto larger = std::make_unique<PhysicalMemory>(&ctx, 32 * kMiB, 32 * kMiB);
+  (void)WriteSpreadFrames(*larger, kFrames);
+  const uint8_t* larger_base = ReservationBase(*larger);
+  larger.reset();
+  auto smaller = std::make_unique<PhysicalMemory>(&ctx, 4 * kMiB, 4 * kMiB);
+  EXPECT_LE(WriteSpreadFrames(*smaller, kFrames), 8);
+  EXPECT_EQ(ReservationBase(*smaller), larger_base);
+  // With two small instances alive at once, the second maps a reservation of
+  // its own size; destroyed last, it is the one left parked.
+  auto other = std::make_unique<PhysicalMemory>(&ctx, 4 * kMiB, 4 * kMiB);
+  (void)WriteSpreadFrames(*other, kFrames);
+  const uint8_t* other_base = ReservationBase(*other);
+  EXPECT_NE(other_base, larger_base);
+  smaller.reset();
+  other.reset();
+  PhysicalMemory largest(&ctx, 64 * kMiB, 64 * kMiB);
+  std::vector<uint8_t> page(kPageSize, 0xff);
+  ASSERT_TRUE(largest.Read(0, page).ok());
+  EXPECT_EQ(std::count(page.begin(), page.end(), 0), static_cast<std::ptrdiff_t>(kPageSize));
+  (void)WriteSpreadFrames(largest, kFrames);
+  EXPECT_NE(ReservationBase(largest), other_base);
 }
 
 TEST(PhysMemDeathTest, FailedReservationIsAClearError) {

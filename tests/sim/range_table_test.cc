@@ -37,9 +37,29 @@ TEST(RangeTableTest, RejectsOverlaps) {
 TEST(RangeTableTest, RejectsEmptyAndWrappingRanges) {
   RangeTable rt;
   EXPECT_FALSE(rt.Insert({.vbase = 0, .bytes = 0, .pbase = 0, .prot = Prot::kRead}).ok());
-  EXPECT_FALSE(rt.Insert({.vbase = UINT64_MAX - 10, .bytes = 100, .pbase = 0,
-                          .prot = Prot::kRead})
-                   .ok());
+  // Page-aligned, so the wrap check rejects it, not the alignment check.
+  EXPECT_EQ(rt.Insert({.vbase = AlignDown(UINT64_MAX, kPageSize), .bytes = 2 * kPageSize,
+                       .pbase = 0, .prot = Prot::kRead})
+                .message(),
+            "range wraps VA space");
+  EXPECT_EQ(rt.size(), 0u);
+}
+
+TEST(RangeTableTest, RejectsEntriesNotPageAligned) {
+  RangeTable rt;
+  const RangeEntry aligned{.vbase = kGiB, .bytes = kPageSize, .pbase = kMiB, .prot = Prot::kRead};
+  RangeEntry vbase = aligned;
+  vbase.vbase += kPageSize / 2;
+  RangeEntry bytes = aligned;
+  bytes.bytes = kPageSize / 2;
+  RangeEntry pbase = aligned;
+  pbase.pbase += 64;
+  for (const RangeEntry& entry : {vbase, bytes, pbase}) {
+    EXPECT_EQ(rt.Insert(entry).code(), StatusCode::kInvalidArgument)
+        << entry.vbase << " " << entry.bytes << " " << entry.pbase;
+  }
+  EXPECT_EQ(rt.size(), 0u);
+  EXPECT_TRUE(rt.Insert(aligned).ok());
 }
 
 TEST(RangeTableTest, RemoveIsExactBaseMatch) {

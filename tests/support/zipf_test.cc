@@ -32,7 +32,7 @@ TEST(ZipfTest, SkewConcentratesOnHotItems) {
   // Item 0 dominates and the head carries most of the mass.
   EXPECT_GT(counts[0], counts[100] * 10);
   int head = 0;
-  for (int i = 0; i < 100; ++i) {
+  for (size_t i = 0; i < 100; ++i) {
     head += counts[i];
   }
   EXPECT_GT(head, kDraws / 2);
