@@ -1,5 +1,9 @@
 #include "src/mm/demand_pager.h"
 
+#include <algorithm>
+#include <bit>
+#include <utility>
+
 #include "src/obs/span.h"
 
 namespace o1mem {
@@ -17,17 +21,13 @@ DemandPager::~DemandPager() {
   }
 }
 
-std::unordered_map<Vaddr, DemandPager::PageState>::iterator DemandPager::FindResident(
-    Vaddr vaddr) {
-  auto it = pages_.find(AlignDown(vaddr, kPageSize));
-  if (it != pages_.end()) {
-    return it;
+uint32_t DemandPager::FindResident(Vaddr vaddr) const {
+  const uint32_t r = Find(AlignDown(vaddr, kPageSize));
+  if (r != kNil) {
+    return r;
   }
-  it = pages_.find(AlignDown(vaddr, kLargePageSize));
-  if (it != pages_.end() && it->second.page_bytes == kLargePageSize) {
-    return it;
-  }
-  return pages_.end();
+  const uint32_t large = Find(AlignDown(vaddr, kLargePageSize));
+  return large != kNil && records_[large].large ? large : kNil;
 }
 
 Status DemandPager::HandleFault(Vaddr vaddr, AccessType type) {
@@ -159,13 +159,13 @@ Status DemandPager::ResolveProtectionFault(const Vma& vma, Vaddr vaddr, AccessTy
   if (type != AccessType::kWrite || !vma.anonymous()) {
     return PermissionDenied("protection fault not resolvable");
   }
-  auto it = FindResident(vaddr);
-  if (it == pages_.end()) {
+  const uint32_t r = FindResident(vaddr);
+  if (r == kNil) {
     return PermissionDenied("protection fault on unknown page");
   }
-  const Vaddr base = it->first;
-  const uint64_t page_bytes = it->second.page_bytes;
-  const Paddr frame = it->second.frame;
+  const Vaddr base = records_[r].vaddr;
+  const uint64_t page_bytes = PageBytes(records_[r]);
+  const Paddr frame = records_[r].frame;
   PageMeta& m = phys_mgr_->meta().Of(frame);
   if (m.refcount > 1) {
     // Shared: copy before write.
@@ -188,7 +188,7 @@ Status DemandPager::ResolveProtectionFault(const Vma& vma, Vaddr vaddr, AccessTy
       fm.order = 9;
     }
     O1_RETURN_IF_ERROR(as_->page_table().MapPage(base, fresh.value(), page_bytes, vma.prot));
-    it->second.frame = fresh.value();
+    records_[r].frame = fresh.value();
   } else {
     // Sole owner again: just restore write permission.
     O1_RETURN_IF_ERROR(as_->page_table().MapPage(base, frame, page_bytes, vma.prot));
@@ -199,25 +199,28 @@ Status DemandPager::ResolveProtectionFault(const Vma& vma, Vaddr vaddr, AccessTy
 }
 
 Status DemandPager::ForkInto(DemandPager& child) {
-  if (!child.pages_.empty() || !child.swap_slots_.empty()) {
+  if (child.resident_anon_pages() != 0 || !child.swap_slots_.empty()) {
     return InvalidArgument("fork target pager is not fresh");
   }
   SimContext& ctx = machine_->ctx();
-  // 1. Share resident anonymous pages copy-on-write.
-  for (auto& [base, state] : pages_) {
-    auto vma = vmas_->Find(base);
+  // 1. Share resident anonymous pages copy-on-write, in LRU order.
+  child.Reserve(resident_anon_pages());
+  Status shared = ForEachResident([&](const ResidentPage& page) {
+    auto vma = vmas_->Find(page.vaddr);
     O1_CHECK(vma.has_value());
     const Prot read_side = vma->prot & Prot::kReadExec;
-    PageMeta& m = phys_mgr_->meta().Of(state.frame);
+    PageMeta& m = phys_mgr_->meta().Of(page.frame);
     m.refcount++;
     m.mapcount++;
     // Write-protect the parent's PTE and install a read-only child PTE.
     O1_RETURN_IF_ERROR(
-        as_->page_table().MapPage(base, state.frame, state.page_bytes, read_side));
+        as_->page_table().MapPage(page.vaddr, page.frame, page.page_bytes, read_side));
     O1_RETURN_IF_ERROR(
-        child.as_->page_table().MapPage(base, state.frame, state.page_bytes, read_side));
-    child.LruInsert(base, state.frame, state.page_bytes);
-  }
+        child.as_->page_table().MapPage(page.vaddr, page.frame, page.page_bytes, read_side));
+    child.LruInsert(page.vaddr, page.frame, page.page_bytes);
+    return OkStatus();
+  });
+  O1_RETURN_IF_ERROR(shared);
   // 2. Duplicate swapped-out pages' backing slots.
   for (const auto& [base, slot] : swap_slots_) {
     auto dup = swap_->DuplicateSlot(slot);
@@ -247,7 +250,8 @@ Status DemandPager::ForkInto(DemandPager& child) {
 Status DemandPager::Populate(const Vma& vma) {
   const uint64_t step = vma.large_pages && vma.anonymous() ? kLargePageSize : kPageSize;
   for (Vaddr page = vma.start; page < vma.end; page += step) {
-    if (pages_.contains(page) || as_->page_table().Lookup(page).has_value()) {
+    // A resident page always has its leaf, so the page table alone tells.
+    if (as_->page_table().Lookup(page).has_value()) {
       continue;  // already resident
     }
     if (swap_slots_.contains(page)) {
@@ -264,15 +268,16 @@ Status DemandPager::UnmapRange(const Vma& piece) {
   PageTable& pt = as_->page_table();
   O1_RETURN_IF_ERROR(pt.ForEachLeaf(piece.start, piece.end, [&](const PtLeaf& leaf) {
     pt.UnmapLeaf(leaf);
-    auto it = pages_.find(leaf.vaddr);
-    if (it == pages_.end()) {
+    // Only an anonymous VMA's pages have records.
+    const uint32_t r = piece.anonymous() ? Find(leaf.vaddr) : kNil;
+    if (r == kNil) {
       // File-backed: the backing page stays in the file.
       ctx.Charge(ctx.cost().page_meta_update_cycles);  // mapcount drop in the file
       return OkStatus();
     }
-    const Paddr frame = it->second.frame;
-    const bool large = it->second.page_bytes == kLargePageSize;
-    LruRemove(it);
+    const Paddr frame = records_[r].frame;
+    const bool large = records_[r].large;
+    LruRemove(r);
     PageMeta& m = phys_mgr_->meta().Of(frame);
     m.mapcount--;
     if (large) {
@@ -307,8 +312,8 @@ Status DemandPager::ProtectRange(Vaddr vaddr, uint64_t len, Prot prot) {
   return as_->page_table().ForEachLeaf(vaddr, vaddr + len, [&](const PtLeaf& leaf) {
     Prot leaf_prot = prot;
     if (writable) {
-      auto it = pages_.find(leaf.vaddr);
-      if (it != pages_.end() && phys_mgr_->meta().Peek(it->second.frame).mapcount > 1) {
+      const uint32_t r = Find(leaf.vaddr);
+      if (r != kNil && phys_mgr_->meta().Peek(records_[r].frame).mapcount > 1) {
         leaf_prot = prot & Prot::kReadExec;
       }
     }
@@ -319,20 +324,20 @@ Status DemandPager::ProtectRange(Vaddr vaddr, uint64_t len, Prot prot) {
 }
 
 void DemandPager::MarkAccessed(Vaddr vaddr) {
-  auto it = FindResident(vaddr);
-  if (it == pages_.end()) {
+  const uint32_t r = FindResident(vaddr);
+  if (r == kNil) {
     return;
   }
-  phys_mgr_->meta().Of(it->second.frame).Set(PageFlag::kReferenced);
+  phys_mgr_->meta().Of(records_[r].frame).Set(PageFlag::kReferenced);
 }
 
 Status DemandPager::SplitLargePage(Vaddr vaddr) {
-  auto it = FindResident(vaddr);
-  if (it == pages_.end() || it->second.page_bytes != kLargePageSize) {
+  const uint32_t r = FindResident(vaddr);
+  if (r == kNil || !records_[r].large) {
     return NotFound("no resident 2 MiB page at vaddr");
   }
-  const Vaddr base = it->first;
-  const Paddr block = it->second.frame;
+  const Vaddr base = records_[r].vaddr;
+  const Paddr block = records_[r].frame;
   auto vma = vmas_->Find(base);
   if (!vma.has_value()) {
     return FaultError("large page outside any VMA");
@@ -341,7 +346,7 @@ Status DemandPager::SplitLargePage(Vaddr vaddr) {
   // frames -- the per-page cost Linux pays when it fragments a huge page.
   O1_RETURN_IF_ERROR(as_->page_table().UnmapPage(base, kLargePageSize));
   machine_->mmu().ShootdownRange(as_->asid(), base, kLargePageSize);
-  LruRemove(base);
+  LruRemove(r);
   PageMeta& head = phys_mgr_->meta().Of(block);
   head.Clear(PageFlag::kHead);
   head.order = 0;
@@ -359,18 +364,15 @@ Status DemandPager::SplitLargePage(Vaddr vaddr) {
 }
 
 Status DemandPager::SwapOutPage(Vaddr vaddr) {
-  {
-    auto resident = FindResident(vaddr);
-    if (resident != pages_.end() && resident->second.page_bytes == kLargePageSize) {
-      O1_RETURN_IF_ERROR(SplitLargePage(vaddr));
-    }
+  if (const uint32_t large = FindResident(vaddr); large != kNil && records_[large].large) {
+    O1_RETURN_IF_ERROR(SplitLargePage(vaddr));
   }
   const Vaddr page_base = AlignDown(vaddr, kPageSize);
-  auto it = pages_.find(page_base);
-  if (it == pages_.end()) {
+  const uint32_t r = Find(page_base);
+  if (r == kNil) {
     return NotFound("page not resident");
   }
-  const Paddr frame = it->second.frame;
+  const Paddr frame = records_[r].frame;
   if (phys_mgr_->meta().Peek(frame).Test(PageFlag::kMlocked)) {
     return Busy("page is pinned (mlocked)");
   }
@@ -383,18 +385,18 @@ Status DemandPager::SwapOutPage(Vaddr vaddr) {
   }
   O1_RETURN_IF_ERROR(as_->page_table().UnmapPage(page_base, kPageSize));
   machine_->mmu().ShootdownPage(as_->asid(), page_base);
-  LruRemove(page_base);
+  LruRemove(r);
   O1_RETURN_IF_ERROR(phys_mgr_->FreeFrame(frame));
   swap_slots_.emplace(page_base, slot.value());
   return OkStatus();
 }
 
 bool DemandPager::TestAndClearReferenced(Vaddr vaddr) {
-  auto it = FindResident(vaddr);
-  if (it == pages_.end()) {
+  const uint32_t r = FindResident(vaddr);
+  if (r == kNil) {
     return false;
   }
-  PageMeta& m = phys_mgr_->meta().Of(it->second.frame);
+  PageMeta& m = phys_mgr_->meta().Of(records_[r].frame);
   const bool was = m.Test(PageFlag::kReferenced);
   m.Clear(PageFlag::kReferenced);
   return was;
@@ -404,15 +406,15 @@ Status DemandPager::PinRange(Vaddr vaddr, uint64_t len) {
   // Per-page: fault in if absent, then mark unevictable. This is the linear
   // pin loop that file-only memory makes unnecessary.
   for (Vaddr page = AlignDown(vaddr, kPageSize); page < vaddr + len; page += kPageSize) {
-    auto it = FindResident(page);
-    if (it == pages_.end()) {
+    uint32_t r = FindResident(page);
+    if (r == kNil) {
       O1_RETURN_IF_ERROR(HandleFault(page, AccessType::kRead));
-      it = FindResident(page);
-      if (it == pages_.end()) {
+      r = FindResident(page);
+      if (r == kNil) {
         return FaultError("pin could not fault page in");
       }
     }
-    PageMeta& m = phys_mgr_->meta().Of(it->second.frame + (page - it->first));
+    PageMeta& m = phys_mgr_->meta().Of(records_[r].frame + (page - records_[r].vaddr));
     if (m.Test(PageFlag::kMlocked)) {
       continue;  // mlock(2) is idempotent: a page holds at most one pin
     }
@@ -427,14 +429,14 @@ Status DemandPager::UnpinRange(Vaddr vaddr, uint64_t len) {
   // Like munlock(2), any mapped range unpins: a page holding no pin,
   // resident or not, is skipped.
   for (Vaddr page = AlignDown(vaddr, kPageSize); page < vaddr + len; page += kPageSize) {
-    auto it = FindResident(page);
-    if (it == pages_.end()) {
+    const uint32_t r = FindResident(page);
+    if (r == kNil) {
       if (!vmas_->Find(page).has_value()) {
         return NotFound("unpin outside any VMA");
       }
       continue;
     }
-    PageMeta& m = phys_mgr_->meta().Of(it->second.frame + (page - it->first));
+    PageMeta& m = phys_mgr_->meta().Of(records_[r].frame + (page - records_[r].vaddr));
     if (!m.Test(PageFlag::kMlocked)) {
       continue;
     }
@@ -472,7 +474,7 @@ Status DemandPager::ProvidePage(Vaddr page_base, std::span<const uint8_t> data) 
   if (!vma.has_value() || !vma->anonymous()) {
     return InvalidArgument("ProvidePage outside an anonymous VMA");
   }
-  if (FindResident(page_base) != pages_.end()) {
+  if (FindResident(page_base) != kNil) {
     return AlreadyExists("page already resident");
   }
   auto frame = phys_mgr_->AllocFrame(/*zero=*/data.size() < kPageSize);
@@ -494,53 +496,155 @@ Status DemandPager::ProvidePage(Vaddr page_base, std::span<const uint8_t> data) 
 void DemandPager::LruInsert(Vaddr page_base, Paddr frame, uint64_t page_bytes) {
   SimContext& ctx = machine_->ctx();
   ctx.Charge(ctx.cost().lru_link_cycles);
-  inactive_.push_back(page_base);
-  PageState state;
-  state.frame = frame;
-  state.page_bytes = page_bytes;
-  state.active = false;
-  state.lru_it = std::prev(inactive_.end());
-  pages_.emplace(page_base, state);
+  uint32_t r = free_records_;
+  if (r != kNil) {
+    free_records_ = records_[r].next;
+  } else {
+    O1_CHECK(records_.size() < kNil);
+    r = static_cast<uint32_t>(records_.size());
+    records_.emplace_back();
+  }
+  records_[r] =
+      PageRecord{.vaddr = page_base, .frame = frame, .large = page_bytes == kLargePageSize};
+  PushBack(inactive_, r);
+  IndexInsert(r);
   phys_mgr_->meta().Of(frame).Set(PageFlag::kLru);
 }
 
-void DemandPager::LruRemove(Vaddr page_base) {
-  auto it = pages_.find(page_base);
-  if (it != pages_.end()) {
-    LruRemove(it);
-  }
+void DemandPager::LruRemove(uint32_t record) {
+  machine_->ctx().Charge(machine_->ctx().cost().lru_link_cycles);
+  PageRecord& rec = records_[record];
+  Unlink(rec.active ? active_ : inactive_, record);
+  IndexErase(record);
+  rec.next = free_records_;
+  free_records_ = record;
 }
 
-void DemandPager::LruRemove(std::unordered_map<Vaddr, PageState>::iterator it) {
-  machine_->ctx().Charge(machine_->ctx().cost().lru_link_cycles);
-  (it->second.active ? active_ : inactive_).erase(it->second.lru_it);
-  pages_.erase(it);
+void DemandPager::RotateInactive() {
+  const uint32_t r = inactive_.head;
+  O1_CHECK(r != kNil);
+  Unlink(inactive_, r);
+  PushBack(inactive_, r);
 }
 
 void DemandPager::Promote(Vaddr vaddr) {
-  auto it = pages_.find(AlignDown(vaddr, kPageSize));
-  if (it == pages_.end() || it->second.active) {
+  const uint32_t r = Find(AlignDown(vaddr, kPageSize));
+  if (r == kNil || records_[r].active) {
     return;
   }
   machine_->ctx().Charge(machine_->ctx().cost().lru_link_cycles);
-  inactive_.erase(it->second.lru_it);
-  active_.push_back(it->first);
-  it->second.lru_it = std::prev(active_.end());
-  it->second.active = true;
-  phys_mgr_->meta().Of(it->second.frame).Set(PageFlag::kActive);
+  Unlink(inactive_, r);
+  records_[r].active = true;
+  PushBack(active_, r);
+  phys_mgr_->meta().Of(records_[r].frame).Set(PageFlag::kActive);
 }
 
 void DemandPager::Demote(Vaddr vaddr) {
-  auto it = pages_.find(AlignDown(vaddr, kPageSize));
-  if (it == pages_.end() || !it->second.active) {
+  const uint32_t r = Find(AlignDown(vaddr, kPageSize));
+  if (r == kNil || !records_[r].active) {
     return;
   }
   machine_->ctx().Charge(machine_->ctx().cost().lru_link_cycles);
-  active_.erase(it->second.lru_it);
-  inactive_.push_back(it->first);
-  it->second.lru_it = std::prev(inactive_.end());
-  it->second.active = false;
-  phys_mgr_->meta().Of(it->second.frame).Clear(PageFlag::kActive);
+  Unlink(active_, r);
+  records_[r].active = false;
+  PushBack(inactive_, r);
+  phys_mgr_->meta().Of(records_[r].frame).Clear(PageFlag::kActive);
+}
+
+void DemandPager::PushBack(LruList& list, uint32_t record) {
+  PageRecord& rec = records_[record];
+  rec.prev = list.tail;
+  rec.next = kNil;
+  (list.tail == kNil ? list.head : records_[list.tail].next) = record;
+  list.tail = record;
+  ++list.size;
+}
+
+void DemandPager::Unlink(LruList& list, uint32_t record) {
+  const PageRecord& rec = records_[record];
+  (rec.prev == kNil ? list.head : records_[rec.prev].next) = rec.next;
+  (rec.next == kNil ? list.tail : records_[rec.next].prev) = rec.prev;
+  --list.size;
+}
+
+size_t DemandPager::HomeSlot(uint32_t tag) const {
+  // Fibonacci hashing: the top bits of the page number times 2^64 / phi.
+  return static_cast<size_t>((uint64_t{tag} * 0x9E3779B97F4A7C15ull) >> index_shift_);
+}
+
+uint32_t DemandPager::Find(Vaddr page_base) const {
+  if (index_.empty()) {
+    return kNil;
+  }
+  const size_t mask = index_.size() - 1;
+  const uint32_t tag = Tag(page_base);
+  for (size_t i = HomeSlot(tag);; i = (i + 1) & mask) {
+    const IndexSlot& slot = index_[i];
+    if (slot.record == kNil) {
+      return kNil;
+    }
+    if (slot.tag == tag && records_[slot.record].vaddr == page_base) {
+      return slot.record;
+    }
+  }
+}
+
+void DemandPager::Reserve(uint64_t pages) {
+  records_.reserve(pages);
+  const size_t slots = std::bit_ceil(std::max<size_t>(16, 2 * pages));
+  if (slots > index_.size()) {
+    ResizeIndex(slots);
+  }
+}
+
+void DemandPager::IndexInsert(uint32_t record) {
+  // `record` is already on a list, so the index holds resident_anon_pages()
+  // records once it is in.
+  if (2 * resident_anon_pages() > index_.size()) {
+    ResizeIndex(std::max<size_t>(16, 2 * index_.size()));
+  }
+  const size_t mask = index_.size() - 1;
+  const Vaddr page_base = records_[record].vaddr;
+  const uint32_t tag = Tag(page_base);
+  size_t i = HomeSlot(tag);
+  for (; index_[i].record != kNil; i = (i + 1) & mask) {
+    O1_CHECK(index_[i].tag != tag || records_[index_[i].record].vaddr != page_base);
+  }
+  index_[i] = IndexSlot{.tag = tag, .record = record};
+}
+
+void DemandPager::IndexErase(uint32_t record) {
+  const size_t mask = index_.size() - 1;
+  size_t hole = HomeSlot(Tag(records_[record].vaddr));
+  while (index_[hole].record != record) {
+    hole = (hole + 1) & mask;
+  }
+  // Backward shift: a later slot of the same probe run moves into the hole
+  // unless its home lies after the hole, so every lookup still reaches it
+  // before an empty slot.
+  for (size_t i = (hole + 1) & mask; index_[i].record != kNil; i = (i + 1) & mask) {
+    if (((i - HomeSlot(index_[i].tag)) & mask) >= ((i - hole) & mask)) {
+      index_[hole] = index_[i];
+      hole = i;
+    }
+  }
+  index_[hole].record = kNil;
+}
+
+void DemandPager::ResizeIndex(size_t slots) {
+  std::vector<IndexSlot> old = std::exchange(index_, std::vector<IndexSlot>(slots));
+  index_shift_ = 64 - std::countr_zero(slots);
+  const size_t mask = slots - 1;
+  for (const IndexSlot& slot : old) {
+    if (slot.record == kNil) {
+      continue;
+    }
+    size_t i = HomeSlot(slot.tag);
+    while (index_[i].record != kNil) {
+      i = (i + 1) & mask;
+    }
+    index_[i] = slot;
+  }
 }
 
 }  // namespace o1mem

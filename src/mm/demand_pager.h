@@ -11,15 +11,19 @@
 //   * per-page unmap with TLB shootdown and frame release
 //   * maintain anonymous-page LRU lists + reverse map for the reclaimers
 //   * swap in/out cooperation with SwapDevice
+//
+// The simulated kernel pays for that bookkeeping page by page; the host does
+// not allocate for it. Each resident anonymous page is one record in a table
+// the pager recycles, the two LRU lists are threaded through the records by
+// index, and an open-addressing index maps a page base to its record.
 #ifndef O1MEM_SRC_MM_DEMAND_PAGER_H_
 #define O1MEM_SRC_MM_DEMAND_PAGER_H_
 
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <map>
 #include <span>
-#include <unordered_map>
+#include <vector>
 
 #include "src/mm/phys_manager.h"
 #include "src/mm/swap.h"
@@ -46,7 +50,9 @@ class DemandPager : public FaultHandler {
   // (write-protect both sides, bump frame refcounts), duplicates swap slots,
   // and copies file-backed PTEs (file mappings are shared). Per-page work by
   // nature -- one of the linear costs the abl_fork benchmark prices -- but
-  // only over pages that are present or swapped out.
+  // only over pages that are present or swapped out. The pages are shared in
+  // this pager's LRU order (ForEachResident), so the child's inactive list
+  // starts as the parent's inactive list followed by its active list.
   // The caller must have copied the VMA tree into child->vmas_ already.
   Status ForkInto(DemandPager& child);
 
@@ -71,10 +77,12 @@ class DemandPager : public FaultHandler {
 
   // --- Reclaimer interface ---------------------------------------------
 
-  // A resident anonymous page, in LRU order.
+  // A resident anonymous page, as ForEachResident reports it.
   struct ResidentPage {
     Vaddr vaddr;
     Paddr frame;
+    uint64_t page_bytes;  // 4 KiB or 2 MiB
+    bool active;          // on the active list
   };
 
   // Evicts the anonymous page at `vaddr` to swap: unmaps, shoots down,
@@ -113,31 +121,86 @@ class DemandPager : public FaultHandler {
   // Tests/clears the referenced bit of the resident page at `vaddr`.
   bool TestAndClearReferenced(Vaddr vaddr);
 
-  // The two LRU lists (front = oldest). The clock reclaimer treats
-  // `inactive` as a circular list; the 2Q reclaimer uses both.
-  std::list<Vaddr>& inactive_list() { return inactive_; }
-  std::list<Vaddr>& active_list() { return active_; }
+  // The two LRU lists, oldest first. The clock reclaimer treats the
+  // inactive list as a circle; the 2Q reclaimer uses both.
+  uint64_t inactive_pages() const { return inactive_.size; }
+  uint64_t active_pages() const { return active_.size; }
+  // The oldest page of a list that is not empty.
+  Vaddr OldestInactive() const { return Oldest(inactive_); }
+  Vaddr OldestActive() const { return Oldest(active_); }
+  // The clock hand's step: the oldest inactive page becomes the newest.
+  void RotateInactive();
 
   // Moves a page between lists (2Q promotions/demotions).
   void Promote(Vaddr vaddr);
   void Demote(Vaddr vaddr);
 
-  uint64_t resident_anon_pages() const { return pages_.size(); }
+  // Visits every resident anonymous page in LRU order: the inactive list,
+  // then the active list, each oldest first. `fn(const ResidentPage&)`
+  // returns Status; the first error stops the walk and is returned. `fn`
+  // must not install or drop pages of this pager.
+  template <typename Fn>
+  Status ForEachResident(Fn&& fn) const {
+    for (const LruList* list : {&inactive_, &active_}) {
+      for (uint32_t r = list->head; r != kNil; r = records_[r].next) {
+        const PageRecord& rec = records_[r];
+        O1_RETURN_IF_ERROR(fn(ResidentPage{rec.vaddr, rec.frame, PageBytes(rec), rec.active}));
+      }
+    }
+    return OkStatus();
+  }
+
+  uint64_t resident_anon_pages() const { return inactive_.size + active_.size; }
   uint64_t swapped_pages() const { return swap_slots_.size(); }
 
   AddressSpace& address_space() { return *as_; }
   Machine& machine() { return *machine_; }
 
  private:
-  struct PageState {
+  // No record: an empty index slot, the end of a list or of the free list.
+  static constexpr uint32_t kNil = UINT32_MAX;
+
+  // One resident anonymous page. A record on neither LRU list is free and
+  // links the free list through `next`.
+  struct PageRecord {
+    Vaddr vaddr = 0;
     Paddr frame = 0;
-    uint64_t page_bytes = kPageSize;  // 4 KiB or 2 MiB
-    bool active = false;
-    std::list<Vaddr>::iterator lru_it;
+    uint32_t prev = kNil;
+    uint32_t next = kNil;
+    bool large = false;   // a 2 MiB page
+    bool active = false;  // on the active list, else on the inactive one
   };
 
+  // A doubly linked list of records, oldest at `head`.
+  struct LruList {
+    uint32_t head = kNil;
+    uint32_t tail = kNil;
+    uint64_t size = 0;
+  };
+
+  // One slot of the index: the low 32 bits of a page number and the page's
+  // record, kNil when empty. Pages whose numbers share those bits share a
+  // home slot; a lookup tells them apart by the record's vaddr.
+  struct IndexSlot {
+    uint32_t tag = 0;
+    uint32_t record = kNil;
+  };
+  static uint32_t Tag(Vaddr page_base) { return static_cast<uint32_t>(page_base >> kPageShift); }
+
+  static uint64_t PageBytes(const PageRecord& rec) {
+    return rec.large ? kLargePageSize : kPageSize;
+  }
+  Vaddr Oldest(const LruList& list) const {
+    O1_CHECK(list.head != kNil);
+    return records_[list.head].vaddr;
+  }
+
+  // The record of the page based exactly at `page_base`, or kNil.
+  uint32_t Find(Vaddr page_base) const;
   // Resident-page lookup that understands both page sizes.
-  std::unordered_map<Vaddr, PageState>::iterator FindResident(Vaddr vaddr);
+  uint32_t FindResident(Vaddr vaddr) const;
+  // Sizes the table and its index for `pages` records without regrowing.
+  void Reserve(uint64_t pages);
 
   // Installs one page for `vma` at `page_base`. `from_fault` selects the
   // charged path (fault handler vs populate loop).
@@ -151,9 +214,20 @@ class DemandPager : public FaultHandler {
   // write-enable after fork).
   Status ResolveProtectionFault(const Vma& vma, Vaddr vaddr, AccessType type);
 
+  // Records a newly installed page as the newest inactive page, or drops a
+  // page's record; both charge one LRU link update.
   void LruInsert(Vaddr page_base, Paddr frame, uint64_t page_bytes);
-  void LruRemove(Vaddr page_base);
-  void LruRemove(std::unordered_map<Vaddr, PageState>::iterator it);
+  void LruRemove(uint32_t record);
+
+  // Host-only table work: list links and the index. Linear probing over a
+  // power-of-two table at most half full; a removal shifts the slots after
+  // it back instead of leaving a tombstone.
+  size_t HomeSlot(uint32_t tag) const;
+  void IndexInsert(uint32_t record);
+  void IndexErase(uint32_t record);
+  void ResizeIndex(size_t slots);
+  void PushBack(LruList& list, uint32_t record);
+  void Unlink(LruList& list, uint32_t record);
 
   Machine* machine_;
   PhysManager* phys_mgr_;
@@ -162,14 +236,17 @@ class DemandPager : public FaultHandler {
   VmaTree* vmas_;
 
   // Anonymous resident pages only; file pages are owned by their file.
-  std::unordered_map<Vaddr, PageState> pages_;
+  std::vector<PageRecord> records_;
+  uint32_t free_records_ = kNil;
+  std::vector<IndexSlot> index_;  // empty, or a power of two >= 16 slots
+  int index_shift_ = 64;          // 64 - log2(index_.size())
+  LruList inactive_;
+  LruList active_;
   // Userfault ranges: start -> (len, callback).
   std::map<Vaddr, std::pair<uint64_t, UserFaultCallback>> userfault_ranges_;
   // Swapped-out anon pages (they have no PTE), in address order so a range
   // teardown finds its slots with one lower_bound.
   std::map<Vaddr, uint64_t> swap_slots_;
-  std::list<Vaddr> inactive_;
-  std::list<Vaddr> active_;
 };
 
 }  // namespace o1mem

@@ -217,11 +217,13 @@ void PhysManager::ReplenishPrezeroPool() {
   replenishing_ = true;
   uint64_t background = 0;
   ctx.RedirectCharges(&background);
+  std::vector<Paddr> batch;
+  batch.reserve(static_cast<size_t>(std::max(ctx.smp().pcp_batch, 0)));
   while (prezero_pool_.size() < target && buddy_.free_bytes() > reserve) {
     const int want = static_cast<int>(
         std::min<uint64_t>(static_cast<uint64_t>(ctx.smp().pcp_batch),
                            target - prezero_pool_.size()));
-    std::vector<Paddr> batch;
+    batch.clear();
     if (!buddy_.AllocFrameBatch(want, &batch).ok() || batch.empty()) {
       break;
     }

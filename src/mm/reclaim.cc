@@ -5,27 +5,26 @@ namespace o1mem {
 Result<ReclaimStats> ClockReclaimer::Reclaim(uint64_t target) {
   ReclaimStats stats;
   SimContext& ctx = pager_->machine().ctx();
-  std::list<Vaddr>& lru = pager_->inactive_list();
   // Bound the sweep: at most two full revolutions of the clock, after which
   // everything had its referenced bit cleared once and the scan must yield.
-  uint64_t budget = 2 * lru.size() + 1;
-  while (stats.reclaimed < target && budget > 0 && !lru.empty()) {
+  uint64_t budget = 2 * pager_->inactive_pages() + 1;
+  while (stats.reclaimed < target && budget > 0 && pager_->inactive_pages() > 0) {
     --budget;
     ctx.Charge(ctx.cost().reclaim_scan_page_cycles);
     ctx.counters().pages_scanned++;
     stats.scanned++;
-    const Vaddr victim = lru.front();
+    const Vaddr victim = pager_->OldestInactive();
     if (pager_->TestAndClearReferenced(victim)) {
-      // Second chance: rotate to the back of the clock. splice() keeps the
-      // pager's stored iterators valid.
-      lru.splice(lru.end(), lru, lru.begin());
+      // Second chance: rotate to the back of the clock.
+      pager_->RotateInactive();
       stats.spared++;
       continue;
     }
     Status evicted = pager_->SwapOutPage(victim);
     if (evicted.code() == StatusCode::kBusy) {
-      // Pinned (mlocked) page: unevictable, rotate past it.
-      lru.splice(lru.end(), lru, lru.begin());
+      // Pinned (mlocked) page: unevictable, rotate past it. A 2 MiB victim
+      // was split first, so the hand steps past whatever page is oldest now.
+      pager_->RotateInactive();
       stats.spared++;
       continue;
     }
@@ -38,33 +37,31 @@ Result<ReclaimStats> ClockReclaimer::Reclaim(uint64_t target) {
 void TwoQueueReclaimer::RebalanceQueues() {
   // Keep the inactive queue at least as large as a third of the total, as
   // Linux's active/inactive balancing aims for.
-  std::list<Vaddr>& active = pager_->active_list();
-  std::list<Vaddr>& inactive = pager_->inactive_list();
   SimContext& ctx = pager_->machine().ctx();
-  while (!active.empty() && inactive.size() < (active.size() + inactive.size()) / 3 + 1) {
+  while (pager_->active_pages() > 0 &&
+         pager_->inactive_pages() < pager_->resident_anon_pages() / 3 + 1) {
     ctx.Charge(ctx.cost().reclaim_scan_page_cycles);
     ctx.counters().pages_scanned++;
-    pager_->Demote(active.front());
+    pager_->Demote(pager_->OldestActive());
   }
 }
 
 Result<ReclaimStats> TwoQueueReclaimer::Reclaim(uint64_t target) {
   ReclaimStats stats;
   SimContext& ctx = pager_->machine().ctx();
-  std::list<Vaddr>& inactive = pager_->inactive_list();
-  uint64_t budget = 2 * (inactive.size() + pager_->active_list().size()) + 2;
+  uint64_t budget = 2 * pager_->resident_anon_pages() + 2;
   while (stats.reclaimed < target && budget > 0) {
     --budget;
-    if (inactive.empty()) {
+    if (pager_->inactive_pages() == 0) {
       RebalanceQueues();
-      if (inactive.empty()) {
+      if (pager_->inactive_pages() == 0) {
         break;
       }
     }
     ctx.Charge(ctx.cost().reclaim_scan_page_cycles);
     ctx.counters().pages_scanned++;
     stats.scanned++;
-    const Vaddr candidate = inactive.front();
+    const Vaddr candidate = pager_->OldestInactive();
     if (pager_->TestAndClearReferenced(candidate)) {
       pager_->Promote(candidate);
       stats.spared++;

@@ -4,16 +4,24 @@
 
 namespace o1mem {
 
+namespace {
+constexpr std::array<uint8_t, kPageSize> kZeroPage{};
+}  // namespace
+
 Result<uint64_t> SwapDevice::SwapOut(Paddr paddr) {
   if (slots_.size() >= capacity_pages_) {
     return OutOfMemory("swap device full");
   }
-  std::vector<uint8_t> data(kPageSize);
+  std::array<uint8_t, kPageSize> data{};
   O1_RETURN_IF_ERROR(phys_->ReadUncharged(paddr, data));
   ctx_->Charge(ctx_->cost().swap_out_page_cycles);
   ctx_->counters().pages_swapped_out++;
   const uint64_t slot = next_slot_++;
-  slots_.emplace(slot, std::move(data));
+  PageBytes bytes;
+  if (data != kZeroPage) {
+    bytes = std::make_shared<std::array<uint8_t, kPageSize>>(data);
+  }
+  slots_.emplace(slot, std::move(bytes));
   return slot;
 }
 
@@ -24,7 +32,7 @@ Status SwapDevice::SwapIn(uint64_t slot, Paddr paddr) {
   }
   ctx_->Charge(ctx_->cost().swap_in_page_cycles);
   ctx_->counters().pages_swapped_in++;
-  O1_RETURN_IF_ERROR(phys_->WriteUncharged(paddr, it->second));
+  O1_RETURN_IF_ERROR(phys_->WriteUncharged(paddr, it->second ? *it->second : kZeroPage));
   slots_.erase(it);
   return OkStatus();
 }

@@ -1,6 +1,7 @@
 #include "src/sim/tlb.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "src/support/check.h"
 
@@ -39,6 +40,7 @@ std::optional<TlbEntry> Tlb::Lookup(Asid asid, Vaddr vaddr) {
 }
 
 void Tlb::Insert(Asid asid, Vaddr vbase, Paddr pbase, uint64_t page_bytes, Prot prot) {
+  O1_CHECK(IsAligned(vbase, page_bytes));
   ++tick_;
   const size_t base = SetBase(vbase, page_bytes);
   size_t victim = base;
@@ -79,15 +81,41 @@ int Tlb::InvalidateRange(Asid asid, Vaddr vaddr, uint64_t len) {
   if (ValidCount(asid) == 0) {
     return 0;
   }
-  // The scan stops once the ASID has no valid entry left to drop.
+  // Either scan stops once the ASID has no valid entry left to drop.
   uint32_t& remaining = valid_per_asid_[asid];
   int dropped = 0;
-  for (auto it = slots_.begin(); remaining > 0 && it != slots_.end(); ++it) {
-    TlbEntry& e = *it;
-    if (e.valid && e.asid == asid && e.vbase < vaddr + len && vaddr < e.vbase + e.page_bytes) {
-      e.valid = false;
-      --remaining;
-      ++dropped;
+  auto drop_overlapping = [&](size_t first, size_t count) {
+    for (size_t i = first; remaining > 0 && i < first + count; ++i) {
+      TlbEntry& e = slots_[i];
+      if (e.valid && e.asid == asid && e.vbase < vaddr + len && vaddr < e.vbase + e.page_bytes) {
+        e.valid = false;
+        --remaining;
+        ++dropped;
+      }
+    }
+  };
+  // An entry lives in the set of its own page, so an entry of each size
+  // that overlaps the range sits in the set of one of the range's pages of
+  // that size. Probe those sets when they hold fewer slots than the array.
+  const Vaddr end = vaddr + len;
+  uint64_t pages[std::size(kPageSizes)] = {};
+  uint64_t probed_slots = 0;
+  if (len > 0 && end > vaddr) {
+    for (size_t s = 0; s < std::size(kPageSizes); ++s) {
+      pages[s] = (AlignDown(end - 1, kPageSizes[s]) - AlignDown(vaddr, kPageSizes[s])) /
+                     kPageSizes[s] + 1;
+      probed_slots += pages[s] * static_cast<uint64_t>(ways_);
+    }
+  }
+  if (probed_slots == 0 || probed_slots >= slots_.size()) {
+    drop_overlapping(0, slots_.size());
+    return dropped;
+  }
+  for (size_t s = 0; s < std::size(kPageSizes); ++s) {
+    const Vaddr first = AlignDown(vaddr, kPageSizes[s]);
+    for (uint64_t p = 0; p < pages[s]; ++p) {
+      drop_overlapping(SetBase(first + p * kPageSizes[s], kPageSizes[s]),
+                       static_cast<size_t>(ways_));
     }
   }
   return dropped;

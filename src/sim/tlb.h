@@ -38,12 +38,15 @@ class Tlb {
   // Probes for a translation covering `vaddr` (any page size).
   std::optional<TlbEntry> Lookup(Asid asid, Vaddr vaddr);
 
+  // `vbase` must be aligned to `page_bytes`.
   void Insert(Asid asid, Vaddr vbase, Paddr pbase, uint64_t page_bytes, Prot prot);
 
   // Invalidation (shootdown targets). InvalidateRange removes entries
   // overlapping the span and returns the number dropped. InvalidateRange and
   // InvalidateAsid return at once for an ASID holding no valid entry, so a
   // shootdown costs the host nothing on a TLB holding none of its entries.
+  // A short range probes only the sets its pages of each size map to: one
+  // 4 KiB page reads 3 sizes x `ways` slots, not the whole array.
   int InvalidateRange(Asid asid, Vaddr vaddr, uint64_t len);
   void InvalidateAsid(Asid asid);
   void InvalidateAll();

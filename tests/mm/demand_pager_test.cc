@@ -2,10 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <list>
 #include <map>
+#include <set>
+#include <utility>
+#include <vector>
 
 #include "src/mm/reclaim.h"
 #include "src/os/system.h"
+#include "src/support/rng.h"
 
 namespace o1mem {
 namespace {
@@ -174,7 +180,7 @@ TEST_F(PagerTest, TwoQueuePromotesReferencedPages) {
   EXPECT_EQ(stats->reclaimed, 4u);
   // Referenced-at-install pages were promoted rather than evicted on first
   // encounter.
-  EXPECT_FALSE(pager_.active_list().empty());
+  EXPECT_GT(pager_.active_pages(), 0u);
 }
 
 TEST_F(PagerTest, ReclaimThenTouchFaultsBackIn) {
@@ -196,6 +202,70 @@ TEST_F(PagerTest, OutOfMemoryWhenDramExhausted) {
   Status s = pager_.Populate(*vmas_.Find(kMiB));
   EXPECT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kOutOfMemory);
+}
+
+// A forked child starts from the parent's LRU order: its inactive list is
+// the parent's inactive list followed by the parent's active list, each
+// oldest first. Once the parent is gone no page is shared, and clock
+// reclaim in the child evicts the pages in exactly that order.
+TEST_F(PagerTest, ForkedChildReclaimsInTheParentsLruOrder) {
+  constexpr uint64_t kPages = 64;
+  ASSERT_TRUE(MapAnon(kMiB, kPages * kPageSize, /*populate=*/true).ok());
+  // Swap every page out and fault it back in a scrambled order, then
+  // promote every fifth of them, last first.
+  std::vector<Vaddr> inactive;
+  for (uint64_t i = 0; i < kPages; ++i) {
+    inactive.push_back(kMiB + (i * 37 % kPages) * kPageSize);
+  }
+  for (Vaddr page : inactive) {
+    ASSERT_TRUE(pager_.SwapOutPage(page).ok());
+  }
+  for (Vaddr page : inactive) {
+    ASSERT_TRUE(machine_.mmu().Touch(*as_, page, 1, AccessType::kRead).ok());
+  }
+  std::vector<Vaddr> active;
+  for (size_t i = inactive.size(); i-- > 0;) {
+    if (i % 5 == 0) {
+      pager_.Promote(inactive[i]);
+      active.push_back(inactive[i]);
+      inactive.erase(inactive.begin() + static_cast<ptrdiff_t>(i));
+    }
+  }
+  std::vector<Vaddr> lru_order = inactive;
+  lru_order.insert(lru_order.end(), active.begin(), active.end());
+
+  std::unique_ptr<AddressSpace> child_as = machine_.CreateAddressSpace();
+  VmaTree child_vmas(&machine_.ctx());
+  DemandPager child(&machine_, &phys_mgr_, &swap_, child_as.get(), &child_vmas);
+  for (const Vma& vma : vmas_.Regions()) {
+    ASSERT_TRUE(child_vmas.Insert(vma).ok());
+  }
+  ASSERT_TRUE(pager_.ForkInto(child).ok());
+  // The parent exits, so every frame is the child's alone.
+  for (const Vma& vma : vmas_.Regions()) {
+    ASSERT_TRUE(pager_.UnmapRange(vma).ok());
+  }
+  machine_.mmu().FlushPending();
+  EXPECT_EQ(child.inactive_pages(), kPages);
+  for (Vaddr page : lru_order) {
+    child.TestAndClearReferenced(page);
+  }
+  ClockReclaimer clock(&child);
+  std::set<Vaddr> resident(lru_order.begin(), lru_order.end());
+  for (Vaddr expected : lru_order) {
+    auto stats = clock.Reclaim(1);
+    ASSERT_TRUE(stats.ok());
+    ASSERT_EQ(stats->reclaimed, 1u);
+    Vaddr evicted = 0;
+    for (Vaddr page : resident) {
+      if (!child_as->page_table().Lookup(page).has_value()) {
+        evicted = page;
+      }
+    }
+    ASSERT_EQ(evicted, expected);
+    resident.erase(evicted);
+  }
+  EXPECT_EQ(child.swapped_pages(), kPages);
 }
 
 // A file's page cache for file-backed VMAs: a backing frame is allocated on
@@ -326,6 +396,367 @@ TEST_F(TeardownTest, ForkExitThenExitReleaseEveryKindOfPage) {
   EXPECT_EQ(PinnedRefcount(), 0);
   EXPECT_EQ(phys_mgr_.free_bytes(), free_at_start_ - kFilePages * kPageSize);
 }
+
+// The pager's LRU lists as std::list, the way the pager kept them before
+// its records were threaded through a table. The op mix below checks the
+// table, its index and both reclaimers against it.
+class LruModel {
+ public:
+  explicit LruModel(const PageMetaArray& meta) : meta_(meta) {}
+
+  // Adopts what an op other than reclaim did: a page the pager dropped
+  // leaves its list, a page it installed joins the inactive list in address
+  // order, and a page that broke copy-on-write takes its new frame.
+  void Sync(const DemandPager& pager) {
+    std::map<Vaddr, DemandPager::ResidentPage> resident;
+    (void)pager.ForEachResident([&](const DemandPager::ResidentPage& page) {
+      resident.emplace(page.vaddr, page);
+      return OkStatus();
+    });
+    for (auto it = pages_.begin(); it != pages_.end();) {
+      auto now = resident.find(it->first);
+      if (now == resident.end() || (now->second.page_bytes == kLargePageSize) != it->second.large) {
+        lists_[it->second.active].erase(it->second.it);
+        it = pages_.erase(it);
+      } else {
+        it->second.frame = now->second.frame;
+        ++it;
+      }
+    }
+    for (const auto& [vaddr, page] : resident) {
+      if (!pages_.contains(vaddr)) {
+        Append(vaddr, page.frame, page.page_bytes == kLargePageSize);
+      }
+    }
+  }
+
+  // The pager's lists must hold the model's pages in the model's order.
+  void ExpectSameOrder(const DemandPager& pager) const {
+    std::vector<std::pair<Vaddr, bool>> got;
+    (void)pager.ForEachResident([&](const DemandPager::ResidentPage& page) {
+      got.emplace_back(page.vaddr, page.active);
+      return OkStatus();
+    });
+    std::vector<std::pair<Vaddr, bool>> want;
+    for (bool active : {false, true}) {
+      for (Vaddr vaddr : lists_[active]) {
+        want.emplace_back(vaddr, active);
+      }
+    }
+    ASSERT_EQ(got, want);
+  }
+
+  // ClockReclaimer and TwoQueueReclaimer over the model. They read each
+  // frame's flags as they stand before the real reclaim runs.
+  ReclaimStats Clock(uint64_t target) {
+    StartReclaim();
+    ReclaimStats stats;
+    uint64_t budget = 2 * lists_[0].size() + 1;
+    while (stats.reclaimed < target && budget > 0 && !lists_[0].empty()) {
+      --budget;
+      stats.scanned++;
+      const Vaddr victim = lists_[0].front();
+      if (TestAndClearReferenced(victim) || !SwapOut(victim)) {
+        lists_[0].splice(lists_[0].end(), lists_[0], lists_[0].begin());
+        stats.spared++;
+        continue;
+      }
+      stats.reclaimed++;
+    }
+    return stats;
+  }
+
+  ReclaimStats TwoQueue(uint64_t target) {
+    StartReclaim();
+    ReclaimStats stats;
+    uint64_t budget = 2 * pages_.size() + 2;
+    while (stats.reclaimed < target && budget > 0) {
+      --budget;
+      if (lists_[0].empty()) {
+        while (!lists_[1].empty() && lists_[0].size() < pages_.size() / 3 + 1) {
+          Move(lists_[1].front(), /*active=*/false);
+        }
+        if (lists_[0].empty()) {
+          break;
+        }
+      }
+      stats.scanned++;
+      const Vaddr candidate = lists_[0].front();
+      if (TestAndClearReferenced(candidate) || !SwapOut(candidate)) {
+        if (auto it = pages_.find(candidate); it != pages_.end() && !it->second.active) {
+          Move(candidate, /*active=*/true);
+        }
+        stats.spared++;
+        continue;
+      }
+      stats.reclaimed++;
+    }
+    return stats;
+  }
+
+ private:
+  struct Entry {
+    Paddr frame;
+    bool large;
+    bool active;
+    std::list<Vaddr>::iterator it;
+  };
+
+  void Append(Vaddr vaddr, Paddr frame, bool large) {
+    lists_[0].push_back(vaddr);
+    pages_[vaddr] = Entry{frame, large, false, std::prev(lists_[0].end())};
+  }
+
+  void Remove(Vaddr vaddr) {
+    auto it = pages_.find(vaddr);
+    lists_[it->second.active].erase(it->second.it);
+    pages_.erase(it);
+  }
+
+  void Move(Vaddr vaddr, bool active) {
+    Entry& e = pages_.at(vaddr);
+    lists_[e.active].erase(e.it);
+    lists_[active].push_back(vaddr);
+    e.it = std::prev(lists_[active].end());
+    e.active = active;
+  }
+
+  void StartReclaim() {
+    cleared_.clear();
+    split_.clear();
+  }
+
+  bool TestAndClearReferenced(Vaddr vaddr) {
+    const Paddr frame = pages_.at(vaddr).frame;
+    const bool was = meta_.Peek(frame).Test(PageFlag::kReferenced) && !cleared_.contains(frame);
+    cleared_.insert(frame);
+    return was;
+  }
+
+  // DemandPager::SwapOutPage: splits a 2 MiB page, then evicts its first
+  // 4 KiB page unless that page is pinned or shared. A split gives every
+  // 4 KiB page one reference.
+  bool SwapOut(Vaddr vaddr) {
+    const Entry e = pages_.at(vaddr);
+    if (e.large) {
+      Remove(vaddr);
+      for (uint64_t off = 0; off < kLargePageSize; off += kPageSize) {
+        Append(vaddr + off, e.frame + off, /*large=*/false);
+        split_.insert(e.frame + off);
+      }
+    }
+    const Paddr frame = pages_.at(vaddr).frame;
+    const PageMeta& m = meta_.Peek(frame);
+    if (m.Test(PageFlag::kMlocked) || (m.refcount > 1 && !split_.contains(frame))) {
+      return false;
+    }
+    Remove(vaddr);
+    return true;
+  }
+
+  const PageMetaArray& meta_;
+  std::list<Vaddr> lists_[2];  // inactive, active; oldest first
+  std::map<Vaddr, Entry> pages_;
+  // Referenced bits a modelled reclaim cleared, and frames it split.
+  std::set<Paddr> cleared_;
+  std::set<Paddr> split_;
+};
+
+// A seeded mix of every op that installs, drops or reorders resident pages:
+// map (with or without populate), populate, faults, munmap, clock and 2Q
+// reclaim, 2 MiB splits, mlock/munlock, referenced-bit aging and fork +
+// exit. The pager grows past 2,048 resident pages, so its index resizes
+// eight times or more. After every op the pager's records match the present
+// anonymous leaves one for one, and its LRU lists match the model.
+class PagerOpMixTest : public ::testing::TestWithParam<uint64_t> {
+ protected:
+  static constexpr int kSlots = 6;
+  static constexpr uint64_t kSlotBytes = 64 * kMiB;
+
+  PagerOpMixTest()
+      : machine_(MachineConfig{.dram_bytes = 96 * kMiB, .nvm_bytes = 0}),
+        phys_mgr_(&machine_),
+        swap_(&machine_.ctx(), &machine_.phys(), /*capacity_pages=*/1 << 16),
+        as_(machine_.CreateAddressSpace()),
+        vmas_(&machine_.ctx()),
+        pager_(&machine_, &phys_mgr_, &swap_, as_.get(), &vmas_) {}
+
+  static Vaddr SlotBase(uint64_t slot) { return (slot + 1) * kSlotBytes; }
+
+  // Every present anonymous leaf, and the pager's records, as
+  // vaddr -> (paddr, page bytes).
+  std::map<Vaddr, std::pair<Paddr, uint64_t>> AnonLeaves() {
+    std::map<Vaddr, std::pair<Paddr, uint64_t>> leaves;
+    for (const Vma& vma : vmas_.Regions()) {
+      if (!vma.anonymous()) {
+        continue;
+      }
+      O1_CHECK(as_->page_table()
+                   .ForEachLeaf(vma.start, vma.end,
+                                [&](const PtLeaf& leaf) {
+                                  leaves.emplace(leaf.vaddr, std::pair{leaf.entry->paddr,
+                                                                       leaf.page_bytes});
+                                  return OkStatus();
+                                })
+                   .ok());
+    }
+    return leaves;
+  }
+  std::map<Vaddr, std::pair<Paddr, uint64_t>> Records() const {
+    std::map<Vaddr, std::pair<Paddr, uint64_t>> records;
+    (void)pager_.ForEachResident([&](const DemandPager::ResidentPage& page) {
+      records.emplace(page.vaddr, std::pair{page.frame, page.page_bytes});
+      return OkStatus();
+    });
+    return records;
+  }
+
+  // Fork into a fresh pager, check it took the parent's LRU order, exit it.
+  void ForkAndExit() {
+    std::unique_ptr<AddressSpace> child_as = machine_.CreateAddressSpace();
+    VmaTree child_vmas(&machine_.ctx());
+    DemandPager child(&machine_, &phys_mgr_, &swap_, child_as.get(), &child_vmas);
+    for (const Vma& vma : vmas_.Regions()) {
+      ASSERT_TRUE(child_vmas.Insert(vma).ok());
+    }
+    ASSERT_TRUE(pager_.ForkInto(child).ok());
+    machine_.mmu().FlushPending();
+    std::vector<std::pair<Vaddr, Paddr>> parent_order;
+    (void)pager_.ForEachResident([&](const DemandPager::ResidentPage& page) {
+      parent_order.emplace_back(page.vaddr, page.frame);
+      return OkStatus();
+    });
+    std::vector<std::pair<Vaddr, Paddr>> child_order;
+    (void)child.ForEachResident([&](const DemandPager::ResidentPage& page) {
+      EXPECT_FALSE(page.active);
+      child_order.emplace_back(page.vaddr, page.frame);
+      return OkStatus();
+    });
+    ASSERT_EQ(child_order, parent_order);
+    ASSERT_EQ(child.swapped_pages(), pager_.swapped_pages());
+    for (const Vma& vma : child_vmas.Regions()) {
+      ASSERT_TRUE(child.UnmapRange(vma).ok());
+    }
+    machine_.mmu().FlushPending();
+  }
+
+  Machine machine_;
+  PhysManager phys_mgr_;
+  SwapDevice swap_;
+  std::unique_ptr<AddressSpace> as_;
+  VmaTree vmas_;
+  DemandPager pager_;
+};
+
+TEST_P(PagerOpMixTest, RecordsAndLruListsMatchLeavesAndReferenceModel) {
+  Rng rng(GetParam());
+  LruModel model(phys_mgr_.meta());
+  uint64_t most_resident = 0;
+  for (int op = 0; op < 1000; ++op) {
+    SCOPED_TRACE(::testing::Message() << "seed " << GetParam() << " op " << op);
+    const std::vector<Vma> regions = vmas_.Regions();
+    const Vma* vma = regions.empty() ? nullptr : &regions[rng.NextBelow(regions.size())];
+    const uint64_t kind = rng.NextBelow(100);
+    if (kind < 20) {
+      const bool two_queue = kind < 10;
+      const uint64_t target = rng.NextInRange(1, 32);
+      const uint64_t swapped_before = pager_.swapped_pages();
+      const ReclaimStats want = two_queue ? model.TwoQueue(target) : model.Clock(target);
+      Result<ReclaimStats> got = two_queue ? TwoQueueReclaimer(&pager_).Reclaim(target)
+                                           : ClockReclaimer(&pager_).Reclaim(target);
+      machine_.mmu().FlushPending();
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(got->scanned, want.scanned);
+      EXPECT_EQ(got->reclaimed, want.reclaimed);
+      EXPECT_EQ(got->spared, want.spared);
+      EXPECT_EQ(pager_.swapped_pages(), swapped_before + got->reclaimed);
+    } else {
+      if (kind < 32) {
+        // Map a VMA into an empty slot: 4 KiB pages or 2 MiB pages.
+        const uint64_t slot = rng.NextBelow(kSlots);
+        const bool taken = std::any_of(regions.begin(), regions.end(), [&](const Vma& v) {
+          return v.start >= SlotBase(slot) && v.start < SlotBase(slot) + kSlotBytes;
+        });
+        if (!taken) {
+          const bool large = rng.NextBool(0.4);
+          const uint64_t bytes = large ? rng.NextInRange(1, 4) * kLargePageSize
+                                       : rng.NextInRange(1, 1024) * kPageSize;
+          const Vma fresh{.start = SlotBase(slot), .end = SlotBase(slot) + bytes,
+                          .prot = Prot::kReadWrite, .large_pages = large};
+          ASSERT_TRUE(vmas_.Insert(fresh).ok());
+          if (rng.NextBool(0.5)) {
+            (void)pager_.Populate(fresh);
+          }
+        }
+      } else if (vma == nullptr) {
+        // Nothing mapped yet.
+      } else if (kind < 40) {
+        (void)pager_.Populate(*vma);
+      } else if (kind < 60) {
+        const uint64_t pages = vma->bytes() / kPageSize;
+        const uint64_t first = rng.NextBelow(pages);
+        const uint64_t count = std::min(pages - first, rng.NextInRange(1, 32));
+        const AccessType type = rng.NextBool(0.5) ? AccessType::kWrite : AccessType::kRead;
+        (void)machine_.mmu().Touch(*as_, vma->start + first * kPageSize, count * kPageSize,
+                                   type);
+      } else if (kind < 68) {
+        // munmap, in whole 2 MiB pages on a large-page VMA.
+        const uint64_t unit = vma->large_pages ? kLargePageSize : kPageSize;
+        const uint64_t units = vma->bytes() / unit;
+        const uint64_t first = rng.NextBelow(units);
+        const uint64_t count = rng.NextInRange(1, units - first);
+        auto removed = vmas_.RemoveRange(vma->start + first * unit, count * unit);
+        ASSERT_TRUE(removed.ok());
+        for (const Vma& piece : removed.value()) {
+          ASSERT_TRUE(pager_.UnmapRange(piece).ok());
+        }
+        machine_.mmu().FlushPending();
+      } else if (kind < 74) {
+        if (vma->large_pages) {
+          (void)pager_.SplitLargePage(vma->start +
+                                      rng.NextBelow(vma->bytes() / kLargePageSize) *
+                                          kLargePageSize);
+        }
+      } else if (kind < 84) {
+        const uint64_t pages = vma->bytes() / kPageSize;
+        const uint64_t first = rng.NextBelow(pages);
+        const uint64_t count = std::min(pages - first, rng.NextInRange(1, 16));
+        const Vaddr start = vma->start + first * kPageSize;
+        if (rng.NextBool(0.6)) {
+          (void)pager_.PinRange(start, count * kPageSize);
+        } else {
+          ASSERT_TRUE(pager_.UnpinRange(start, count * kPageSize).ok());
+        }
+      } else if (kind < 95) {
+        // Age: clear or set referenced bits over a run of pages.
+        const uint64_t pages = vma->bytes() / kPageSize;
+        const uint64_t first = rng.NextBelow(pages);
+        const uint64_t count = std::min(pages - first, rng.NextInRange(1, 256));
+        const bool clear = rng.NextBool(0.8);
+        for (uint64_t p = first; p < first + count; ++p) {
+          const Vaddr page = vma->start + p * kPageSize;
+          if (clear) {
+            pager_.TestAndClearReferenced(page);
+          } else {
+            pager_.MarkAccessed(page);
+          }
+        }
+      } else {
+        ASSERT_NO_FATAL_FAILURE(ForkAndExit());
+      }
+      model.Sync(pager_);
+    }
+    ASSERT_NO_FATAL_FAILURE(model.ExpectSameOrder(pager_));
+    const auto leaves = AnonLeaves();
+    ASSERT_EQ(pager_.resident_anon_pages(), leaves.size());
+    ASSERT_EQ(pager_.inactive_pages() + pager_.active_pages(), leaves.size());
+    ASSERT_EQ(Records(), leaves);
+    most_resident = std::max(most_resident, pager_.resident_anon_pages());
+  }
+  EXPECT_GT(most_resident, 2048u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PagerOpMixTest, ::testing::Values(1u, 2u, 3u));
 
 // munmap charges the pages present, not the length of the VMA: one CPU,
 // eight touched pages, the same cycles whether the VMA is eight pages or

@@ -233,61 +233,82 @@ void ExpectSameEntry(const std::optional<TlbEntry>& got, const std::optional<Tlb
   }
 }
 
-// The op mix maps 4 KiB pages in the first 48 pages and 2 MiB pages at 2 and
-// 4 MiB, so the sets stay full and inserts evict across ASIDs.
-constexpr uint64_t kSmallPages = 48;
+// The op mix maps 4 KiB pages in the first `small_pages` pages, 2 MiB pages
+// at 2 and 4 MiB and a 1 GiB page at 1 GiB, so the sets stay full and
+// inserts evict across ASIDs.
+struct OpMixGeometry {
+  int entries;
+  int ways;
+  uint64_t small_pages;
+  int ops;
+};
 
 // Every translation either TLB could hold, probed on copies so the probes
 // leave the LRU state of the originals alone.
-void ExpectSameContents(const Tlb& tlb, const BruteForceTlb& model) {
+void ExpectSameContents(const Tlb& tlb, const BruteForceTlb& model, uint64_t small_pages) {
   Tlb probe = tlb;
   BruteForceTlb probe_model = model;
   for (Asid asid = 1; asid <= 3; ++asid) {
-    for (uint64_t page = 0; page < kSmallPages + 2; ++page) {
-      const Vaddr vaddr =
-          page < kSmallPages ? page * kPageSize : (page - kSmallPages + 1) * kLargePageSize;
+    for (uint64_t page = 0; page < small_pages + 3; ++page) {
+      const Vaddr vaddr = page < small_pages       ? page * kPageSize
+                          : page < small_pages + 2 ? (page - small_pages + 1) * kLargePageSize
+                                                   : kHugePageSize;
       ASSERT_NO_FATAL_FAILURE(
           ExpectSameEntry(probe.Lookup(asid, vaddr), probe_model.Lookup(asid, vaddr)));
     }
   }
 }
 
+// A 16-entry TLB, where almost every range is long enough for the full
+// scan, and a 1,024-entry 8-way one, where a range of a few pages probes
+// only its sets. Half the ranges cover 1-4 KiB pages from anywhere in the
+// page drawn, the other half up to 6 MiB from its base.
 TEST(TlbTest, SeededOpMixOverThreeAsidsMatchesBruteForceModel) {
-  for (const uint64_t seed : {1u, 2u, 3u}) {
-    Tlb tlb(16, 4);
-    BruteForceTlb model(16, 4);
-    Rng rng(seed);
-    auto pick_page = [&rng](uint64_t& page_bytes) {
-      page_bytes = rng.NextBool(0.15) ? kLargePageSize : kPageSize;
-      return page_bytes == kPageSize ? rng.NextBelow(kSmallPages) * kPageSize
-                                     : rng.NextInRange(1, 2) * kLargePageSize;
-    };
-    for (int op = 0; op < 2000; ++op) {
-      SCOPED_TRACE(::testing::Message() << "seed " << seed << " op " << op);
-      const Asid asid = static_cast<Asid>(rng.NextInRange(1, 3));
-      uint64_t page_bytes = 0;
-      const Vaddr vbase = pick_page(page_bytes);
-      const uint64_t kind = rng.NextBelow(100);
-      if (kind < 50) {
-        const Paddr pbase = rng.NextBelow(1024) * kLargePageSize;
-        const Prot prot = rng.NextBool(0.5) ? Prot::kRead : Prot::kReadWrite;
-        tlb.Insert(asid, vbase, pbase, page_bytes, prot);
-        model.Insert(asid, vbase, pbase, page_bytes, prot);
-      } else if (kind < 70) {
-        const Vaddr vaddr = vbase + rng.NextBelow(page_bytes);
-        ASSERT_NO_FATAL_FAILURE(
-            ExpectSameEntry(tlb.Lookup(asid, vaddr), model.Lookup(asid, vaddr)));
-      } else if (kind < 95) {
-        const uint64_t len = rng.NextInRange(1, 3 * kLargePageSize);
-        ASSERT_EQ(tlb.InvalidateRange(asid, vbase, len), model.InvalidateRange(asid, vbase, len));
-      } else if (kind < 99) {
-        tlb.InvalidateAsid(asid);
-        model.InvalidateAsid(asid);
-      } else {
-        tlb.InvalidateAll();
-        model.InvalidateAll();
+  for (const OpMixGeometry& geometry :
+       {OpMixGeometry{16, 4, 48, 2000}, OpMixGeometry{1024, 8, 512, 500}}) {
+    for (const uint64_t seed : {1u, 2u, 3u}) {
+      Tlb tlb(geometry.entries, geometry.ways);
+      BruteForceTlb model(geometry.entries, geometry.ways);
+      Rng rng(seed);
+      auto pick_page = [&rng, &geometry](uint64_t& page_bytes) {
+        const uint64_t kind = rng.NextBelow(100);
+        page_bytes = kind < 10 ? kHugePageSize : kind < 25 ? kLargePageSize : kPageSize;
+        return page_bytes == kPageSize        ? rng.NextBelow(geometry.small_pages) * kPageSize
+               : page_bytes == kLargePageSize ? rng.NextInRange(1, 2) * kLargePageSize
+                                              : kHugePageSize;
+      };
+      for (int op = 0; op < geometry.ops; ++op) {
+        SCOPED_TRACE(::testing::Message() << geometry.entries << " entries, seed " << seed
+                                          << " op " << op);
+        const Asid asid = static_cast<Asid>(rng.NextInRange(1, 3));
+        uint64_t page_bytes = 0;
+        const Vaddr vbase = pick_page(page_bytes);
+        const uint64_t kind = rng.NextBelow(100);
+        if (kind < 50) {
+          const Paddr pbase = rng.NextBelow(4) * kHugePageSize;
+          const Prot prot = rng.NextBool(0.5) ? Prot::kRead : Prot::kReadWrite;
+          tlb.Insert(asid, vbase, pbase, page_bytes, prot);
+          model.Insert(asid, vbase, pbase, page_bytes, prot);
+        } else if (kind < 70) {
+          const Vaddr vaddr = vbase + rng.NextBelow(page_bytes);
+          ASSERT_NO_FATAL_FAILURE(
+              ExpectSameEntry(tlb.Lookup(asid, vaddr), model.Lookup(asid, vaddr)));
+        } else if (kind < 95) {
+          const bool short_range = rng.NextBool(0.5);
+          const Vaddr vaddr = short_range ? vbase + rng.NextBelow(page_bytes) : vbase;
+          const uint64_t len = short_range ? rng.NextInRange(1, 4 * kPageSize)
+                                           : rng.NextInRange(1, 3 * kLargePageSize);
+          ASSERT_EQ(tlb.InvalidateRange(asid, vaddr, len),
+                    model.InvalidateRange(asid, vaddr, len));
+        } else if (kind < 99) {
+          tlb.InvalidateAsid(asid);
+          model.InvalidateAsid(asid);
+        } else {
+          tlb.InvalidateAll();
+          model.InvalidateAll();
+        }
+        ASSERT_NO_FATAL_FAILURE(ExpectSameContents(tlb, model, geometry.small_pages));
       }
-      ASSERT_NO_FATAL_FAILURE(ExpectSameContents(tlb, model));
     }
   }
 }
