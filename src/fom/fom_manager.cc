@@ -4,6 +4,7 @@
 #include <cstdlib>
 
 #include "src/obs/span.h"
+#include "src/support/byte_order.h"
 #include "src/support/crc32.h"
 
 namespace o1mem {
@@ -19,20 +20,6 @@ namespace {
 //   off 36  u32  reserved
 constexpr uint64_t kSidecarMagic = 0x4f31464f4d545331ull;  // "O1FOMTS1"
 constexpr uint64_t kSidecarHeaderBytes = 40;
-
-void PutU64At(std::vector<uint8_t>& v, size_t off, uint64_t x) {
-  for (int i = 0; i < 8; ++i) {
-    v[off + static_cast<size_t>(i)] = static_cast<uint8_t>(x >> (8 * i));
-  }
-}
-
-uint64_t GetU64At(const std::vector<uint8_t>& v, size_t off) {
-  uint64_t x = 0;
-  for (int i = 7; i >= 0; --i) {
-    x = (x << 8) | v[off + static_cast<size_t>(i)];
-  }
-  return x;
-}
 
 }  // namespace
 
@@ -122,22 +109,19 @@ void FomManager::WriteSidecar(InodeId inode, const PrecreatedTables& tables) {
   }
   const uint64_t pages = PagesFor(tables.file_bytes);
   std::vector<uint8_t> buf(kSidecarHeaderBytes + pages * 8, 0);
-  PutU64At(buf, 0, kSidecarMagic);
-  PutU64At(buf, 8, inode);
-  PutU64At(buf, 16, tables.file_bytes);
-  PutU64At(buf, 24, pages);
+  StoreLe<uint64_t>(buf.data(), kSidecarMagic);
+  StoreLe<uint64_t>(buf.data() + 8, inode);
+  StoreLe<uint64_t>(buf.data() + 16, tables.file_bytes);
+  StoreLe<uint64_t>(buf.data() + 24, pages);
   size_t page = 0;
   for (const FileExtentView& e : *extents) {
     for (uint64_t off = 0; off < e.bytes && page < pages; off += kPageSize) {
-      PutU64At(buf, kSidecarHeaderBytes + page * 8, e.paddr + off);
+      StoreLe<uint64_t>(buf.data() + kSidecarHeaderBytes + page * 8, e.paddr + off);
       ++page;
     }
   }
-  const uint32_t crc = Crc32(std::span<const uint8_t>(buf).subspan(kSidecarHeaderBytes));
-  buf[32] = static_cast<uint8_t>(crc);
-  buf[33] = static_cast<uint8_t>(crc >> 8);
-  buf[34] = static_cast<uint8_t>(crc >> 16);
-  buf[35] = static_cast<uint8_t>(crc >> 24);
+  StoreLe<uint32_t>(buf.data() + 32,
+                    Crc32(std::span<const uint8_t>(buf).subspan(kSidecarHeaderBytes)));
   // Best-effort persistence: a degraded (read-only) mount or full device
   // just means the next boot rebuilds the tables from extents.
   const std::string path = SidecarPath(inode);
@@ -166,15 +150,13 @@ Result<PrecreatedTables> FomManager::LoadSidecar(InodeId inode, uint64_t file_by
   if (got != buf.size()) {
     return Corruption("fom table sidecar truncated");
   }
-  if (GetU64At(buf, 0) != kSidecarMagic || GetU64At(buf, 8) != inode ||
-      GetU64At(buf, 16) != file_bytes || GetU64At(buf, 24) != pages) {
+  if (LoadLe<uint64_t>(buf.data()) != kSidecarMagic || LoadLe<uint64_t>(buf.data() + 8) != inode ||
+      LoadLe<uint64_t>(buf.data() + 16) != file_bytes ||
+      LoadLe<uint64_t>(buf.data() + 24) != pages) {
     return Corruption("fom table sidecar header mismatch");
   }
-  const uint32_t stored_crc = static_cast<uint32_t>(buf[32]) |
-                              (static_cast<uint32_t>(buf[33]) << 8) |
-                              (static_cast<uint32_t>(buf[34]) << 16) |
-                              (static_cast<uint32_t>(buf[35]) << 24);
-  if (Crc32(std::span<const uint8_t>(buf).subspan(kSidecarHeaderBytes)) != stored_crc) {
+  if (Crc32(std::span<const uint8_t>(buf).subspan(kSidecarHeaderBytes)) !=
+      LoadLe<uint32_t>(buf.data() + 32)) {
     return Corruption("fom table sidecar checksum mismatch");
   }
   // The paddrs must agree with the file's current extents: a stale sidecar
@@ -185,7 +167,7 @@ Result<PrecreatedTables> FomManager::LoadSidecar(InodeId inode, uint64_t file_by
   for (const FileExtentView& e : extents) {
     for (uint64_t off = 0; off < e.bytes && page < pages; off += kPageSize) {
       const Paddr expect = e.paddr + off;
-      if (GetU64At(buf, kSidecarHeaderBytes + page * 8) != expect) {
+      if (LoadLe<uint64_t>(buf.data() + kSidecarHeaderBytes + page * 8) != expect) {
         return Corruption("fom table sidecar does not match file extents");
       }
       page_paddrs[page] = expect;

@@ -113,17 +113,14 @@ Status BlockBitmap::FreeExtent(BlockExtent extent) {
   return OkStatus();
 }
 
-Status BlockBitmap::Reset(const std::vector<bool>& allocated) {
-  if (allocated.size() != block_count_) {
+Status BlockBitmap::Reset(std::span<const uint64_t> words) {
+  if (words.size() != words_.size()) {
     return InvalidArgument("bitmap reset size mismatch");
   }
   // One pass over the bitmap words, charged at DRAM streaming rate for the
   // bit array (1 bit per block).
   ctx_->Charge(ctx_->cost().DramBulkCycles(block_count_ / 8 + 1));
-  std::fill(words_.begin(), words_.end(), 0);
-  for (uint64_t b = 0; b < block_count_; ++b) {
-    words_[b >> 6] |= static_cast<uint64_t>(allocated[b]) << (b & 63);
-  }
+  std::copy(words.begin(), words.end(), words_.begin());
   free_blocks_ = block_count_;
   for (const uint64_t word : words_) {
     free_blocks_ -= static_cast<uint64_t>(std::popcount(word));
@@ -135,6 +132,12 @@ Status BlockBitmap::Reset(const std::vector<bool>& allocated) {
 bool BlockBitmap::IsAllocated(uint64_t block) const {
   O1_CHECK(block < block_count_);
   return ((words_[block >> 6] >> (block & 63)) & 1) != 0;
+}
+
+bool BlockBitmap::AllAllocated(BlockExtent extent) const {
+  const uint64_t end = extent.start + extent.count;
+  O1_CHECK(end <= block_count_);
+  return FindBit(words_, extent.start, end, false) == end;
 }
 
 uint64_t BlockBitmap::LargestFreeRun() const {

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "src/sim/context.h"
@@ -48,10 +49,14 @@ class BlockBitmap {
   Status FreeExtent(BlockExtent extent);
 
   bool IsAllocated(uint64_t block) const;
+  // True when every block of `extent` is allocated.
+  bool AllAllocated(BlockExtent extent) const;
 
-  // Crash recovery: replaces the whole bitmap with `allocated` (rebuilt from
-  // the surviving extent trees). Linear scan cost charged.
-  Status Reset(const std::vector<bool>& allocated);
+  // Crash recovery: replaces the whole bitmap with `words` (rebuilt from the
+  // surviving extent trees), laid out like the bitmap itself: bit b of word
+  // w covers block 64w+b, and bits past the last block are clear. Linear
+  // scan cost charged.
+  Status Reset(std::span<const uint64_t> words);
   uint64_t free_blocks() const { return free_blocks_; }
   uint64_t block_count() const { return block_count_; }
 

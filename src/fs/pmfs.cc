@@ -3,145 +3,211 @@
 #include "src/obs/span.h"
 
 #include <algorithm>
-#include <cstring>
 #include <tuple>
 
 #include "src/sim/fault_injector.h"
+#include "src/support/bits.h"
+#include "src/support/byte_order.h"
 #include "src/support/crc32.h"
 
 namespace o1mem {
 
-namespace {
-
 // --- journal wire format ----------------------------------------------------
 //
-// Record = 24 B header + payload, padded to 8 B:
+// Record = 24 B header + fields, zero-padded to 8 B:
 //   off  0  u32  len   (whole record, multiple of 8, >= 24)
 //   off  4  u32  crc   (CRC-32 of the record with this field zeroed)
 //   off  8  u64  generation
 //   off 16  u8   op
 //   off 17  u8[7] reserved
-//   off 24  payload
-// A len of 0 is the end-of-journal sentinel; a generation mismatch marks
-// stale bytes from the slot's previous life; a CRC mismatch or unreadable
-// line marks a torn/decayed tail.
+//   off 24  fields, as JournalFields lists them for the op
+// Fields are little-endian; a string is a u16 length and its bytes; flags
+// pack into one byte, the first listed in bit 0. A len of 0 is the
+// end-of-journal sentinel; a generation mismatch marks stale bytes from the
+// slot's previous life; a CRC mismatch or unreadable line marks a
+// torn/decayed tail.
+
+// One journal record: what a live op appends, what a checkpoint snapshot is
+// made of, and what replay applies. Paths are views: of the caller's strings
+// when encoding, of the slot bytes being parsed when decoding.
+struct JournalRecord {
+  enum class Op : uint8_t {
+    kCreate = 1,
+    kUnlink,
+    kResize,
+    kSetFlags,
+    kAllocExtent,
+    kMkdir,
+    kRmdir,
+    kRename,
+    kLink,
+  };
+  Op op = Op::kCreate;
+  InodeId inode = kInvalidInode;
+  uint64_t size = 0;         // kResize
+  uint64_t file_offset = 0;  // kAllocExtent: file bytes from file_offset
+  uint64_t start = 0;        // live in blocks [start, start + count)
+  uint64_t count = 0;
+  bool persistent = false;   // kCreate, kSetFlags
+  bool discardable = false;  // kCreate
+  bool quarantined = false;  // kCreate (set only in checkpoint snapshots)
+  std::string_view path1;
+  std::string_view path2;    // kRename's destination
+};
+
+namespace {
+
+using Op = JournalRecord::Op;
 
 constexpr uint64_t kRecordHeaderBytes = 24;
 constexpr uint64_t kSuperblockMagic = 0x4f31504d46533142ull;  // "O1PMFS1B"
 constexpr uint32_t kSuperblockVersion = 1;
 
-void PutU16(std::vector<uint8_t>& v, uint16_t x) {
-  v.push_back(static_cast<uint8_t>(x));
-  v.push_back(static_cast<uint8_t>(x >> 8));
-}
-
-void PutU64(std::vector<uint8_t>& v, uint64_t x) {
-  for (int i = 0; i < 8; ++i) {
-    v.push_back(static_cast<uint8_t>(x >> (8 * i)));
+// The one field list of each record kind, in wire order. Sizing, encoding
+// and decoding all walk it, so each layout is written once. `R` is const
+// for the sizer and the writer.
+template <class Io, class R>
+void JournalFields(Io& io, R& r) {
+  switch (r.op) {
+    case Op::kCreate:
+      io.U64(r.inode);
+      io.Flags(r.persistent, r.discardable, r.quarantined);
+      io.Str(r.path1);
+      return;
+    case Op::kUnlink:
+    case Op::kMkdir:
+    case Op::kRmdir:
+      io.Str(r.path1);
+      return;
+    case Op::kRename:
+      io.Str(r.path1);
+      io.Str(r.path2);
+      return;
+    case Op::kLink:
+      io.U64(r.inode);
+      io.Str(r.path1);
+      return;
+    case Op::kResize:
+      io.U64(r.inode);
+      io.U64(r.size);
+      return;
+    case Op::kSetFlags:
+      io.U64(r.inode);
+      io.Flags(r.persistent);
+      return;
+    case Op::kAllocExtent:
+      io.U64(r.inode);
+      io.U64(r.file_offset);
+      io.U64(r.start);
+      io.U64(r.count);
+      return;
   }
 }
 
-void PutStr(std::vector<uint8_t>& v, std::string_view s) {
-  O1_CHECK_MSG(s.size() <= 0xFFFF, "pmfs path too long for journal record");
-  PutU16(v, static_cast<uint16_t>(s.size()));
-  v.insert(v.end(), s.begin(), s.end());
-}
+struct FieldSizer {
+  uint64_t bytes = 0;
+  void U64(uint64_t) { bytes += 8; }
+  void Flags(auto...) { bytes += 1; }
+  void Str(std::string_view s) { bytes += 2 + s.size(); }
+};
 
-uint16_t LoadU16(const uint8_t* p) { return static_cast<uint16_t>(p[0] | (p[1] << 8)); }
-
-uint32_t LoadU32(const uint8_t* p) {
-  uint32_t x = 0;
-  for (int i = 3; i >= 0; --i) {
-    x = (x << 8) | p[i];
+// Writes fields at a cursor into space FieldSizer measured.
+struct FieldWriter {
+  uint8_t* p;
+  void U64(uint64_t x) {
+    StoreLe(p, x);
+    p += 8;
   }
-  return x;
-}
-
-uint64_t LoadU64(const uint8_t* p) {
-  uint64_t x = 0;
-  for (int i = 7; i >= 0; --i) {
-    x = (x << 8) | p[i];
+  template <class... B>
+  void Flags(B... flags) {
+    unsigned byte = 0;
+    unsigned bit = 0;
+    ((byte |= (flags ? 1u : 0u) << bit++), ...);
+    *p++ = static_cast<uint8_t>(byte);
   }
-  return x;
-}
-
-void StoreU32(uint8_t* p, uint32_t x) {
-  for (int i = 0; i < 4; ++i) {
-    p[i] = static_cast<uint8_t>(x >> (8 * i));
-  }
-}
-
-void StoreU64(uint8_t* p, uint64_t x) {
-  for (int i = 0; i < 8; ++i) {
-    p[i] = static_cast<uint8_t>(x >> (8 * i));
-  }
-}
-
-std::vector<uint8_t> BeginRecord(uint8_t op) {
-  std::vector<uint8_t> v(kRecordHeaderBytes, 0);
-  v[16] = op;
-  return v;
-}
-
-std::vector<uint8_t> FinishRecord(std::vector<uint8_t> v) {
-  while (v.size() % 8 != 0) {
-    v.push_back(0);
-  }
-  StoreU32(v.data(), static_cast<uint32_t>(v.size()));
-  return v;
-}
-
-// Stamps generation and CRC; must be the last mutation before the bytes
-// reach NVM.
-void StampRecord(std::vector<uint8_t>& rec, uint64_t generation) {
-  StoreU64(rec.data() + 8, generation);
-  StoreU32(rec.data() + 4, 0);
-  StoreU32(rec.data() + 4, Crc32(rec));
-}
-
-// Bounds-checked payload reader; any overrun poisons the whole decode.
-struct Reader {
-  const uint8_t* p;
-  uint64_t len;
-  uint64_t off = 0;
-  bool fail = false;
-
-  uint16_t U16() {
-    if (off + 2 > len) {
-      fail = true;
-      return 0;
-    }
-    const uint16_t x = LoadU16(p + off);
-    off += 2;
-    return x;
-  }
-  uint64_t U64() {
-    if (off + 8 > len) {
-      fail = true;
-      return 0;
-    }
-    const uint64_t x = LoadU64(p + off);
-    off += 8;
-    return x;
-  }
-  uint8_t U8() {
-    if (off + 1 > len) {
-      fail = true;
-      return 0;
-    }
-    return p[off++];
-  }
-  std::string Str() {
-    const uint16_t n = U16();
-    if (fail || off + n > len) {
-      fail = true;
-      return {};
-    }
-    std::string s(reinterpret_cast<const char*>(p + off), n);
-    off += n;
-    return s;
+  void Str(std::string_view s) {
+    O1_CHECK_MSG(s.size() <= 0xFFFF, "pmfs path too long for journal record");
+    StoreLe(p, static_cast<uint16_t>(s.size()));
+    p = std::copy(s.begin(), s.end(), p + 2);
   }
 };
+
+// Bounds-checked field reader; any overrun fails the whole decode.
+struct FieldReader {
+  std::span<const uint8_t> in;
+  bool fail = false;
+
+  const uint8_t* Take(uint64_t n) {
+    if (fail || n > in.size()) {
+      fail = true;
+      return nullptr;
+    }
+    const uint8_t* p = in.data();
+    in = in.subspan(n);
+    return p;
+  }
+  void U64(uint64_t& x) {
+    if (const uint8_t* p = Take(8)) {
+      x = LoadLe<uint64_t>(p);
+    }
+  }
+  template <class... B>
+  void Flags(B&... flags) {
+    if (const uint8_t* p = Take(1)) {
+      unsigned bit = 0;
+      ((flags = ((*p >> bit++) & 1) != 0), ...);
+    }
+  }
+  void Str(std::string_view& s) {
+    uint16_t n = 0;
+    if (const uint8_t* len = Take(2)) {
+      n = LoadLe<uint16_t>(len);
+    }
+    const uint8_t* p = Take(n);
+    if (!fail) {
+      s = std::string_view(reinterpret_cast<const char*>(p), n);
+    }
+  }
+};
+
+uint64_t EncodedBytes(const JournalRecord& rec) {
+  FieldSizer sizer;
+  JournalFields(sizer, rec);
+  return AlignUp(kRecordHeaderBytes + sizer.bytes, 8);
+}
+
+// Appends `rec` to `out` with its generation and CRC still zero.
+void Encode(const JournalRecord& rec, std::vector<uint8_t>& out) {
+  const size_t at = out.size();
+  const uint64_t len = EncodedBytes(rec);
+  out.resize(at + len, 0);
+  StoreLe(out.data() + at, static_cast<uint32_t>(len));
+  out[at + 16] = static_cast<uint8_t>(rec.op);
+  FieldWriter writer{out.data() + at + kRecordHeaderBytes};
+  JournalFields(writer, rec);
+}
+
+// Stamps generation and CRC into one encoded record; must be the last
+// mutation before the bytes reach NVM.
+void Stamp(std::span<uint8_t> rec, uint64_t generation) {
+  StoreLe(rec.data() + 8, generation);
+  StoreLe(rec.data() + 4, uint32_t{0});
+  StoreLe(rec.data() + 4, Crc32(rec));
+}
+
+std::optional<JournalRecord> Decode(std::span<const uint8_t> rec) {
+  const uint8_t op = rec[16];
+  if (op < static_cast<uint8_t>(Op::kCreate) || op > static_cast<uint8_t>(Op::kLink)) {
+    return std::nullopt;
+  }
+  JournalRecord r{.op = static_cast<Op>(op)};
+  FieldReader reader{rec.subspan(kRecordHeaderBytes)};
+  JournalFields(reader, r);
+  if (reader.fail) {
+    return std::nullopt;
+  }
+  return r;
+}
 
 }  // namespace
 
@@ -190,13 +256,13 @@ void Pmfs::Format() {
 
 Status Pmfs::WriteSuperblock(uint32_t active_slot, uint64_t generation) {
   std::array<uint8_t, 64> line{};
-  StoreU64(line.data(), kSuperblockMagic);
-  StoreU32(line.data() + 8, kSuperblockVersion);
-  StoreU32(line.data() + 12, active_slot);
-  StoreU64(line.data() + 16, generation);
-  StoreU64(line.data() + 24, slot_blocks_);
-  StoreU64(line.data() + 32, region_bytes_ >> kPageShift);
-  StoreU32(line.data() + 60, Crc32(std::span<const uint8_t>(line.data(), 60)));
+  StoreLe(line.data(), kSuperblockMagic);
+  StoreLe(line.data() + 8, kSuperblockVersion);
+  StoreLe(line.data() + 12, active_slot);
+  StoreLe(line.data() + 16, generation);
+  StoreLe(line.data() + 24, slot_blocks_);
+  StoreLe(line.data() + 32, region_bytes_ >> kPageShift);
+  StoreLe(line.data() + 60, Crc32(std::span<const uint8_t>(line.data(), 60)));
   O1_RETURN_IF_ERROR(machine_->phys().Write(region_base_, line));
   return machine_->phys().FlushLines(region_base_, 64);
 }
@@ -204,19 +270,19 @@ Status Pmfs::WriteSuperblock(uint32_t active_slot, uint64_t generation) {
 Result<std::pair<uint32_t, uint64_t>> Pmfs::ReadSuperblock() {
   std::array<uint8_t, 64> line{};
   O1_RETURN_IF_ERROR(machine_->phys().Read(region_base_, line));
-  if (LoadU32(line.data() + 60) != Crc32(std::span<const uint8_t>(line.data(), 60))) {
+  if (LoadLe<uint32_t>(line.data() + 60) != Crc32(std::span<const uint8_t>(line.data(), 60))) {
     return Corruption("pmfs superblock checksum mismatch");
   }
-  if (LoadU64(line.data()) != kSuperblockMagic ||
-      LoadU32(line.data() + 8) != kSuperblockVersion) {
+  if (LoadLe<uint64_t>(line.data()) != kSuperblockMagic ||
+      LoadLe<uint32_t>(line.data() + 8) != kSuperblockVersion) {
     return Corruption("pmfs superblock magic/version mismatch");
   }
-  const uint32_t active = LoadU32(line.data() + 12);
-  if (active > 1 || LoadU64(line.data() + 24) != slot_blocks_ ||
-      LoadU64(line.data() + 32) != (region_bytes_ >> kPageShift)) {
+  const uint32_t active = LoadLe<uint32_t>(line.data() + 12);
+  if (active > 1 || LoadLe<uint64_t>(line.data() + 24) != slot_blocks_ ||
+      LoadLe<uint64_t>(line.data() + 32) != (region_bytes_ >> kPageShift)) {
     return Corruption("pmfs superblock names a different geometry");
   }
-  return std::make_pair(active, LoadU64(line.data() + 16));
+  return std::make_pair(active, LoadLe<uint64_t>(line.data() + 16));
 }
 
 Status Pmfs::ReserveJournal(uint64_t len) {
@@ -232,7 +298,7 @@ Status Pmfs::ReserveJournal(uint64_t len) {
 
 Status Pmfs::AppendRecord(std::vector<uint8_t>& rec) {
   ObsSpan span(machine_->ctx(), TraceKind::kJournalCommit, rec.size());
-  StampRecord(rec, generation_);
+  Stamp(rec, generation_);
   const Paddr at = SlotBase(active_slot_) + journal_tail_bytes_;
   O1_RETURN_IF_ERROR(machine_->phys().Write(at, rec));
   // The flush is the commit point: the record either parses whole after a
@@ -244,17 +310,29 @@ Status Pmfs::AppendRecord(std::vector<uint8_t>& rec) {
   return OkStatus();
 }
 
+template <class Apply>
+Status Pmfs::Commit(const JournalRecord& rec, Apply&& apply) {
+  std::vector<uint8_t> bytes;
+  Encode(rec, bytes);
+  O1_RETURN_IF_ERROR(ReserveJournal(bytes.size()));
+  O1_RETURN_IF_ERROR(apply());
+  return AppendRecord(bytes);
+}
+
+Status Pmfs::Commit(const JournalRecord& rec) {
+  return Commit(rec, [&] { return ApplyRecord(rec); });
+}
+
 std::vector<uint8_t> Pmfs::EncodeSnapshot(uint64_t generation) const {
   std::vector<uint8_t> buf;
-  auto emit = [&](std::vector<uint8_t> rec) {
-    StampRecord(rec, generation);
-    buf.insert(buf.end(), rec.begin(), rec.end());
+  auto emit = [&](const JournalRecord& rec) {
+    const size_t at = buf.size();
+    Encode(rec, buf);
+    Stamp(std::span<uint8_t>(buf).subspan(at), generation);
   };
   // Directories first, sorted, so parents precede children at replay.
   for (const std::string& dir : ns_.AllDirs()) {
-    auto rec = BeginRecord(static_cast<uint8_t>(JournalOp::kMkdir));
-    PutStr(rec, dir);
-    emit(FinishRecord(std::move(rec)));
+    emit({.op = Op::kMkdir, .path1 = dir});
   }
   // One create per inode (its first path), then extents, size, extra links.
   std::map<InodeId, std::vector<std::string>> paths;
@@ -263,41 +341,26 @@ std::vector<uint8_t> Pmfs::EncodeSnapshot(uint64_t generation) const {
   }
   for (const auto& [id, plist] : paths) {
     const Inode& inode = inodes_.at(id);
-    {
-      auto rec = BeginRecord(static_cast<uint8_t>(JournalOp::kCreate));
-      PutU64(rec, id);
-      rec.push_back(static_cast<uint8_t>((inode.flags.persistent ? 1 : 0) |
-                                         (inode.flags.discardable ? 2 : 0) |
-                                         (inode.quarantined ? 4 : 0)));
-      PutStr(rec, plist.front());
-      emit(FinishRecord(std::move(rec)));
-    }
+    emit({.op = Op::kCreate,
+          .inode = id,
+          .persistent = inode.flags.persistent,
+          .discardable = inode.flags.discardable,
+          .quarantined = inode.quarantined,
+          .path1 = plist.front()});
     for (const FileExtent& e : inode.extents.Extents()) {
       // Quarantined files can hold garbage extents; only well-formed,
       // in-region ones are worth snapshotting.
-      if (e.paddr < AddrOf(meta_blocks_) ||
-          e.paddr + e.bytes > region_base_ + region_bytes_ ||
-          !IsAligned(e.paddr, kPageSize) || !IsAligned(e.bytes, kPageSize)) {
-        continue;
+      if (InDataArea(e)) {
+        emit({.op = Op::kAllocExtent,
+              .inode = id,
+              .file_offset = e.file_offset,
+              .start = BlockOf(e.paddr),
+              .count = e.bytes >> kPageShift});
       }
-      auto rec = BeginRecord(static_cast<uint8_t>(JournalOp::kAllocExtent));
-      PutU64(rec, id);
-      PutU64(rec, e.file_offset);
-      PutU64(rec, BlockOf(e.paddr));
-      PutU64(rec, e.bytes >> kPageShift);
-      emit(FinishRecord(std::move(rec)));
     }
-    {
-      auto rec = BeginRecord(static_cast<uint8_t>(JournalOp::kResize));
-      PutU64(rec, id);
-      PutU64(rec, inode.size);
-      emit(FinishRecord(std::move(rec)));
-    }
+    emit({.op = Op::kResize, .inode = id, .size = inode.size});
     for (size_t i = 1; i < plist.size(); ++i) {
-      auto rec = BeginRecord(static_cast<uint8_t>(JournalOp::kLink));
-      PutU64(rec, id);
-      PutStr(rec, plist[i]);
-      emit(FinishRecord(std::move(rec)));
+      emit({.op = Op::kLink, .inode = id, .path1 = plist[i]});
     }
   }
   return buf;
@@ -326,62 +389,10 @@ Status Pmfs::Checkpoint() {
   return OkStatus();
 }
 
-std::optional<Pmfs::DecodedRecord> Pmfs::DecodeRecord(std::span<const uint8_t> bytes) const {
-  const uint8_t op_raw = bytes[16];
-  if (op_raw < static_cast<uint8_t>(JournalOp::kCreate) ||
-      op_raw > static_cast<uint8_t>(JournalOp::kLink)) {
-    return std::nullopt;
-  }
-  DecodedRecord r;
-  r.op = static_cast<JournalOp>(op_raw);
-  Reader rd{bytes.data() + kRecordHeaderBytes, bytes.size() - kRecordHeaderBytes};
+Status Pmfs::ApplyRecord(const JournalRecord& r) {
   switch (r.op) {
-    case JournalOp::kCreate: {
-      r.inode = rd.U64();
-      const uint8_t flags = rd.U8();
-      r.persistent = (flags & 1) != 0;
-      r.discardable = (flags & 2) != 0;
-      r.quarantined = (flags & 4) != 0;
-      r.path1 = rd.Str();
-      break;
-    }
-    case JournalOp::kUnlink:
-    case JournalOp::kMkdir:
-    case JournalOp::kRmdir:
-      r.path1 = rd.Str();
-      break;
-    case JournalOp::kRename:
-      r.path1 = rd.Str();
-      r.path2 = rd.Str();
-      break;
-    case JournalOp::kLink:
-      r.inode = rd.U64();
-      r.path1 = rd.Str();
-      break;
-    case JournalOp::kResize:
-      r.inode = rd.U64();
-      r.a = rd.U64();
-      break;
-    case JournalOp::kSetFlags:
-      r.inode = rd.U64();
-      r.persistent = rd.U8() != 0;
-      break;
-    case JournalOp::kAllocExtent:
-      r.inode = rd.U64();
-      r.a = rd.U64();
-      r.b = rd.U64();
-      r.c = rd.U64();
-      break;
-  }
-  if (rd.fail) {
-    return std::nullopt;
-  }
-  return r;
-}
-
-void Pmfs::ApplyRecord(const DecodedRecord& r) {
-  switch (r.op) {
-    case JournalOp::kCreate: {
+    case Op::kCreate: {
+      O1_RETURN_IF_ERROR(ns_.AddFile(r.path1, r.inode));
       Inode inode(&machine_->ctx());
       inode.id = r.inode;
       inode.flags.persistent = r.persistent;
@@ -389,85 +400,56 @@ void Pmfs::ApplyRecord(const DecodedRecord& r) {
       inode.quarantined = r.quarantined;
       inode.links = 1;
       inode.provider = std::make_unique<DaxProvider>(this, r.inode);
-      if (!ns_.AddFile(r.path1, r.inode).ok()) {
-        return;
-      }
       inodes_.emplace(r.inode, std::move(inode));
       next_inode_ = std::max(next_inode_, r.inode + 1);
-      break;
+      return OkStatus();
     }
-    case JournalOp::kUnlink: {
-      auto removed = ns_.RemoveFile(r.path1);
-      if (!removed.ok()) {
-        return;
+    case Op::kUnlink: {
+      O1_ASSIGN_OR_RETURN(const InodeId id, ns_.RemoveFile(r.path1));
+      if (auto it = inodes_.find(id); it != inodes_.end()) {
+        if (it->second.links > 0) {
+          it->second.links--;
+        }
+        if (it->second.links == 0) {
+          // Extents vanish with the inode; the bitmap rebuild reclaims the
+          // blocks and the kZeroEpoch re-zero pass clears them.
+          inodes_.erase(it);
+        }
       }
-      auto it = inodes_.find(*removed);
-      if (it == inodes_.end()) {
-        return;
-      }
-      if (it->second.links > 0) {
-        it->second.links--;
-      }
-      if (it->second.links == 0) {
-        // Extents vanish with the inode; the bitmap rebuild reclaims the
-        // blocks and the kZeroEpoch re-zero pass clears them.
-        inodes_.erase(it);
-      }
-      break;
+      return OkStatus();
     }
-    case JournalOp::kResize: {
-      auto it = inodes_.find(r.inode);
-      if (it == inodes_.end()) {
-        return;
+    case Op::kResize: {
+      O1_ASSIGN_OR_RETURN(Inode * inode, Get(r.inode));
+      inode->size = r.size;
+      const uint64_t keep = AlignUp(r.size, kPageSize);
+      if (keep < inode->extents.mapped_bytes()) {
+        (void)inode->extents.TruncateFrom(keep);
       }
-      it->second.size = r.a;
-      const uint64_t keep = AlignUp(r.a, kPageSize);
-      if (keep < it->second.extents.mapped_bytes()) {
-        (void)it->second.extents.TruncateFrom(keep);
-      }
-      break;
+      return OkStatus();
     }
-    case JournalOp::kSetFlags: {
-      auto it = inodes_.find(r.inode);
-      if (it != inodes_.end()) {
-        it->second.flags.persistent = r.persistent;
-      }
-      break;
+    case Op::kSetFlags: {
+      O1_ASSIGN_OR_RETURN(Inode * inode, Get(r.inode));
+      inode->flags.persistent = r.persistent;
+      return OkStatus();
     }
-    case JournalOp::kAllocExtent: {
-      auto it = inodes_.find(r.inode);
-      if (it == inodes_.end()) {
-        return;
-      }
-      (void)it->second.extents.Insert(r.a, AddrOf(r.b), r.c << kPageShift);
-      break;
+    case Op::kAllocExtent: {
+      O1_ASSIGN_OR_RETURN(Inode * inode, Get(r.inode));
+      return inode->extents.Insert(r.file_offset, AddrOf(r.start), r.count << kPageShift);
     }
-    case JournalOp::kMkdir: {
-      Status s = ns_.Mkdir(r.path1);
-      (void)s;
-      break;
-    }
-    case JournalOp::kRmdir: {
-      Status s = ns_.Rmdir(r.path1);
-      (void)s;
-      break;
-    }
-    case JournalOp::kRename: {
-      Status s = ns_.Rename(r.path1, r.path2);
-      (void)s;
-      break;
-    }
-    case JournalOp::kLink: {
-      auto it = inodes_.find(r.inode);
-      if (it == inodes_.end()) {
-        return;
-      }
-      if (ns_.AddFile(r.path1, r.inode).ok()) {
-        it->second.links++;
-      }
-      break;
+    case Op::kMkdir:
+      return ns_.Mkdir(r.path1);
+    case Op::kRmdir:
+      return ns_.Rmdir(r.path1);
+    case Op::kRename:
+      return ns_.Rename(r.path1, r.path2);
+    case Op::kLink: {
+      O1_ASSIGN_OR_RETURN(Inode * inode, Get(r.inode));
+      O1_RETURN_IF_ERROR(ns_.AddFile(r.path1, r.inode));
+      inode->links++;
+      return OkStatus();
     }
   }
+  return OkStatus();
 }
 
 Pmfs::SlotProbe Pmfs::ParseSlot(uint32_t slot, bool apply, uint64_t expect_generation) {
@@ -482,7 +464,7 @@ Pmfs::SlotProbe Pmfs::ParseSlot(uint32_t slot, bool apply, uint64_t expect_gener
       probe.truncated = true;  // unreadable line mid-journal
       break;
     }
-    const uint32_t len = LoadU32(head.data());
+    const uint32_t len = LoadLe<uint32_t>(head.data());
     if (len == 0) {
       break;  // clean end sentinel
     }
@@ -495,26 +477,26 @@ Pmfs::SlotProbe Pmfs::ParseSlot(uint32_t slot, bool apply, uint64_t expect_gener
       probe.truncated = true;
       break;
     }
-    const uint32_t stored_crc = LoadU32(rec.data() + 4);
-    StoreU32(rec.data() + 4, 0);
+    const uint32_t stored_crc = LoadLe<uint32_t>(rec.data() + 4);
+    StoreLe(rec.data() + 4, uint32_t{0});
     if (Crc32(rec) != stored_crc) {
       probe.truncated = true;  // torn or decayed record
       break;
     }
-    const uint64_t gen = LoadU64(rec.data() + 8);
+    const uint64_t gen = LoadLe<uint64_t>(rec.data() + 8);
     if (expect_generation == 0) {
       expect_generation = gen;  // probe mode: first record names the slot
     }
     if (gen != expect_generation) {
       break;  // stale bytes from the slot's previous generation
     }
-    auto decoded = DecodeRecord(rec);
+    auto decoded = Decode(rec);
     if (!decoded.has_value()) {
       probe.truncated = true;
       break;
     }
     if (apply) {
-      ApplyRecord(*decoded);
+      (void)ApplyRecord(*decoded);  // a record that no longer applies is skipped
     }
     probe.generation = gen;
     ++probe.records;
@@ -534,10 +516,15 @@ Result<Pmfs::Inode*> Pmfs::Get(InodeId id) {
   return &it->second;
 }
 
-Result<Pmfs::Inode*> Pmfs::GetWritable(InodeId id) {
+Status Pmfs::CheckWritable() const {
   if (mount_mode_ == MountMode::kDegraded) {
     return ReadOnlyError("pmfs degraded (read-only): " + degrade_reason_);
   }
+  return OkStatus();
+}
+
+Result<Pmfs::Inode*> Pmfs::GetWritable(InodeId id) {
+  O1_RETURN_IF_ERROR(CheckWritable());
   O1_ASSIGN_OR_RETURN(Inode * inode, Get(id));
   if (inode->quarantined) {
     return MediaError("pmfs file quarantined");
@@ -555,35 +542,27 @@ void Pmfs::Degrade(std::string reason) {
 // --- namespace ops ----------------------------------------------------------
 
 Result<InodeId> Pmfs::Create(std::string_view path, const FileFlags& flags) {
-  if (mount_mode_ == MountMode::kDegraded) {
-    return ReadOnlyError("pmfs degraded (read-only): " + degrade_reason_);
-  }
+  O1_RETURN_IF_ERROR(CheckWritable());
   machine_->ctx().Charge(machine_->ctx().cost().inode_update_cycles);
   O1_ASSIGN_OR_RETURN(const std::string norm, Namespace::Normalize(path));
   const InodeId id = next_inode_;
-  auto rec = BeginRecord(static_cast<uint8_t>(JournalOp::kCreate));
-  PutU64(rec, id);
-  rec.push_back(static_cast<uint8_t>((flags.persistent ? 1 : 0) | (flags.discardable ? 2 : 0)));
-  PutStr(rec, norm);
-  rec = FinishRecord(std::move(rec));
-  O1_RETURN_IF_ERROR(ReserveJournal(rec.size()));
-  Inode inode(&machine_->ctx());
-  inode.id = id;
-  inode.flags = flags;
-  inode.links = 1;
-  inode.provider = std::make_unique<DaxProvider>(this, id);
-  TouchAtime(inode);
-  O1_RETURN_IF_ERROR(ns_.AddFile(norm, id));
-  inodes_.emplace(id, std::move(inode));
-  ++next_inode_;
-  O1_RETURN_IF_ERROR(AppendRecord(rec));
+  const JournalRecord rec{.op = Op::kCreate,
+                          .inode = id,
+                          .persistent = flags.persistent,
+                          .discardable = flags.discardable,
+                          .path1 = norm};
+  O1_RETURN_IF_ERROR(Commit(rec, [&] {
+    Status created = ApplyRecord(rec);
+    if (created.ok()) {
+      TouchAtime(inodes_.at(id));
+    }
+    return created;
+  }));
   return id;
 }
 
 Result<InodeId> Pmfs::CreateVolatile(const FileFlags& flags) {
-  if (mount_mode_ == MountMode::kDegraded) {
-    return ReadOnlyError("pmfs degraded (read-only): " + degrade_reason_);
-  }
+  O1_RETURN_IF_ERROR(CheckWritable());
   if (flags.persistent) {
     return InvalidArgument("volatile inode cannot be persistent");
   }
@@ -609,19 +588,16 @@ Result<InodeId> Pmfs::LookupPath(std::string_view path) {
 }
 
 Status Pmfs::Unlink(std::string_view path) {
-  if (mount_mode_ == MountMode::kDegraded) {
-    return ReadOnlyError("pmfs degraded (read-only): " + degrade_reason_);
-  }
+  O1_RETURN_IF_ERROR(CheckWritable());
   machine_->ctx().Charge(machine_->ctx().cost().file_delete_cycles);
   O1_ASSIGN_OR_RETURN(const std::string norm, Namespace::Normalize(path));
-  auto rec = BeginRecord(static_cast<uint8_t>(JournalOp::kUnlink));
-  PutStr(rec, norm);
-  rec = FinishRecord(std::move(rec));
-  O1_RETURN_IF_ERROR(ReserveJournal(rec.size()));
-  O1_ASSIGN_OR_RETURN(const InodeId id, ns_.RemoveFile(norm));
   // Committed before any block is freed or zeroed: replay either sees the
   // unlink or a fully intact file, never a half-released one.
-  O1_RETURN_IF_ERROR(AppendRecord(rec));
+  InodeId id = kInvalidInode;
+  O1_RETURN_IF_ERROR(Commit(JournalRecord{.op = Op::kUnlink, .path1 = norm}, [&] {
+    O1_ASSIGN_OR_RETURN(id, ns_.RemoveFile(norm));
+    return OkStatus();
+  }));
   auto inode = Get(id);
   O1_CHECK(inode.ok());
   inode.value()->links--;
@@ -637,31 +613,17 @@ std::vector<std::string> Pmfs::ListPaths() const {
 }
 
 Status Pmfs::Mkdir(std::string_view path) {
-  if (mount_mode_ == MountMode::kDegraded) {
-    return ReadOnlyError("pmfs degraded (read-only): " + degrade_reason_);
-  }
+  O1_RETURN_IF_ERROR(CheckWritable());
   machine_->ctx().Charge(machine_->ctx().cost().inode_update_cycles);
   O1_ASSIGN_OR_RETURN(const std::string norm, Namespace::Normalize(path));
-  auto rec = BeginRecord(static_cast<uint8_t>(JournalOp::kMkdir));
-  PutStr(rec, norm);
-  rec = FinishRecord(std::move(rec));
-  O1_RETURN_IF_ERROR(ReserveJournal(rec.size()));
-  O1_RETURN_IF_ERROR(ns_.Mkdir(norm));
-  return AppendRecord(rec);
+  return Commit(JournalRecord{.op = Op::kMkdir, .path1 = norm});
 }
 
 Status Pmfs::Rmdir(std::string_view path) {
-  if (mount_mode_ == MountMode::kDegraded) {
-    return ReadOnlyError("pmfs degraded (read-only): " + degrade_reason_);
-  }
+  O1_RETURN_IF_ERROR(CheckWritable());
   machine_->ctx().Charge(machine_->ctx().cost().inode_update_cycles);
   O1_ASSIGN_OR_RETURN(const std::string norm, Namespace::Normalize(path));
-  auto rec = BeginRecord(static_cast<uint8_t>(JournalOp::kRmdir));
-  PutStr(rec, norm);
-  rec = FinishRecord(std::move(rec));
-  O1_RETURN_IF_ERROR(ReserveJournal(rec.size()));
-  O1_RETURN_IF_ERROR(ns_.Rmdir(norm));
-  return AppendRecord(rec);
+  return Commit(JournalRecord{.op = Op::kRmdir, .path1 = norm});
 }
 
 Result<std::vector<DirEntry>> Pmfs::List(std::string_view path) {
@@ -670,37 +632,19 @@ Result<std::vector<DirEntry>> Pmfs::List(std::string_view path) {
 }
 
 Status Pmfs::Rename(std::string_view from, std::string_view to) {
-  if (mount_mode_ == MountMode::kDegraded) {
-    return ReadOnlyError("pmfs degraded (read-only): " + degrade_reason_);
-  }
+  O1_RETURN_IF_ERROR(CheckWritable());
   machine_->ctx().Charge(machine_->ctx().cost().inode_update_cycles);
   O1_ASSIGN_OR_RETURN(const std::string norm_from, Namespace::Normalize(from));
   O1_ASSIGN_OR_RETURN(const std::string norm_to, Namespace::Normalize(to));
-  auto rec = BeginRecord(static_cast<uint8_t>(JournalOp::kRename));
-  PutStr(rec, norm_from);
-  PutStr(rec, norm_to);
-  rec = FinishRecord(std::move(rec));
-  O1_RETURN_IF_ERROR(ReserveJournal(rec.size()));
-  O1_RETURN_IF_ERROR(ns_.Rename(norm_from, norm_to));
-  return AppendRecord(rec);
+  return Commit(JournalRecord{.op = Op::kRename, .path1 = norm_from, .path2 = norm_to});
 }
 
 Status Pmfs::Link(std::string_view existing, std::string_view new_path) {
-  if (mount_mode_ == MountMode::kDegraded) {
-    return ReadOnlyError("pmfs degraded (read-only): " + degrade_reason_);
-  }
+  O1_RETURN_IF_ERROR(CheckWritable());
   machine_->ctx().Charge(machine_->ctx().cost().inode_update_cycles);
   O1_ASSIGN_OR_RETURN(const InodeId id, ns_.LookupFile(existing));
   O1_ASSIGN_OR_RETURN(const std::string norm, Namespace::Normalize(new_path));
-  auto rec = BeginRecord(static_cast<uint8_t>(JournalOp::kLink));
-  PutU64(rec, id);
-  PutStr(rec, norm);
-  rec = FinishRecord(std::move(rec));
-  O1_RETURN_IF_ERROR(ReserveJournal(rec.size()));
-  O1_RETURN_IF_ERROR(ns_.AddFile(norm, id));
-  O1_ASSIGN_OR_RETURN(Inode * inode, Get(id));
-  inode->links++;
-  return AppendRecord(rec);
+  return Commit(JournalRecord{.op = Op::kLink, .inode = id, .path1 = norm});
 }
 
 // --- reference counting -----------------------------------------------------
@@ -743,17 +687,17 @@ Status Pmfs::DropMapRef(InodeId id) {
 
 // --- size changes -----------------------------------------------------------
 
-Status Pmfs::GrowTo(Inode& inode, uint64_t new_size) {
+Status Pmfs::GrowTo(Inode& inode, uint64_t new_size, bool single_extent) {
+  const JournalRecord size_rec{.op = Op::kResize, .inode = inode.id, .size = new_size};
   uint64_t allocated = inode.extents.mapped_bytes();
   const uint64_t target = AlignUp(new_size, kPageSize);
   while (allocated < target) {
     const uint64_t want_blocks = (target - allocated) >> kPageShift;
-    auto extent = bitmap_.AllocExtentAtMost(want_blocks, 1);
-    if (!extent.ok()) {
-      return extent.status();
-    }
-    const Paddr paddr = AddrOf(extent->start);
-    const uint64_t bytes = extent->count << kPageShift;
+    O1_ASSIGN_OR_RETURN(const BlockExtent extent,
+                        single_extent ? bitmap_.AllocExtent(want_blocks)
+                                      : bitmap_.AllocExtentAtMost(want_blocks, 1));
+    const Paddr paddr = AddrOf(extent.start);
+    const uint64_t bytes = extent.count << kPageShift;
     if (zero_policy_ == ZeroPolicy::kEagerZero) {
       // Zero BEFORE the journal can map the extent into the file: a crash
       // in between leaves an unowned zeroed run for recovery to reclaim,
@@ -763,45 +707,36 @@ Status Pmfs::GrowTo(Inode& inode, uint64_t new_size) {
     }
     // kZeroEpoch: blocks were zeroed in the background when freed, so the
     // foreground allocation path does no per-byte work.
-    if (inode.journaled) {
-      auto rec = BeginRecord(static_cast<uint8_t>(JournalOp::kAllocExtent));
-      PutU64(rec, inode.id);
-      PutU64(rec, allocated);
-      PutU64(rec, extent->start);
-      PutU64(rec, extent->count);
-      rec = FinishRecord(std::move(rec));
-      O1_RETURN_IF_ERROR(ReserveJournal(rec.size()));
-      O1_RETURN_IF_ERROR(inode.extents.Insert(allocated, paddr, bytes));
-      O1_RETURN_IF_ERROR(AppendRecord(rec));
-    } else {
+    const JournalRecord grant{.op = Op::kAllocExtent,
+                              .inode = inode.id,
+                              .file_offset = allocated,
+                              .start = extent.start,
+                              .count = extent.count};
+    if (!inode.journaled) {
       // Unjournaled volatile inode: a crash leaves these blocks unowned and
       // the bitmap rebuild frees them, which is exactly the teardown a
       // linked volatile file would get.
-      O1_RETURN_IF_ERROR(inode.extents.Insert(allocated, paddr, bytes));
+      O1_RETURN_IF_ERROR(ApplyRecord(grant));
+    } else {
+      if (single_extent) {
+        // One reservation for both records: no checkpoint can fall between
+        // the extent and the size that exposes it.
+        O1_RETURN_IF_ERROR(ReserveJournal(EncodedBytes(grant) + EncodedBytes(size_rec)));
+      }
+      O1_RETURN_IF_ERROR(Commit(grant));
     }
     allocated += bytes;
   }
-  if (!inode.journaled) {
-    inode.size = new_size;
-    return OkStatus();
-  }
   // The size commits LAST: replay exposes only fully journaled extents, and
   // a crash mid-grow leaves the file readable at its old size.
-  auto rec = BeginRecord(static_cast<uint8_t>(JournalOp::kResize));
-  PutU64(rec, inode.id);
-  PutU64(rec, new_size);
-  rec = FinishRecord(std::move(rec));
-  O1_RETURN_IF_ERROR(ReserveJournal(rec.size()));
-  inode.size = new_size;
-  return AppendRecord(rec);
+  auto set_size = [&] {
+    inode.size = new_size;
+    return OkStatus();
+  };
+  return inode.journaled ? Commit(size_rec, set_size) : set_size();
 }
 
-Status Pmfs::ZeroOnFree(Paddr paddr, uint64_t bytes) {
-  if (zero_policy_ != ZeroPolicy::kZeroEpoch) {
-    return OkStatus();
-  }
-  // Background zeroing: contents are cleared before the block can ever be
-  // reallocated, but the cycles are accounted off the critical path.
+Status Pmfs::BackgroundZero(Paddr paddr, uint64_t bytes) {
   O1_RETURN_IF_ERROR(machine_->phys().ZeroUncharged(paddr, bytes));
   const uint64_t flushed = machine_->phys().FlushLinesUncharged(paddr, bytes);
   background_zero_cycles_ += machine_->ctx().cost().NvmWriteBulkCycles(bytes) +
@@ -813,7 +748,11 @@ Status Pmfs::ShrinkTo(Inode& inode, uint64_t new_size) {
   const uint64_t keep = AlignUp(new_size, kPageSize);
   std::vector<FileExtent> released = inode.extents.TruncateFrom(keep);
   for (const FileExtent& e : released) {
-    O1_RETURN_IF_ERROR(ZeroOnFree(e.paddr, e.bytes));
+    // kZeroEpoch clears contents before the blocks can be reallocated, with
+    // the cycles booked off the critical path.
+    if (zero_policy_ == ZeroPolicy::kZeroEpoch) {
+      O1_RETURN_IF_ERROR(BackgroundZero(e.paddr, e.bytes));
+    }
     O1_RETURN_IF_ERROR(bitmap_.FreeExtent(
         BlockExtent{.start = BlockOf(e.paddr), .count = e.bytes >> kPageShift}));
   }
@@ -838,37 +777,7 @@ Status Pmfs::ResizeSingleExtent(InodeId id, uint64_t size) {
     return InvalidArgument("empty single-extent file");
   }
   machine_->ctx().Charge(machine_->ctx().cost().inode_update_cycles);
-  auto extent = bitmap_.AllocExtent(PagesFor(size));
-  if (!extent.ok()) {
-    return extent.status();
-  }
-  const Paddr paddr = AddrOf(extent->start);
-  const uint64_t bytes = extent->count << kPageShift;
-  if (zero_policy_ == ZeroPolicy::kEagerZero) {
-    O1_RETURN_IF_ERROR(machine_->phys().Zero(paddr, bytes));
-    O1_RETURN_IF_ERROR(machine_->phys().FlushLines(paddr, bytes));
-  }
-  if (!inode->journaled) {
-    O1_RETURN_IF_ERROR(inode->extents.Insert(0, paddr, bytes));
-    inode->size = size;
-    TouchAtime(*inode);
-    return OkStatus();
-  }
-  auto arec = BeginRecord(static_cast<uint8_t>(JournalOp::kAllocExtent));
-  PutU64(arec, id);
-  PutU64(arec, 0);
-  PutU64(arec, extent->start);
-  PutU64(arec, extent->count);
-  arec = FinishRecord(std::move(arec));
-  auto rrec = BeginRecord(static_cast<uint8_t>(JournalOp::kResize));
-  PutU64(rrec, id);
-  PutU64(rrec, size);
-  rrec = FinishRecord(std::move(rrec));
-  O1_RETURN_IF_ERROR(ReserveJournal(arec.size() + rrec.size()));
-  O1_RETURN_IF_ERROR(inode->extents.Insert(0, paddr, bytes));
-  O1_RETURN_IF_ERROR(AppendRecord(arec));
-  inode->size = size;
-  O1_RETURN_IF_ERROR(AppendRecord(rrec));
+  O1_RETURN_IF_ERROR(GrowTo(*inode, size, /*single_extent=*/true));
   TouchAtime(*inode);
   return OkStatus();
 }
@@ -878,16 +787,12 @@ Status Pmfs::Resize(InodeId id, uint64_t size) {
   machine_->ctx().Charge(machine_->ctx().cost().inode_update_cycles);
   TouchAtime(*inode);
   if (size >= inode->size) {
-    return GrowTo(*inode, size);
+    return GrowTo(*inode, size, /*single_extent=*/false);
   }
   // Shrink: commit the new size FIRST, so a crash mid-free never zeroes
   // blocks a replayed journal still maps into the file.
-  auto rec = BeginRecord(static_cast<uint8_t>(JournalOp::kResize));
-  PutU64(rec, id);
-  PutU64(rec, size);
-  rec = FinishRecord(std::move(rec));
-  O1_RETURN_IF_ERROR(ReserveJournal(rec.size()));
-  O1_RETURN_IF_ERROR(AppendRecord(rec));
+  O1_RETURN_IF_ERROR(Commit(JournalRecord{.op = Op::kResize, .inode = id, .size = size},
+                            [] { return OkStatus(); }));
   return ShrinkTo(*inode, size);
 }
 
@@ -898,8 +803,8 @@ Result<Paddr> Pmfs::GetBackingPage(InodeId id, uint64_t offset, bool for_write) 
   if (inode->quarantined) {
     return MediaError("pmfs file quarantined");
   }
-  if (for_write && mount_mode_ == MountMode::kDegraded) {
-    return ReadOnlyError("pmfs degraded (read-only): " + degrade_reason_);
+  if (for_write) {
+    O1_RETURN_IF_ERROR(CheckWritable());
   }
   if (offset >= AlignUp(std::max<uint64_t>(inode->size, 1), kPageSize)) {
     return InvalidArgument("page beyond end of pmfs file");
@@ -1007,9 +912,7 @@ Result<FileStat> Pmfs::Stat(InodeId id) {
 uint64_t Pmfs::free_bytes() const { return bitmap_.free_blocks() << kPageShift; }
 
 Result<uint64_t> Pmfs::ReclaimDiscardable(uint64_t bytes_needed) {
-  if (mount_mode_ == MountMode::kDegraded) {
-    return ReadOnlyError("pmfs degraded (read-only): " + degrade_reason_);
-  }
+  O1_RETURN_IF_ERROR(CheckWritable());
   std::vector<std::tuple<uint64_t, std::string, InodeId>> candidates;
   for (const auto& [path, id] : ns_.AllFiles()) {
     const Inode& inode = inodes_.at(id);
@@ -1043,13 +946,7 @@ Status Pmfs::SetPersistent(InodeId id, bool persistent) {
     return InvalidArgument("volatile O_TMPFILE-style inode cannot be made persistent");
   }
   machine_->ctx().Charge(machine_->ctx().cost().inode_update_cycles);
-  auto rec = BeginRecord(static_cast<uint8_t>(JournalOp::kSetFlags));
-  PutU64(rec, id);
-  rec.push_back(persistent ? 1 : 0);
-  rec = FinishRecord(std::move(rec));
-  O1_RETURN_IF_ERROR(ReserveJournal(rec.size()));
-  inode->flags.persistent = persistent;
-  return AppendRecord(rec);
+  return Commit(JournalRecord{.op = Op::kSetFlags, .inode = id, .persistent = persistent});
 }
 
 Status Pmfs::MaybeFree(InodeId id) {
@@ -1079,9 +976,7 @@ Status Pmfs::Destroy(InodeId id) {
 }
 
 Status Pmfs::LeakBlocksForTest(uint64_t blocks) {
-  if (mount_mode_ == MountMode::kDegraded) {
-    return ReadOnlyError("pmfs degraded (read-only): " + degrade_reason_);
-  }
+  O1_RETURN_IF_ERROR(CheckWritable());
   auto extent = bitmap_.AllocExtent(blocks);
   if (!extent.ok()) {
     return extent.status();
@@ -1091,56 +986,81 @@ Status Pmfs::LeakBlocksForTest(uint64_t blocks) {
   return OkStatus();
 }
 
-// --- recovery ---------------------------------------------------------------
+// --- block ownership + recovery ---------------------------------------------
 
-void Pmfs::RebuildBitmap() {
-  const uint64_t region_blocks = region_bytes_ >> kPageShift;
-  std::vector<bool> owned(region_blocks, false);
-  for (uint64_t b = 0; b < meta_blocks_; ++b) {
-    owned[b] = true;
+bool Pmfs::InDataArea(const FileExtent& e) const {
+  return e.paddr >= AddrOf(meta_blocks_) && e.paddr + e.bytes <= region_base_ + region_bytes_ &&
+         IsAligned(e.paddr, kPageSize) && IsAligned(e.bytes, kPageSize);
+}
+
+std::optional<InodeId> Pmfs::BlockClaims::OwnerOf(uint64_t block) const {
+  // Runs overlap only within one inode, so the last run that starts at or
+  // below a claimed block names its owner even when an earlier run holds it.
+  auto it = std::upper_bound(runs.begin(), runs.end(), block,
+                             [](uint64_t b, const Run& run) { return b < run.start; });
+  if (it == runs.begin() || ((owned[block >> 6] >> (block & 63)) & 1) == 0) {
+    return std::nullopt;
   }
+  return std::prev(it)->owner;
+}
+
+Pmfs::BlockClaims Pmfs::ClaimBlocks(bool include_quarantined) const {
+  const uint64_t blocks = bitmap_.block_count();
+  BlockClaims claims;
+  claims.owned.assign((blocks + 63) / 64, 0);
+  AssignBits(claims.owned, 0, meta_blocks_, true);
   // Deterministic order: the lowest inode id keeps contested blocks.
   std::vector<InodeId> ids;
   ids.reserve(inodes_.size());
   for (const auto& [id, inode] : inodes_) {
-    ids.push_back(id);
+    if (include_quarantined || !inode.quarantined) {
+      ids.push_back(id);
+    }
   }
   std::sort(ids.begin(), ids.end());
-  const Paddr data_base = AddrOf(meta_blocks_);
   for (InodeId id : ids) {
-    Inode& inode = inodes_.at(id);
-    bool bad = false;
-    for (const FileExtent& e : inode.extents.Extents()) {
-      if (e.paddr < data_base || e.paddr + e.bytes > region_base_ + region_bytes_ ||
-          !IsAligned(e.paddr, kPageSize) || !IsAligned(e.bytes, kPageSize)) {
-        bad = true;
+    const std::vector<FileExtent> extents = inodes_.at(id).extents.Extents();
+    claims.extents += extents.size();
+    const char* fault = nullptr;
+    for (const FileExtent& e : extents) {
+      if (!InDataArea(e)) {
+        fault = "extent outside pmfs data area";
         break;
       }
-      for (uint64_t b = BlockOf(e.paddr); b < BlockOf(e.paddr) + (e.bytes >> kPageShift); ++b) {
-        if (owned[b]) {
-          bad = true;
-          break;
-        }
-      }
-      if (bad) {
+      const uint64_t end = BlockOf(e.paddr) + (e.bytes >> kPageShift);
+      if (FindBit(claims.owned, BlockOf(e.paddr), end, true) != end) {
+        fault = "block owned by two extents";
         break;
       }
     }
-    if (bad) {
-      // All-or-nothing claims: a file with a conflicting or out-of-range
-      // extent keeps NO blocks and is quarantined instead of aborting the
-      // mount.
-      inode.quarantined = true;
+    if (fault != nullptr) {
+      if (claims.rejected.empty()) {
+        claims.first_fault = Corruption(fault);
+      }
+      claims.rejected.push_back(id);
       continue;
     }
-    for (const FileExtent& e : inode.extents.Extents()) {
-      for (uint64_t b = BlockOf(e.paddr); b < BlockOf(e.paddr) + (e.bytes >> kPageShift); ++b) {
-        owned[b] = true;
-      }
+    for (const FileExtent& e : extents) {
+      const BlockClaims::Run run{
+          .start = BlockOf(e.paddr), .count = e.bytes >> kPageShift, .owner = id};
+      AssignBits(claims.owned, run.start, run.count, true);
+      claims.runs.push_back(run);
     }
   }
+  std::sort(claims.runs.begin(), claims.runs.end(),
+            [](const BlockClaims::Run& a, const BlockClaims::Run& b) { return a.start < b.start; });
+  return claims;
+}
+
+void Pmfs::RebuildBitmap(BlockClaims claims) {
+  // All-or-nothing claims: a file with a conflicting or out-of-range extent
+  // keeps NO blocks and is quarantined instead of aborting the mount.
+  for (InodeId id : claims.rejected) {
+    inodes_.at(id).quarantined = true;
+  }
   // Sticky-unreadable lines reported by the platform (ARS-style bad-line
-  // list) are fenced off so the allocator never hands them out.
+  // list) are fenced off so the allocator never hands them out; a block a
+  // file claimed stays its own.
   const FaultInjector* fi = machine_->phys().fault_injector();
   if (fi != nullptr && fi->has_poison()) {
     Paddr cursor = region_base_;
@@ -1150,31 +1070,23 @@ void Pmfs::RebuildBitmap() {
       if (!bad.has_value()) {
         break;
       }
-      const uint64_t block = BlockOf(*bad);
-      if (block >= meta_blocks_ && !owned[block] && fi->IsSticky(*bad)) {
-        owned[block] = true;
-        bad_blocks_.insert(block);
+      if (BlockOf(*bad) >= meta_blocks_ && fi->IsSticky(*bad)) {
+        AssignBits(claims.owned, BlockOf(*bad), 1, true);
       }
       cursor = AlignDown(*bad, 64) + 64;
     }
   }
-  Status reset = bitmap_.Reset(owned);
+  Status reset = bitmap_.Reset(claims.owned);
   O1_CHECK(reset.ok());
   // kZeroEpoch hands out pre-zeroed blocks; a crash may have interrupted a
-  // background zero, so re-zero free space before it can be reallocated.
+  // background zero, so re-zero each free run before it can be reallocated.
   if (zero_policy_ == ZeroPolicy::kZeroEpoch) {
-    uint64_t run_start = 0;
-    bool in_run = false;
-    for (uint64_t b = meta_blocks_; b <= region_blocks; ++b) {
-      const bool is_free = b < region_blocks && !owned[b];
-      if (is_free && !in_run) {
-        run_start = b;
-        in_run = true;
-      } else if (!is_free && in_run) {
-        Status zeroed = ZeroOnFree(AddrOf(run_start), (b - run_start) << kPageShift);
-        O1_CHECK(zeroed.ok());
-        in_run = false;
-      }
+    const uint64_t blocks = bitmap_.block_count();
+    for (uint64_t run = FindBit(claims.owned, meta_blocks_, blocks, false); run < blocks;) {
+      const uint64_t run_end = FindBit(claims.owned, run, blocks, true);
+      Status zeroed = BackgroundZero(AddrOf(run), (run_end - run) << kPageShift);
+      O1_CHECK(zeroed.ok());
+      run = FindBit(claims.owned, run_end, blocks, false);
     }
   }
 }
@@ -1185,21 +1097,18 @@ Status Pmfs::OnCrash() {
   ns_.Clear();
   inodes_.clear();
   next_inode_ = 1;
-  bad_blocks_.clear();
   mount_mode_ = MountMode::kReadWrite;
   degrade_reason_.clear();
   ops_records_ = 0;
 
   // 1. Superblock names the active slot; on damage, probe both slots and
   //    adopt the one with the newest valid generation.
-  bool sb_healthy = true;
   uint32_t slot = 0;
   uint64_t gen = 0;
   if (auto sb = ReadSuperblock(); sb.ok()) {
     slot = sb->first;
     gen = sb->second;
   } else {
-    sb_healthy = false;
     const SlotProbe p0 = ParseSlot(0, /*apply=*/false, 0);
     const SlotProbe p1 = ParseSlot(1, /*apply=*/false, 0);
     slot = p1.generation > p0.generation ? 1 : 0;
@@ -1220,8 +1129,9 @@ Status Pmfs::OnCrash() {
   }
 
   // 3. Processes died with the power: all open/map references vanish, and
-  //    volatile files go with them (metadata-only teardown; the closing
-  //    checkpoint persists the result and the bitmap rebuild frees blocks).
+  //    volatile files go with them, unlinked name by name as replay would
+  //    (metadata-only teardown; the closing checkpoint persists the result
+  //    and the bitmap rebuild frees blocks).
   std::vector<std::string> volatile_paths;
   for (const auto& [path, id] : ns_.AllFiles()) {
     Inode& inode = inodes_.at(id);
@@ -1232,18 +1142,7 @@ Status Pmfs::OnCrash() {
     }
   }
   for (const std::string& path : volatile_paths) {
-    auto removed = ns_.RemoveFile(path);
-    O1_CHECK(removed.ok());
-    auto it = inodes_.find(*removed);
-    if (it == inodes_.end()) {
-      continue;  // later hard link to an already-torn-down inode
-    }
-    if (it->second.links > 0) {
-      it->second.links--;
-    }
-    if (it->second.links == 0) {
-      inodes_.erase(it);
-    }
+    (void)ApplyRecord(JournalRecord{.op = Op::kUnlink, .path1 = path});
   }
   // A shrink commits its size record before zeroing the kept tail, so a
   // crash can leave dead bytes between size and the page boundary; clear
@@ -1253,18 +1152,14 @@ Status Pmfs::OnCrash() {
     const uint64_t keep = AlignUp(inode.size, kPageSize);
     if (inode.size < keep && inode.size < inode.extents.mapped_bytes()) {
       if (auto tail = inode.extents.Lookup(inode.size); tail.has_value()) {
-        const Paddr at = tail->paddr + (inode.size - tail->file_offset);
-        (void)machine_->phys().ZeroUncharged(at, keep - inode.size);
-        const uint64_t flushed = machine_->phys().FlushLinesUncharged(at, keep - inode.size);
-        background_zero_cycles_ += ctx.cost().NvmWriteBulkCycles(keep - inode.size) +
-                                   flushed * ctx.cost().clwb_cycles;
+        (void)BackgroundZero(tail->paddr + (inode.size - tail->file_offset), keep - inode.size);
       }
     }
   }
 
   // 4. Bitmap rebuild: leaked blocks (allocated but ownerless, e.g. a torn
   //    allocation) are reclaimed; conflicting files are quarantined.
-  RebuildBitmap();
+  RebuildBitmap(ClaimBlocks(/*include_quarantined=*/true));
 
   // 5. Compact the replayed state into the other slot and flip. Failure
   //    degrades the mount instead of failing the boot.
@@ -1280,8 +1175,6 @@ Status Pmfs::OnCrash() {
       Degrade("journal slot unreadable after recovery");
     }
   }
-  (void)sb_healthy;
-  ops_records_ = 0;
   return OkStatus();
 }
 
@@ -1332,20 +1225,11 @@ Result<ScrubReport> Pmfs::Scrub() {
   }
 
   // 3. Media patrol, charged as one sequential read of the region. Poison
-  //    in live file data quarantines the file; transient poison in free
-  //    space heals by rewrite; sticky poison in free space is retired.
+  //    in live file data quarantines the file that claimed the block;
+  //    transient poison in free space heals by rewrite; sticky poison in
+  //    free space is retired.
   ctx.Charge(ctx.cost().NvmReadBulkCycles(region_bytes_));
-  std::unordered_map<uint64_t, InodeId> owner;
-  for (const auto& [id, inode] : inodes_) {
-    for (const FileExtent& e : inode.extents.Extents()) {
-      if (e.paddr < region_base_ || e.paddr + e.bytes > region_base_ + region_bytes_) {
-        continue;
-      }
-      for (uint64_t b = BlockOf(e.paddr); b < BlockOf(e.paddr) + (e.bytes >> kPageShift); ++b) {
-        owner.emplace(b, id);
-      }
-    }
-  }
+  BlockClaims claims = ClaimBlocks(/*include_quarantined=*/true);
   const FaultInjector* fi = machine_->phys().fault_injector();
   Paddr cursor = region_base_ + kPageSize;  // superblock handled above
   const Paddr end = region_base_ + region_bytes_;
@@ -1369,14 +1253,10 @@ Result<ScrubReport> Pmfs::Scrub() {
         (void)machine_->phys().FlushLinesUncharged(line, 64);
         ++report.blocks_repaired;
       }
-    } else if (auto own = owner.find(block); own != owner.end()) {
-      auto it = inodes_.find(own->second);
-      if (it != inodes_.end() && !it->second.quarantined) {
-        it->second.quarantined = true;
-      }
+    } else if (auto owner = claims.OwnerOf(block); owner.has_value()) {
+      inodes_.at(*owner).quarantined = true;
     } else if (sticky) {
-      bad_blocks_.insert(block);
-      ++report.bad_blocks_retired;
+      ++report.bad_blocks_retired;  // the bitmap rebuild fences it off
     } else {
       (void)machine_->phys().ZeroUncharged(AddrOf(block), kPageSize);
       (void)machine_->phys().FlushLinesUncharged(AddrOf(block), kPageSize);
@@ -1387,12 +1267,12 @@ Result<ScrubReport> Pmfs::Scrub() {
 
   // 4. Structure: quarantine conflicting/out-of-range files and rebuild
   //    the bitmap around the survivors and the retired blocks.
-  RebuildBitmap();
+  RebuildBitmap(std::move(claims));
   report.files_quarantined = count_quarantined() - quarantined_before;
 
   // Quarantine verdicts must survive the next crash: they ride in checkpoint
-  // snapshots (flag bit 4 of the create record), so commit one whenever this
-  // scrub isolated a file.
+  // snapshots (the create record's quarantined flag), so commit one whenever
+  // this scrub isolated a file.
   if (healthy && report.files_quarantined > 0) {
     if (Status ck = Checkpoint(); ck.ok()) {
       report.journal_compacted = true;
@@ -1414,30 +1294,21 @@ Result<ScrubReport> Pmfs::Scrub() {
 }
 
 Status Pmfs::VerifyIntegrity() {
+  // Quarantined files are already isolated; their claims are void.
+  const BlockClaims claims = ClaimBlocks(/*include_quarantined=*/false);
   SimContext& ctx = machine_->ctx();
-  std::vector<bool> owned(region_bytes_ >> kPageShift, false);
-  for (uint64_t b = 0; b < meta_blocks_; ++b) {
-    owned[b] = true;
-  }
-  const Paddr data_base = AddrOf(meta_blocks_);
-  for (auto& [id, inode] : inodes_) {
-    if (inode.quarantined) {
-      continue;  // already isolated; its claims are void
+  ctx.Charge(claims.extents * ctx.cost().extent_tree_op_cycles);
+  O1_RETURN_IF_ERROR(claims.first_fault);
+  // The claim pass kept inodes apart; two extents of one inode may still
+  // share a block.
+  uint64_t claimed_end = 0;
+  for (const BlockClaims::Run& run : claims.runs) {
+    if (run.start < claimed_end) {
+      return Corruption("block owned by two extents");
     }
-    for (const FileExtent& e : inode.extents.Extents()) {
-      ctx.Charge(ctx.cost().extent_tree_op_cycles);
-      if (e.paddr < data_base || e.paddr + e.bytes > region_base_ + region_bytes_) {
-        return Corruption("extent outside pmfs data area");
-      }
-      for (uint64_t b = BlockOf(e.paddr); b < BlockOf(e.paddr) + (e.bytes >> kPageShift); ++b) {
-        if (owned[b]) {
-          return Corruption("block owned by two extents");
-        }
-        owned[b] = true;
-        if (!bitmap_.IsAllocated(b)) {
-          return Corruption("extent block not marked allocated in bitmap");
-        }
-      }
+    claimed_end = run.start + run.count;
+    if (!bitmap_.AllAllocated(BlockExtent{.start = run.start, .count = run.count})) {
+      return Corruption("extent block not marked allocated in bitmap");
     }
   }
   return OkStatus();

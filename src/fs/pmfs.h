@@ -11,7 +11,10 @@
 //     (written and flushed through PhysicalMemory, so crash-point sweeps
 //     can cut it anywhere); crash recovery re-reads the superblock, replays
 //     the valid journal prefix, drops volatile files, reclaims leaked
-//     blocks, and compacts the journal into the other slot;
+//     blocks, and compacts the journal into the other slot. Each record
+//     kind's layout is one field list in pmfs.cc that sizing, encoding and
+//     decoding all walk, and every journaled op commits through Commit:
+//     reserve the record's bytes, change memory, append;
 //   * per-file persistence: files created persistent survive Machine::Crash,
 //     volatile (temporary) files do not -- Sec. 3.1's "marked at any time as
 //     volatile or persistent".
@@ -31,10 +34,13 @@
 // Fault handling: Scrub() is an online fsck -- it revalidates the
 // superblock and journal, walks extents, consults the platform bad-line
 // list (FaultInjector poison), quarantines files whose data or structure is
-// unrepairable, and rebuilds the bitmap. When the superblock or both
-// journal slots cannot be made durable and readable, the mount degrades to
-// read-only (MountMode::kDegraded): reads still work, every mutating op
-// returns kReadOnly, and nothing CHECK-fails.
+// unrepairable, and rebuilds the bitmap. Block ownership comes from one
+// claim pass (ClaimBlocks: lowest inode first, all or nothing, one bit per
+// block) that recovery's bitmap rebuild, Scrub's owner lookup and
+// VerifyIntegrity all read. When the superblock or both journal slots
+// cannot be made durable and readable, the mount degrades to read-only
+// (MountMode::kDegraded): reads still work, every mutating op returns
+// kReadOnly (one check, CheckWritable), and nothing CHECK-fails.
 //
 // Zeroing policy: kEagerZero clears new extents at allocation time (the
 // linear-time foreground cost Sec. 3.1 complains about); kZeroEpoch zeroes
@@ -52,7 +58,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -63,6 +68,9 @@
 #include "src/sim/machine.h"
 
 namespace o1mem {
+
+// One journal record; its layout and codec live in pmfs.cc.
+struct JournalRecord;
 
 enum class ZeroPolicy {
   kEagerZero,  // zero whole extents at allocation (O(bytes) foreground)
@@ -227,30 +235,24 @@ class Pmfs : public FileSystem {
     explicit Inode(SimContext* ctx) : extents(ctx) {}
   };
 
-  enum class JournalOp : uint8_t {
-    kCreate = 1,
-    kUnlink,
-    kResize,
-    kSetFlags,
-    kAllocExtent,
-    kMkdir,
-    kRmdir,
-    kRename,
-    kLink,
-  };
+  // What the one block-ownership pass found. Inodes claim their extents in
+  // id order, all or nothing: an inode with an extent outside the data area,
+  // or on a block a lower id already claimed, claims nothing. Extents of one
+  // inode are not checked against each other, so its runs may overlap.
+  struct BlockClaims {
+    struct Run {
+      uint64_t start = 0;
+      uint64_t count = 0;
+      InodeId owner = kInvalidInode;
+    };
+    std::vector<uint64_t> owned;    // one bit per block, metadata area set
+    std::vector<Run> runs;          // every claimed extent, sorted by start
+    std::vector<InodeId> rejected;  // inodes that claimed nothing, ascending
+    Status first_fault;             // why the lowest rejected inode claimed nothing
+    uint64_t extents = 0;           // extents examined
 
-  // A journal record decoded from NVM bytes.
-  struct DecodedRecord {
-    JournalOp op = JournalOp::kCreate;
-    InodeId inode = kInvalidInode;
-    uint64_t a = 0;  // size / file_offset
-    uint64_t b = 0;  // block_start
-    uint64_t c = 0;  // block_count
-    bool persistent = false;
-    bool discardable = false;
-    bool quarantined = false;
-    std::string path1;
-    std::string path2;
+    // The inode whose claimed run holds `block`, if any.
+    std::optional<InodeId> OwnerOf(uint64_t block) const;
   };
 
   // Valid prefix of a journal slot.
@@ -263,13 +265,20 @@ class Pmfs : public FileSystem {
 
   Result<Inode*> Get(InodeId id);
   Result<Inode*> GetWritable(InodeId id);  // + degraded/quarantine guards
+  // The one degraded-mount guard: kReadOnly while the mount is degraded.
+  Status CheckWritable() const;
   void TouchAtime(Inode& inode);
   Status MaybeFree(InodeId id);
   Status Destroy(InodeId id);
-  Status GrowTo(Inode& inode, uint64_t new_size);
+  // The one extent grant: allocates blocks up to the page-aligned new size
+  // (one contiguous extent when `single_extent`), eager-zeroes them under
+  // kEagerZero, journals each extent (or inserts it unjournaled), then
+  // commits the size last.
+  Status GrowTo(Inode& inode, uint64_t new_size, bool single_extent);
   Status ShrinkTo(Inode& inode, uint64_t new_size);
-  // Zeroing applied when an extent is released (kZeroEpoch background work).
-  Status ZeroOnFree(Paddr paddr, uint64_t bytes);
+  // Zeroes and flushes off the critical path: no clock charge, the cycles
+  // accrue to background_zero_cycles_.
+  Status BackgroundZero(Paddr paddr, uint64_t bytes);
 
   // --- on-NVM journal -----------------------------------------------------
   Paddr SlotBase(uint32_t slot) const {
@@ -290,6 +299,13 @@ class Pmfs : public FileSystem {
   // Stamps generation + CRC into `rec` and appends it durably. `rec` must
   // have been sized through ReserveJournal.
   Status AppendRecord(std::vector<uint8_t>& rec);
+  // The one commit path of a journaled op: encodes `rec`, reserves its
+  // bytes, runs `apply` (the in-memory change, returning Status), then
+  // appends the record. A failing `apply` appends nothing. Without `apply`
+  // the change is replay's: ApplyRecord(rec).
+  template <class Apply>
+  Status Commit(const JournalRecord& rec, Apply&& apply);
+  Status Commit(const JournalRecord& rec);
 
   // Serializes live metadata into the inactive slot and flips the
   // superblock (the atomic commit). Fails with kQuotaExceeded if live
@@ -299,13 +315,21 @@ class Pmfs : public FileSystem {
 
   // Parses the valid record prefix of a slot; applies records iff `apply`.
   SlotProbe ParseSlot(uint32_t slot, bool apply, uint64_t expect_generation);
-  std::optional<DecodedRecord> DecodeRecord(std::span<const uint8_t> bytes) const;
-  void ApplyRecord(const DecodedRecord& rec);
+  // Applies one record to memory, as replay does. A live create, mkdir,
+  // rmdir, rename, link, flag change or extent grant makes exactly this
+  // change; a live unlink or resize also frees blocks, so only replay and
+  // the crash teardown apply those two kinds here.
+  Status ApplyRecord(const JournalRecord& rec);
 
-  // Rebuilds the bitmap from extent trees: metadata area pinned, first
-  // owner wins, conflicting/out-of-range files quarantined, sticky
-  // bad lines retired. Under kZeroEpoch also re-zeroes free space.
-  void RebuildBitmap();
+  // True when `e` lies page-aligned inside the data area.
+  bool InDataArea(const FileExtent& e) const;
+  // The one walk over block ownership (uncharged); quarantined inodes
+  // claim too unless `include_quarantined` is false.
+  BlockClaims ClaimBlocks(bool include_quarantined) const;
+  // Rebuilds the bitmap from `claims`: rejected files quarantined, sticky
+  // bad lines in unclaimed blocks retired. Under kZeroEpoch also re-zeroes
+  // free space.
+  void RebuildBitmap(BlockClaims claims);
 
   void Degrade(std::string reason);
 
@@ -329,7 +353,6 @@ class Pmfs : public FileSystem {
   uint64_t generation_ = 1;
   uint64_t journal_tail_bytes_ = 0;
   uint64_t ops_records_ = 0;
-  std::set<uint64_t> bad_blocks_;  // sticky-unreadable blocks fenced off
 
   uint64_t background_zero_cycles_ = 0;
 };

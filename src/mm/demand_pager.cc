@@ -338,6 +338,11 @@ Status DemandPager::SplitLargePage(Vaddr vaddr) {
   }
   const Vaddr base = records_[r].vaddr;
   const Paddr block = records_[r].frame;
+  // A forked child still maps the whole block through the head's reference;
+  // 512 frames of refcount 1 would let either side free it under the other.
+  if (phys_mgr_->meta().Peek(block).refcount > 1) {
+    return Busy("2 MiB page is COW-shared after fork");
+  }
   auto vma = vmas_->Find(base);
   if (!vma.has_value()) {
     return FaultError("large page outside any VMA");

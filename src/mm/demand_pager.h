@@ -94,7 +94,8 @@ class DemandPager : public FaultHandler {
 
   // Splits the resident 2 MiB page containing `vaddr` into 512 4 KiB pages
   // (per-page PTEs, per-page LRU entries). Charged per page -- the linear
-  // cost the paper attributes to this fallback.
+  // cost the paper attributes to this fallback. kBusy while a forked child
+  // still shares the page.
   Status SplitLargePage(Vaddr vaddr);
 
   // mlock-like pinning: faults pages in if needed and marks them unevictable

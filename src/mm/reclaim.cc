@@ -22,8 +22,9 @@ Result<ReclaimStats> ClockReclaimer::Reclaim(uint64_t target) {
     }
     Status evicted = pager_->SwapOutPage(victim);
     if (evicted.code() == StatusCode::kBusy) {
-      // Pinned (mlocked) page: unevictable, rotate past it. A 2 MiB victim
-      // was split first, so the hand steps past whatever page is oldest now.
+      // Pinned (mlocked) or shared after fork: unevictable, rotate past it.
+      // An unshared 2 MiB victim was split first, so the hand steps past
+      // whatever page is oldest now.
       pager_->RotateInactive();
       stats.spared++;
       continue;

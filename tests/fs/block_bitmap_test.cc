@@ -105,13 +105,13 @@ TEST_F(BitmapTest, InvalidRequestsRejected) {
 
 TEST_F(BitmapTest, ResetRebuildsState) {
   ASSERT_TRUE(bitmap_.AllocExtent(500).ok());
-  std::vector<bool> rebuilt(1024, false);
-  rebuilt[7] = true;
+  std::vector<uint64_t> rebuilt(1024 / 64, 0);
+  rebuilt[0] = uint64_t{1} << 7;
   ASSERT_TRUE(bitmap_.Reset(rebuilt).ok());
   EXPECT_EQ(bitmap_.free_blocks(), 1023u);
   EXPECT_TRUE(bitmap_.IsAllocated(7));
   EXPECT_FALSE(bitmap_.IsAllocated(100));
-  EXPECT_FALSE(bitmap_.Reset(std::vector<bool>(10)).ok());
+  EXPECT_FALSE(bitmap_.Reset(std::vector<uint64_t>(10)).ok());
 }
 
 TEST_F(BitmapTest, AllocationChargesCycles) {

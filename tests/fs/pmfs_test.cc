@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
+#include "src/support/byte_order.h"
+#include "src/support/crc32.h"
+
 namespace o1mem {
 namespace {
 
@@ -189,6 +195,45 @@ TEST_F(PmfsTest, IntegrityVerificationPasses) {
   EXPECT_TRUE(fs_.VerifyIntegrity().ok());
 }
 
+// ExtentTree::Insert refuses only overlapping file offsets, so a journal can
+// map one block at two offsets of one file. Recovery keeps the file whole (no
+// other file contests the block); the integrity check still names the state,
+// and Scrub still finds the file as the owner of a bad line in its blocks.
+TEST_F(PmfsTest, IntegrityCatchesTwoExtentsOfOneFileOnOneBlock) {
+  auto id = fs_.Create("/twice", FileFlags{.persistent = true});
+  ASSERT_TRUE(id.ok());
+  ASSERT_TRUE(fs_.Resize(*id, 2 * kPageSize).ok());
+  auto paddr = fs_.GetBackingPage(*id, 0, false);
+  ASSERT_TRUE(paddr.ok());
+  // A kAllocExtent record (op 5) written by hand at the tail of a fresh
+  // mount's slot 0 (generation 1): offset 2 pages -> the file's first block.
+  const Paddr base = machine_.phys().nvm_base();
+  std::vector<uint8_t> rec(56, 0);
+  StoreLe(rec.data(), uint32_t{56});
+  StoreLe(rec.data() + 8, uint64_t{1});
+  rec[16] = 5;
+  StoreLe(rec.data() + 24, *id);
+  StoreLe(rec.data() + 32, 2 * kPageSize);
+  StoreLe(rec.data() + 40, (*paddr - base) >> kPageShift);
+  StoreLe(rec.data() + 48, uint64_t{1});
+  StoreLe(rec.data() + 4, Crc32(rec));
+  const Paddr at = base + kPageSize + fs_.journal_tail_bytes();
+  ASSERT_TRUE(machine_.phys().Write(at, rec).ok());
+  ASSERT_TRUE(machine_.phys().FlushLines(at, rec.size()).ok());
+  machine_.Crash();
+  ASSERT_TRUE(fs_.OnCrash().ok());
+  ASSERT_EQ(fs_.Stat(*id)->extent_count, 2u);
+  EXPECT_EQ(fs_.VerifyIntegrity().code(), StatusCode::kCorruption);
+
+  // The second block is inside the first extent only.
+  machine_.fault_injector().MarkUnreadable(*paddr + kPageSize + 64, /*sticky=*/true);
+  auto report = fs_.Scrub();
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->files_quarantined, 1u);
+  EXPECT_EQ(report->bad_blocks_retired, 0u);
+  EXPECT_TRUE(fs_.Stat(*id)->quarantined);
+}
+
 TEST_F(PmfsTest, DaxBackingPageInsideExtent) {
   auto id = fs_.Create("/dax", FileFlags{});
   ASSERT_TRUE(id.ok());
@@ -305,6 +350,149 @@ TEST_F(PmfsZeroEpochTest, WritesLandAfterLazyZero) {
   for (size_t i = 50; i < 150; ++i) {
     EXPECT_EQ(out[i], 0x11) << i;
   }
+}
+
+// --- On-media format pin ------------------------------------------------
+//
+// One fixed script issues every journal record kind, failing ops, two
+// unjournaled volatile inodes and enough create/unlink pairs to force a
+// checkpoint. What it leaves on NVM is pinned before and after crash
+// recovery: the CRC-32 of the metadata area (superblock and both journal
+// slots, read without a charge), the journal tail and record count, and the
+// injector's NVM line-write and flush counts. A change that moves a byte
+// PMFS writes, or the order of its writes and flushes (which the crash
+// sweeps index by), fails here.
+
+struct MediaPin {
+  uint32_t meta_crc = 0;
+  uint64_t tail_bytes = 0;
+  uint64_t records = 0;
+  uint64_t line_writes = 0;
+  uint64_t flushes = 0;
+  bool operator==(const MediaPin&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const MediaPin& p) {
+  return os << "{" << p.meta_crc << "u, " << p.tail_bytes << ", " << p.records << ", "
+            << p.line_writes << ", " << p.flushes << "}";
+}
+
+MediaPin PinMedia(Machine& machine, const Pmfs& fs) {
+  std::vector<uint8_t> meta(kPageSize + 2 * fs.journal_slot_bytes());
+  O1_CHECK(machine.phys().ReadUncharged(machine.phys().nvm_base(), meta).ok());
+  return MediaPin{.meta_crc = Crc32(meta),
+                  .tail_bytes = fs.journal_tail_bytes(),
+                  .records = fs.journal_records(),
+                  .line_writes = machine.fault_injector().nvm_line_writes(),
+                  .flushes = machine.fault_injector().nvm_flushes()};
+}
+
+void RunFormatScript(Pmfs& fs) {
+  auto path = [](std::string_view dir, int i) { return std::string(dir) + std::to_string(i); };
+  ASSERT_TRUE(fs.Mkdir("/d").ok());
+  ASSERT_TRUE(fs.Mkdir("/e").ok());
+  // Eight 1 MiB files, a filler up to 64 blocks short of the end, then three
+  // 1 MiB holes: the 701-block grow below takes three extents.
+  for (int i = 0; i < 8; ++i) {
+    auto id = fs.Create(path("/d/a", i), FileFlags{.persistent = true});
+    ASSERT_TRUE(id.ok());
+    ASSERT_TRUE(fs.Resize(*id, kMiB).ok());
+  }
+  auto filler = fs.Create("/d/filler", FileFlags{.persistent = true});
+  ASSERT_TRUE(filler.ok());
+  ASSERT_TRUE(fs.Resize(*filler, fs.free_bytes() - 64 * kPageSize).ok());
+  for (int i : {1, 3, 5}) {
+    ASSERT_TRUE(fs.Unlink(path("/d/a", i)).ok());
+  }
+  auto grown = fs.Create("/d/grown", FileFlags{.persistent = true});
+  ASSERT_TRUE(grown.ok());
+  ASSERT_TRUE(fs.Resize(*grown, 700 * kPageSize + 100).ok());
+  ASSERT_EQ(fs.Stat(*grown)->extent_count, 3u);
+  ASSERT_TRUE(fs.WriteAt(*grown, 3 * kPageSize - 10, std::vector<uint8_t>(50, 0x5a)).ok());
+
+  auto single = fs.Create("/e/single", FileFlags{.persistent = true});
+  ASSERT_TRUE(single.ok());
+  ASSERT_TRUE(fs.ResizeSingleExtent(*single, 40 * kPageSize + 5).ok());
+  auto disc = fs.Create("/d/disc", FileFlags{.discardable = true});
+  ASSERT_TRUE(disc.ok());
+  ASSERT_TRUE(fs.WriteAt(*disc, 0, std::vector<uint8_t>(3 * kPageSize, 0x33)).ok());
+  ASSERT_TRUE(fs.Link("/d/grown", "/e/grown_link").ok());
+  ASSERT_TRUE(fs.Rename("/d/disc", "/e/disc").ok());
+  // A linked volatile file with a second name: recovery drops both.
+  auto vol = fs.Create("/d/vol", FileFlags{});
+  ASSERT_TRUE(vol.ok());
+  ASSERT_TRUE(fs.Resize(*vol, 2 * kPageSize).ok());
+  ASSERT_TRUE(fs.Link("/d/vol", "/e/vol_link").ok());
+  auto flip = fs.Create("/d/flip", FileFlags{});
+  ASSERT_TRUE(flip.ok());
+  ASSERT_TRUE(fs.SetPersistent(*flip, true).ok());
+  ASSERT_TRUE(fs.SetPersistent(*vol, false).ok());
+  // Shrink across extents to a size inside a page.
+  ASSERT_TRUE(fs.Resize(*grown, 300 * kPageSize + 7).ok());
+  ASSERT_TRUE(fs.Unlink("/d/a0").ok());
+  ASSERT_TRUE(fs.Mkdir("/gone").ok());
+  ASSERT_TRUE(fs.Rmdir("/gone").ok());
+
+  // Unjournaled O_TMPFILE-style inodes, multi-page and single-extent.
+  auto tmp = fs.CreateVolatile(FileFlags{});
+  ASSERT_TRUE(tmp.ok());
+  ASSERT_TRUE(fs.AddMapRef(*tmp).ok());
+  ASSERT_TRUE(fs.Resize(*tmp, 5 * kPageSize).ok());
+  auto tmp_single = fs.CreateVolatile(FileFlags{});
+  ASSERT_TRUE(tmp_single.ok());
+  ASSERT_TRUE(fs.AddMapRef(*tmp_single).ok());
+  ASSERT_TRUE(fs.ResizeSingleExtent(*tmp_single, 3 * kPageSize).ok());
+
+  // Ops that fail after their checks or part-way through.
+  EXPECT_EQ(fs.Create("/d/grown", FileFlags{}).status().code(), StatusCode::kAlreadyExists);
+  EXPECT_FALSE(fs.Rmdir("/d").ok());
+  EXPECT_EQ(fs.Unlink("/d/missing").code(), StatusCode::kNotFound);
+  EXPECT_EQ(fs.ResizeSingleExtent(*single, kPageSize).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(fs.Link("/d/missing", "/e/x").code(), StatusCode::kNotFound);
+
+  // Create/unlink pairs until the active slot has been compacted at least
+  // once by a reservation that did not fit.
+  int checkpoints = 0;
+  for (int i = 0; i < 300; ++i) {
+    const uint64_t before = fs.journal_tail_bytes();
+    ASSERT_TRUE(fs.Create(path("/d/t", i), FileFlags{}).ok());
+    ASSERT_TRUE(fs.Unlink(path("/d/t", i)).ok());
+    checkpoints += fs.journal_tail_bytes() < before ? 1 : 0;
+  }
+  ASSERT_GE(checkpoints, 1);
+
+  // A grow that takes every free run and then fails: its extents are
+  // journaled, its size never is.
+  EXPECT_EQ(fs.Resize(*filler, 64 * kMiB).code(), StatusCode::kOutOfMemory);
+}
+
+void ExpectPinnedFormat(ZeroPolicy policy, const MediaPin& after_script,
+                        const MediaPin& after_recovery) {
+  Machine machine(MachineConfig{.dram_bytes = 16 * kMiB, .nvm_bytes = 16 * kMiB});
+  Pmfs fs(&machine, machine.phys().nvm_base(), 16 * kMiB, policy);
+  RunFormatScript(fs);
+  if (::testing::Test::HasFatalFailure()) {
+    return;
+  }
+  EXPECT_EQ(PinMedia(machine, fs), after_script);
+  machine.Crash();
+  ASSERT_TRUE(fs.OnCrash().ok());
+  EXPECT_EQ(fs.mount_mode(), MountMode::kReadWrite);
+  EXPECT_EQ(PinMedia(machine, fs), after_recovery);
+  EXPECT_TRUE(fs.VerifyIntegrity().ok());
+  EXPECT_TRUE(fs.LookupPath("/e/grown_link").ok());
+  EXPECT_TRUE(fs.LookupPath("/d/flip").ok());
+  EXPECT_FALSE(fs.LookupPath("/e/vol_link").ok());
+}
+
+TEST(PmfsFormatTest, EagerZeroScriptLeavesPinnedMedia) {
+  ExpectPinnedFormat(ZeroPolicy::kEagerZero, MediaPin{3417933883u, 13592, 661, 354035, 691},
+                     MediaPin{2003589512u, 1512, 0, 354189, 694});
+}
+
+TEST(PmfsFormatTest, ZeroEpochScriptLeavesPinnedMedia) {
+  ExpectPinnedFormat(ZeroPolicy::kZeroEpoch, MediaPin{3417933883u, 13592, 661, 92467, 669},
+                     MediaPin{2003589512u, 1512, 0, 93453, 672});
 }
 
 }  // namespace

@@ -159,6 +159,41 @@ TEST_F(ForkTest, LargePageIsSharedCopyOnWrite) {
   EXPECT_EQ(ReadByte(**parent, *vaddr).value(), 1);
 }
 
+// Splitting a 2 MiB page that a fork still shares would give each 4 KiB
+// frame a refcount of 1 while the child still maps the whole block: the
+// child's exit would then free the block under the parent, and the parent's
+// exit would free it again. The split is refused instead (kBusy, as swap-out
+// refuses a shared 4 KiB page), so each side's exit frees the block once.
+TEST(ForkLargePageTest, SplitOfSharedLargePageIsRefusedAndEachExitFreesOnce) {
+  SystemConfig config;
+  config.machine.dram_bytes = 64 * kMiB;
+  config.machine.nvm_bytes = 64 * kMiB;
+  System sys(config);
+  const uint64_t free_at_start = sys.phys_manager().free_bytes();
+  auto parent = sys.Launch(Backend::kBaseline);
+  ASSERT_TRUE(parent.ok());
+  auto vaddr = sys.Mmap(**parent, MmapArgs{.length = kLargePageSize, .populate = true,
+                                           .large_pages = true});
+  ASSERT_TRUE(vaddr.ok());
+  const uint8_t one = 1;
+  ASSERT_TRUE(sys.UserWrite(**parent, *vaddr, std::span<const uint8_t>(&one, 1)).ok());
+  const uint64_t free_before_fork = sys.phys_manager().free_bytes();
+  auto child = sys.Fork(**parent);
+  ASSERT_TRUE(child.ok());
+  EXPECT_EQ((*parent)->pager().SplitLargePage(*vaddr).code(), StatusCode::kBusy);
+
+  ASSERT_TRUE(sys.Exit(*child).ok());
+  // The child gives back what the fork took and nothing of the shared block.
+  EXPECT_EQ(sys.phys_manager().free_bytes(), free_before_fork);
+  uint8_t read = 0;
+  ASSERT_TRUE(sys.UserRead(**parent, *vaddr, std::span<uint8_t>(&read, 1)).ok());
+  EXPECT_EQ(read, 1);
+
+  ASSERT_TRUE(sys.Exit(*parent).ok());
+  EXPECT_LE(sys.phys_manager().free_bytes(), config.machine.dram_bytes);
+  EXPECT_EQ(sys.phys_manager().free_bytes(), free_at_start);
+}
+
 // mprotect rewrites every PTE in its range, but a page still shared
 // copy-on-write must stay write-protected there: otherwise the next write
 // lands in the frame the other side still maps.

@@ -1,4 +1,4 @@
-// Exhaustive crash-point sweep: a fixed ~56-op PMFS + FOM workload is first
+// Exhaustive crash-point sweep: a fixed ~55-op PMFS + FOM workload is first
 // run to completion once (the golden run) to count every NVM line-write and
 // flush event it generates. The workload is then re-run once per event
 // index with the fault injector armed to cut power exactly there. After
@@ -86,12 +86,13 @@ struct Driver {
               bytes.begin() + static_cast<std::ptrdiff_t>(offset));
   }
 
-  void SegWrite(const std::string& path, bool create) {
+  void SegWrite(const std::string& path, bool create, bool single_extent = false) {
     const uint64_t bytes = create ? rng.NextInRange(1, 2) * kPageSize
                                   : m.segs.at(path).size();
     Result<InodeId> seg =
         create ? sys.fom().CreateSegment(path, bytes,
-                                         SegmentOptions{.flags = {.persistent = true}})
+                                         SegmentOptions{.flags = {.persistent = true},
+                                                        .require_single_extent = single_extent})
                : sys.fom().OpenSegment(path);
     O1_CHECK(seg.ok());
     auto va = sys.fom().Map(proc->fom(), *seg, Prot::kReadWrite);
@@ -207,6 +208,28 @@ std::vector<Op> BuildWorkload(Driver& d) {
     const std::string path = "/d/f" + std::to_string(i);
     ops.push_back({{path}, [&d, path] { d.Pwrite(path, 64, 256); }});
   }
+  // Phase 10: the journal records no phase above writes -- a hard link, a
+  // persistence flip and an rmdir -- and a single-extent segment.
+  ops.push_back({{"/d/l6"}, [&d] {
+                   O1_CHECK(d.sys.Link(d.sys.pmfs(), "/d/f6", "/d/l6").ok());
+                   d.m.files["/d/l6"] = d.m.files.at("/d/f6");
+                 }});
+  ops.push_back({{"/d/p0"}, [&d] {
+                   auto fd = d.sys.Creat(*d.proc, d.sys.pmfs(), "/d/p0",
+                                         FileFlags{.persistent = false});
+                   O1_CHECK(fd.ok());
+                   O1_CHECK(d.sys.Close(*d.proc, *fd).ok());
+                   d.m.files["/d/p0"] = {};
+                   d.Pwrite("/d/p0", 0, 400);
+                   auto inode = d.sys.pmfs().LookupPath("/d/p0");
+                   O1_CHECK(inode.ok());
+                   O1_CHECK(d.sys.pmfs().SetPersistent(*inode, true).ok());
+                 }});
+  ops.push_back({{"/d3"}, [&d] { O1_CHECK(d.sys.Mkdir(d.sys.pmfs(), "/d3").ok()); }});
+  ops.push_back({{"/d3"}, [&d] { O1_CHECK(d.sys.Rmdir(d.sys.pmfs(), "/d3").ok()); }});
+  ops.push_back({{"/d/s4"}, [&d] {
+                   d.SegWrite("/d/s4", /*create=*/true, /*single_extent=*/true);
+                 }});
   return ops;
 }
 
