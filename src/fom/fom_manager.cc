@@ -329,8 +329,9 @@ Status FomManager::InstallPerPage(FomProcess& proc, Vaddr vaddr, InodeId inode, 
   }
   for (const FileExtentView& e : *extents) {
     for (uint64_t off = 0; off < e.bytes; off += kPageSize) {
-      O1_RETURN_IF_ERROR(proc.as_->page_table().MapPage(vaddr + e.file_offset + off,
-                                                        e.paddr + off, kPageSize, prot));
+      O1_RETURN_IF_ERROR(proc.as_->page_table()
+                             .MapPage(vaddr + e.file_offset + off, e.paddr + off, kPageSize, prot)
+                             .status());
     }
   }
   (void)record;

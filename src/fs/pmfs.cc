@@ -790,9 +790,12 @@ Status Pmfs::Resize(InodeId id, uint64_t size) {
     return GrowTo(*inode, size, /*single_extent=*/false);
   }
   // Shrink: commit the new size FIRST, so a crash mid-free never zeroes
-  // blocks a replayed journal still maps into the file.
-  O1_RETURN_IF_ERROR(Commit(JournalRecord{.op = Op::kResize, .inode = id, .size = size},
-                            [] { return OkStatus(); }));
+  // blocks a replayed journal still maps into the file. An unjournaled inode
+  // shrinks in memory only, as it grows: replay never knows it.
+  if (inode->journaled) {
+    O1_RETURN_IF_ERROR(Commit(JournalRecord{.op = Op::kResize, .inode = id, .size = size},
+                              [] { return OkStatus(); }));
+  }
   return ShrinkTo(*inode, size);
 }
 
@@ -946,7 +949,9 @@ Status Pmfs::SetPersistent(InodeId id, bool persistent) {
     return InvalidArgument("volatile O_TMPFILE-style inode cannot be made persistent");
   }
   machine_->ctx().Charge(machine_->ctx().cost().inode_update_cycles);
-  return Commit(JournalRecord{.op = Op::kSetFlags, .inode = id, .persistent = persistent});
+  const JournalRecord flags{.op = Op::kSetFlags, .inode = id, .persistent = persistent};
+  // Clearing an unjournaled inode's flag changes memory only.
+  return inode->journaled ? Commit(flags) : ApplyRecord(flags);
 }
 
 Status Pmfs::MaybeFree(InodeId id) {

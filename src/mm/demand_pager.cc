@@ -1,7 +1,5 @@
 #include "src/mm/demand_pager.h"
 
-#include <algorithm>
-#include <bit>
 #include <utility>
 
 #include "src/obs/span.h"
@@ -19,6 +17,11 @@ DemandPager::~DemandPager() {
   if (as_->fault_handler() == this) {
     as_->set_fault_handler(nullptr);
   }
+}
+
+uint32_t DemandPager::Find(Vaddr page_base) const {
+  const PtEntry* leaf = as_->page_table().LeafAt(page_base);
+  return leaf == nullptr ? kNil : RecordOf(*leaf);
 }
 
 uint32_t DemandPager::FindResident(Vaddr vaddr) const {
@@ -65,8 +68,8 @@ Status DemandPager::HandleFault(Vaddr vaddr, AccessType type) {
     }
   }
   // If the page was swapped out, this is a major fault.
-  if (swap_slots_.contains(page_base)) {
-    O1_RETURN_IF_ERROR(SwapInPage(*vma, page_base));
+  if (auto slot = swap_slots_.find(page_base); slot != swap_slots_.end()) {
+    O1_RETURN_IF_ERROR(SwapInPage(*vma, slot));
     ctx.counters().major_faults++;
     return OkStatus();
   }
@@ -95,9 +98,9 @@ Status DemandPager::InstallAnonPage(const Vma& vma, Vaddr page_base) {
   m.Set(PageFlag::kReferenced);
   m.Set(PageFlag::kUptodate);
   m.mapcount = 1;
-  O1_RETURN_IF_ERROR(
-      as_->page_table().MapPage(page_base, frame.value(), kPageSize, vma.prot));
-  LruInsert(page_base, frame.value(), kPageSize);
+  O1_ASSIGN_OR_RETURN(PtEntry * leaf,
+                      as_->page_table().MapPage(page_base, frame.value(), kPageSize, vma.prot));
+  LruInsert(leaf, page_base, frame.value(), kPageSize);
   return OkStatus();
 }
 
@@ -120,9 +123,10 @@ Status DemandPager::InstallAnonLargePage(const Vma& vma, Vaddr page_base) {
   m.order = 9;
   m.refcount = 1;
   m.mapcount = 1;
-  O1_RETURN_IF_ERROR(
+  O1_ASSIGN_OR_RETURN(
+      PtEntry * leaf,
       as_->page_table().MapPage(page_base, block.value(), kLargePageSize, vma.prot));
-  LruInsert(page_base, block.value(), kLargePageSize);
+  LruInsert(leaf, page_base, block.value(), kLargePageSize);
   return OkStatus();
 }
 
@@ -132,24 +136,25 @@ Status DemandPager::InstallFilePage(const Vma& vma, Vaddr page_base, AccessType 
   if (!paddr.ok()) {
     return paddr.status();
   }
-  return as_->page_table().MapPage(page_base, paddr.value(), kPageSize, vma.prot);
+  return as_->page_table().MapPage(page_base, paddr.value(), kPageSize, vma.prot).status();
 }
 
-Status DemandPager::SwapInPage(const Vma& vma, Vaddr page_base) {
+Status DemandPager::SwapInPage(const Vma& vma, std::map<Vaddr, uint64_t>::iterator slot) {
   auto frame = phys_mgr_->AllocFrame(/*zero=*/false);
   if (!frame.ok()) {
     return frame.status();
   }
-  const uint64_t slot = swap_slots_.at(page_base);
-  O1_RETURN_IF_ERROR(swap_->SwapIn(slot, frame.value()));
-  swap_slots_.erase(page_base);
+  const Vaddr page_base = slot->first;
+  O1_RETURN_IF_ERROR(swap_->SwapIn(slot->second, frame.value()));
+  swap_slots_.erase(slot);
   PageMeta& m = phys_mgr_->meta().Of(frame.value());
   m.Set(PageFlag::kSwapBacked);
   m.Set(PageFlag::kReferenced);
   m.Set(PageFlag::kUptodate);
   m.mapcount = 1;
-  O1_RETURN_IF_ERROR(as_->page_table().MapPage(page_base, frame.value(), kPageSize, vma.prot));
-  LruInsert(page_base, frame.value(), kPageSize);
+  O1_ASSIGN_OR_RETURN(PtEntry * leaf,
+                      as_->page_table().MapPage(page_base, frame.value(), kPageSize, vma.prot));
+  LruInsert(leaf, page_base, frame.value(), kPageSize);
   return OkStatus();
 }
 
@@ -166,19 +171,21 @@ Status DemandPager::ResolveProtectionFault(const Vma& vma, Vaddr vaddr, AccessTy
   const Vaddr base = records_[r].vaddr;
   const uint64_t page_bytes = PageBytes(records_[r]);
   const Paddr frame = records_[r].frame;
+  // This pager's own pin is no sibling's reference.
+  const int32_t pin = records_[r].pinned ? 1 : 0;
   PageMeta& m = phys_mgr_->meta().Of(frame);
-  if (m.refcount > 1) {
-    // Shared: copy before write.
+  if (m.refcount - pin > 1) {
+    // Shared: copy before write. The pin moves to the copy with the page.
     auto fresh = page_bytes == kLargePageSize ? phys_mgr_->AllocContiguous(9)
                                               : phys_mgr_->AllocFrame(/*zero=*/false);
     if (!fresh.ok()) {
       return fresh.status();
     }
     O1_RETURN_IF_ERROR(machine_->phys().Copy(fresh.value(), frame, page_bytes));
-    m.refcount--;
+    m.refcount -= 1 + pin;
     m.mapcount--;
     PageMeta& fm = phys_mgr_->meta().Of(fresh.value());
-    fm.refcount = 1;
+    fm.refcount = 1 + pin;
     fm.mapcount = 1;
     fm.Set(PageFlag::kSwapBacked);
     fm.Set(PageFlag::kUptodate);
@@ -187,11 +194,12 @@ Status DemandPager::ResolveProtectionFault(const Vma& vma, Vaddr vaddr, AccessTy
       fm.Set(PageFlag::kHead);
       fm.order = 9;
     }
-    O1_RETURN_IF_ERROR(as_->page_table().MapPage(base, fresh.value(), page_bytes, vma.prot));
+    O1_RETURN_IF_ERROR(
+        as_->page_table().MapPage(base, fresh.value(), page_bytes, vma.prot).status());
     records_[r].frame = fresh.value();
   } else {
     // Sole owner again: just restore write permission.
-    O1_RETURN_IF_ERROR(as_->page_table().MapPage(base, frame, page_bytes, vma.prot));
+    O1_RETURN_IF_ERROR(as_->page_table().MapPage(base, frame, page_bytes, vma.prot).status());
   }
   machine_->mmu().ShootdownPage(as_->asid(), base);
   machine_->ctx().counters().minor_faults++;
@@ -203,8 +211,9 @@ Status DemandPager::ForkInto(DemandPager& child) {
     return InvalidArgument("fork target pager is not fresh");
   }
   SimContext& ctx = machine_->ctx();
-  // 1. Share resident anonymous pages copy-on-write, in LRU order.
-  child.Reserve(resident_anon_pages());
+  // 1. Share resident anonymous pages copy-on-write, in LRU order. The
+  // child takes no pin (mlock(2) is not inherited).
+  child.records_.reserve(resident_anon_pages());
   Status shared = ForEachResident([&](const ResidentPage& page) {
     auto vma = vmas_->Find(page.vaddr);
     O1_CHECK(vma.has_value());
@@ -214,10 +223,11 @@ Status DemandPager::ForkInto(DemandPager& child) {
     m.mapcount++;
     // Write-protect the parent's PTE and install a read-only child PTE.
     O1_RETURN_IF_ERROR(
-        as_->page_table().MapPage(page.vaddr, page.frame, page.page_bytes, read_side));
-    O1_RETURN_IF_ERROR(
+        as_->page_table().MapPage(page.vaddr, page.frame, page.page_bytes, read_side).status());
+    O1_ASSIGN_OR_RETURN(
+        PtEntry * leaf,
         child.as_->page_table().MapPage(page.vaddr, page.frame, page.page_bytes, read_side));
-    child.LruInsert(page.vaddr, page.frame, page.page_bytes);
+    child.LruInsert(leaf, page.vaddr, page.frame, page.page_bytes);
     return OkStatus();
   });
   O1_RETURN_IF_ERROR(shared);
@@ -235,8 +245,9 @@ Status DemandPager::ForkInto(DemandPager& child) {
       continue;
     }
     Status copied = as_->page_table().ForEachLeaf(vma.start, vma.end, [&](const PtLeaf& leaf) {
-      O1_RETURN_IF_ERROR(child.as_->page_table().MapPage(leaf.vaddr, leaf.entry->paddr,
-                                                         kPageSize, vma.prot));
+      O1_RETURN_IF_ERROR(child.as_->page_table()
+                             .MapPage(leaf.vaddr, leaf.entry->paddr, kPageSize, vma.prot)
+                             .status());
       ctx.Charge(ctx.cost().page_meta_update_cycles);  // file mapcount bump
       return OkStatus();
     });
@@ -254,8 +265,8 @@ Status DemandPager::Populate(const Vma& vma) {
     if (as_->page_table().Lookup(page).has_value()) {
       continue;  // already resident
     }
-    if (swap_slots_.contains(page)) {
-      O1_RETURN_IF_ERROR(SwapInPage(vma, page));
+    if (auto slot = swap_slots_.find(page); slot != swap_slots_.end()) {
+      O1_RETURN_IF_ERROR(SwapInPage(vma, slot));
       continue;
     }
     O1_RETURN_IF_ERROR(InstallPage(vma, page, AccessType::kRead));
@@ -267,32 +278,29 @@ Status DemandPager::UnmapRange(const Vma& piece) {
   SimContext& ctx = machine_->ctx();
   PageTable& pt = as_->page_table();
   O1_RETURN_IF_ERROR(pt.ForEachLeaf(piece.start, piece.end, [&](const PtLeaf& leaf) {
+    // Only an anonymous page's leaf names a record.
+    const uint32_t r = RecordOf(*leaf.entry);
     pt.UnmapLeaf(leaf);
-    // Only an anonymous VMA's pages have records.
-    const uint32_t r = piece.anonymous() ? Find(leaf.vaddr) : kNil;
     if (r == kNil) {
       // File-backed: the backing page stays in the file.
       ctx.Charge(ctx.cost().page_meta_update_cycles);  // mapcount drop in the file
       return OkStatus();
     }
-    const Paddr frame = records_[r].frame;
-    const bool large = records_[r].large;
+    const PageRecord rec = records_[r];
     LruRemove(r);
-    PageMeta& m = phys_mgr_->meta().Of(frame);
+    PageMeta& m = phys_mgr_->meta().Of(rec.frame);
     m.mapcount--;
-    if (large) {
+    if (rec.pinned) {
+      // Implicit munlock on unmap: drop the pin's reference too.
+      m.refcount--;
+    }
+    if (rec.large) {
       // Whole 2 MiB page (System::Munmap guarantees it is fully covered).
-      return phys_mgr_->ReleaseContiguous(frame, 9);
+      return phys_mgr_->ReleaseContiguous(rec.frame, 9);
     }
     // Anonymous resident page: drop this address space's reference; the
     // frame itself is freed once no forked sibling still shares it.
-    if (m.Test(PageFlag::kMlocked)) {
-      // Implicit munlock on unmap: drop the pin's reference too.
-      m.refcount--;
-      m.Clear(PageFlag::kMlocked);
-      m.Clear(PageFlag::kUnevictable);
-    }
-    return phys_mgr_->ReleaseFrame(frame);
+    return phys_mgr_->ReleaseFrame(rec.frame);
   }));
   for (auto slot = swap_slots_.lower_bound(piece.start);
        slot != swap_slots_.end() && slot->first < piece.end;) {
@@ -312,7 +320,7 @@ Status DemandPager::ProtectRange(Vaddr vaddr, uint64_t len, Prot prot) {
   return as_->page_table().ForEachLeaf(vaddr, vaddr + len, [&](const PtLeaf& leaf) {
     Prot leaf_prot = prot;
     if (writable) {
-      const uint32_t r = Find(leaf.vaddr);
+      const uint32_t r = RecordOf(*leaf.entry);
       if (r != kNil && phys_mgr_->meta().Peek(records_[r].frame).mapcount > 1) {
         leaf_prot = prot & Prot::kReadExec;
       }
@@ -356,14 +364,14 @@ Status DemandPager::SplitLargePage(Vaddr vaddr) {
   head.Clear(PageFlag::kHead);
   head.order = 0;
   for (uint64_t off = 0; off < kLargePageSize; off += kPageSize) {
-    O1_RETURN_IF_ERROR(
-        as_->page_table().MapPage(base + off, block + off, kPageSize, vma->prot));
+    O1_ASSIGN_OR_RETURN(PtEntry * leaf, as_->page_table().MapPage(base + off, block + off,
+                                                                  kPageSize, vma->prot));
     PageMeta& m = phys_mgr_->meta().Of(block + off);
     m.refcount = 1;
     m.mapcount = 1;
     m.Set(PageFlag::kSwapBacked);
     m.Set(PageFlag::kUptodate);
-    LruInsert(base + off, block + off, kPageSize);
+    LruInsert(leaf, base + off, block + off, kPageSize);
   }
   return OkStatus();
 }
@@ -378,7 +386,7 @@ Status DemandPager::SwapOutPage(Vaddr vaddr) {
     return NotFound("page not resident");
   }
   const Paddr frame = records_[r].frame;
-  if (phys_mgr_->meta().Peek(frame).Test(PageFlag::kMlocked)) {
+  if (records_[r].pinned) {
     return Busy("page is pinned (mlocked)");
   }
   if (phys_mgr_->meta().Peek(frame).refcount > 1) {
@@ -419,12 +427,11 @@ Status DemandPager::PinRange(Vaddr vaddr, uint64_t len) {
         return FaultError("pin could not fault page in");
       }
     }
-    PageMeta& m = phys_mgr_->meta().Of(records_[r].frame + (page - records_[r].vaddr));
-    if (m.Test(PageFlag::kMlocked)) {
+    PageMeta& m = phys_mgr_->meta().Of(records_[r].frame);
+    if (records_[r].pinned) {
       continue;  // mlock(2) is idempotent: a page holds at most one pin
     }
-    m.Set(PageFlag::kMlocked);
-    m.Set(PageFlag::kUnevictable);
+    records_[r].pinned = true;
     m.refcount++;  // pin reference
   }
   return OkStatus();
@@ -441,12 +448,11 @@ Status DemandPager::UnpinRange(Vaddr vaddr, uint64_t len) {
       }
       continue;
     }
-    PageMeta& m = phys_mgr_->meta().Of(records_[r].frame + (page - records_[r].vaddr));
-    if (!m.Test(PageFlag::kMlocked)) {
+    PageMeta& m = phys_mgr_->meta().Of(records_[r].frame);
+    if (!records_[r].pinned) {
       continue;
     }
-    m.Clear(PageFlag::kMlocked);
-    m.Clear(PageFlag::kUnevictable);
+    records_[r].pinned = false;
     m.refcount--;
   }
   return OkStatus();
@@ -492,13 +498,13 @@ Status DemandPager::ProvidePage(Vaddr page_base, std::span<const uint8_t> data) 
   m.Set(PageFlag::kUptodate);
   m.Set(PageFlag::kReferenced);
   m.mapcount = 1;
-  O1_RETURN_IF_ERROR(
-      as_->page_table().MapPage(page_base, frame.value(), kPageSize, vma->prot));
-  LruInsert(page_base, frame.value(), kPageSize);
+  O1_ASSIGN_OR_RETURN(PtEntry * leaf,
+                      as_->page_table().MapPage(page_base, frame.value(), kPageSize, vma->prot));
+  LruInsert(leaf, page_base, frame.value(), kPageSize);
   return OkStatus();
 }
 
-void DemandPager::LruInsert(Vaddr page_base, Paddr frame, uint64_t page_bytes) {
+void DemandPager::LruInsert(PtEntry* leaf, Vaddr page_base, Paddr frame, uint64_t page_bytes) {
   SimContext& ctx = machine_->ctx();
   ctx.Charge(ctx.cost().lru_link_cycles);
   uint32_t r = free_records_;
@@ -512,7 +518,8 @@ void DemandPager::LruInsert(Vaddr page_base, Paddr frame, uint64_t page_bytes) {
   records_[r] =
       PageRecord{.vaddr = page_base, .frame = frame, .large = page_bytes == kLargePageSize};
   PushBack(inactive_, r);
-  IndexInsert(r);
+  O1_CHECK(leaf->record == 0);  // a page is recorded once
+  leaf->record = r + 1;
   phys_mgr_->meta().Of(frame).Set(PageFlag::kLru);
 }
 
@@ -520,7 +527,6 @@ void DemandPager::LruRemove(uint32_t record) {
   machine_->ctx().Charge(machine_->ctx().cost().lru_link_cycles);
   PageRecord& rec = records_[record];
   Unlink(rec.active ? active_ : inactive_, record);
-  IndexErase(record);
   rec.next = free_records_;
   free_records_ = record;
 }
@@ -570,86 +576,6 @@ void DemandPager::Unlink(LruList& list, uint32_t record) {
   (rec.prev == kNil ? list.head : records_[rec.prev].next) = rec.next;
   (rec.next == kNil ? list.tail : records_[rec.next].prev) = rec.prev;
   --list.size;
-}
-
-size_t DemandPager::HomeSlot(uint32_t tag) const {
-  // Fibonacci hashing: the top bits of the page number times 2^64 / phi.
-  return static_cast<size_t>((uint64_t{tag} * 0x9E3779B97F4A7C15ull) >> index_shift_);
-}
-
-uint32_t DemandPager::Find(Vaddr page_base) const {
-  if (index_.empty()) {
-    return kNil;
-  }
-  const size_t mask = index_.size() - 1;
-  const uint32_t tag = Tag(page_base);
-  for (size_t i = HomeSlot(tag);; i = (i + 1) & mask) {
-    const IndexSlot& slot = index_[i];
-    if (slot.record == kNil) {
-      return kNil;
-    }
-    if (slot.tag == tag && records_[slot.record].vaddr == page_base) {
-      return slot.record;
-    }
-  }
-}
-
-void DemandPager::Reserve(uint64_t pages) {
-  records_.reserve(pages);
-  const size_t slots = std::bit_ceil(std::max<size_t>(16, 2 * pages));
-  if (slots > index_.size()) {
-    ResizeIndex(slots);
-  }
-}
-
-void DemandPager::IndexInsert(uint32_t record) {
-  // `record` is already on a list, so the index holds resident_anon_pages()
-  // records once it is in.
-  if (2 * resident_anon_pages() > index_.size()) {
-    ResizeIndex(std::max<size_t>(16, 2 * index_.size()));
-  }
-  const size_t mask = index_.size() - 1;
-  const Vaddr page_base = records_[record].vaddr;
-  const uint32_t tag = Tag(page_base);
-  size_t i = HomeSlot(tag);
-  for (; index_[i].record != kNil; i = (i + 1) & mask) {
-    O1_CHECK(index_[i].tag != tag || records_[index_[i].record].vaddr != page_base);
-  }
-  index_[i] = IndexSlot{.tag = tag, .record = record};
-}
-
-void DemandPager::IndexErase(uint32_t record) {
-  const size_t mask = index_.size() - 1;
-  size_t hole = HomeSlot(Tag(records_[record].vaddr));
-  while (index_[hole].record != record) {
-    hole = (hole + 1) & mask;
-  }
-  // Backward shift: a later slot of the same probe run moves into the hole
-  // unless its home lies after the hole, so every lookup still reaches it
-  // before an empty slot.
-  for (size_t i = (hole + 1) & mask; index_[i].record != kNil; i = (i + 1) & mask) {
-    if (((i - HomeSlot(index_[i].tag)) & mask) >= ((i - hole) & mask)) {
-      index_[hole] = index_[i];
-      hole = i;
-    }
-  }
-  index_[hole].record = kNil;
-}
-
-void DemandPager::ResizeIndex(size_t slots) {
-  std::vector<IndexSlot> old = std::exchange(index_, std::vector<IndexSlot>(slots));
-  index_shift_ = 64 - std::countr_zero(slots);
-  const size_t mask = slots - 1;
-  for (const IndexSlot& slot : old) {
-    if (slot.record == kNil) {
-      continue;
-    }
-    size_t i = HomeSlot(slot.tag);
-    while (index_[i].record != kNil) {
-      i = (i + 1) & mask;
-    }
-    index_[i] = slot;
-  }
 }
 
 }  // namespace o1mem

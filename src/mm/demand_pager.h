@@ -14,8 +14,10 @@
 //
 // The simulated kernel pays for that bookkeeping page by page; the host does
 // not allocate for it. Each resident anonymous page is one record in a table
-// the pager recycles, the two LRU lists are threaded through the records by
-// index, and an open-addressing index maps a page base to its record.
+// the pager recycles, and the two LRU lists are threaded through the records
+// by index. The page table is the index: each anonymous leaf names its record
+// (PtEntry::record) from install until the leaf is cleared; no other leaf
+// names one.
 #ifndef O1MEM_SRC_MM_DEMAND_PAGER_H_
 #define O1MEM_SRC_MM_DEMAND_PAGER_H_
 
@@ -83,7 +85,12 @@ class DemandPager : public FaultHandler {
     Paddr frame;
     uint64_t page_bytes;  // 4 KiB or 2 MiB
     bool active;          // on the active list
+    bool pinned;          // mlocked through this pager
+    uint32_t record;      // the record the page's leaf names (RecordOf)
   };
+
+  // The record a page-table leaf names, kNil when it names none.
+  static uint32_t RecordOf(const PtEntry& leaf) { return leaf.record - 1; }  // 0 wraps to kNil
 
   // Evicts the anonymous page at `vaddr` to swap: unmaps, shoots down,
   // writes to the swap device, frees the frame. A 2 MiB page is first SPLIT
@@ -95,15 +102,17 @@ class DemandPager : public FaultHandler {
   // Splits the resident 2 MiB page containing `vaddr` into 512 4 KiB pages
   // (per-page PTEs, per-page LRU entries). Charged per page -- the linear
   // cost the paper attributes to this fallback. kBusy while a forked child
-  // still shares the page.
+  // or a pin holds a second reference on the head.
   Status SplitLargePage(Vaddr vaddr);
 
   // mlock-like pinning: faults pages in if needed and marks them unevictable
   // (per-page work, the baseline DMA-prep cost of Sec. 3.1's "memory
-  // locking"). Pinning a pinned page changes nothing, as with mlock(2), so
-  // one unpin or unmap releases it. Unpin clears the marks and, like
-  // munlock(2), skips pages holding no pin; only a page outside every VMA
-  // fails.
+  // locking"). The mark is on this pager's record, so a forked child sharing
+  // the frame neither inherits nor drops it; it holds one reference on the
+  // frame (a 2 MiB page's head). Pinning a pinned page changes nothing, as
+  // with mlock(2), so one unpin or unmap releases it. Unpin clears the mark
+  // and, like munlock(2), skips pages holding no pin; only a page outside
+  // every VMA fails.
   Status PinRange(Vaddr vaddr, uint64_t len);
   Status UnpinRange(Vaddr vaddr, uint64_t len);
 
@@ -145,7 +154,8 @@ class DemandPager : public FaultHandler {
     for (const LruList* list : {&inactive_, &active_}) {
       for (uint32_t r = list->head; r != kNil; r = records_[r].next) {
         const PageRecord& rec = records_[r];
-        O1_RETURN_IF_ERROR(fn(ResidentPage{rec.vaddr, rec.frame, PageBytes(rec), rec.active}));
+        O1_RETURN_IF_ERROR(
+            fn(ResidentPage{rec.vaddr, rec.frame, PageBytes(rec), rec.active, rec.pinned, r}));
       }
     }
     return OkStatus();
@@ -157,10 +167,10 @@ class DemandPager : public FaultHandler {
   AddressSpace& address_space() { return *as_; }
   Machine& machine() { return *machine_; }
 
- private:
-  // No record: an empty index slot, the end of a list or of the free list.
+  // No record: a leaf naming none, the end of a list or of the free list.
   static constexpr uint32_t kNil = UINT32_MAX;
 
+ private:
   // One resident anonymous page. A record on neither LRU list is free and
   // links the free list through `next`.
   struct PageRecord {
@@ -170,6 +180,7 @@ class DemandPager : public FaultHandler {
     uint32_t next = kNil;
     bool large = false;   // a 2 MiB page
     bool active = false;  // on the active list, else on the inactive one
+    bool pinned = false;  // mlocked through this pager: one reference on `frame`
   };
 
   // A doubly linked list of records, oldest at `head`.
@@ -179,15 +190,6 @@ class DemandPager : public FaultHandler {
     uint64_t size = 0;
   };
 
-  // One slot of the index: the low 32 bits of a page number and the page's
-  // record, kNil when empty. Pages whose numbers share those bits share a
-  // home slot; a lookup tells them apart by the record's vaddr.
-  struct IndexSlot {
-    uint32_t tag = 0;
-    uint32_t record = kNil;
-  };
-  static uint32_t Tag(Vaddr page_base) { return static_cast<uint32_t>(page_base >> kPageShift); }
-
   static uint64_t PageBytes(const PageRecord& rec) {
     return rec.large ? kLargePageSize : kPageSize;
   }
@@ -196,12 +198,11 @@ class DemandPager : public FaultHandler {
     return records_[list.head].vaddr;
   }
 
-  // The record of the page based exactly at `page_base`, or kNil.
+  // The record of the page, 4 KiB or 2 MiB, based exactly at `page_base`,
+  // or kNil: the one its leaf names.
   uint32_t Find(Vaddr page_base) const;
   // Resident-page lookup that understands both page sizes.
   uint32_t FindResident(Vaddr vaddr) const;
-  // Sizes the table and its index for `pages` records without regrowing.
-  void Reserve(uint64_t pages);
 
   // Installs one page for `vma` at `page_base`. `from_fault` selects the
   // charged path (fault handler vs populate loop).
@@ -210,23 +211,20 @@ class DemandPager : public FaultHandler {
   Status InstallAnonPage(const Vma& vma, Vaddr page_base);
   Status InstallAnonLargePage(const Vma& vma, Vaddr page_base);
   Status InstallFilePage(const Vma& vma, Vaddr page_base, AccessType type);
-  Status SwapInPage(const Vma& vma, Vaddr page_base);
+  // Reads the page of swap slot `slot` back in and drops the slot.
+  Status SwapInPage(const Vma& vma, std::map<Vaddr, uint64_t>::iterator slot);
   // Resolves a write fault on a present read-only page (COW break or simple
   // write-enable after fork).
   Status ResolveProtectionFault(const Vma& vma, Vaddr vaddr, AccessType type);
 
-  // Records a newly installed page as the newest inactive page, or drops a
-  // page's record; both charge one LRU link update.
-  void LruInsert(Vaddr page_base, Paddr frame, uint64_t page_bytes);
+  // Records a newly installed page as the newest inactive page and names
+  // the record in `leaf`, the page's leaf MapPage returned; or drops a
+  // page's record, whose leaf the caller has cleared. Both charge one LRU
+  // link update.
+  void LruInsert(PtEntry* leaf, Vaddr page_base, Paddr frame, uint64_t page_bytes);
   void LruRemove(uint32_t record);
 
-  // Host-only table work: list links and the index. Linear probing over a
-  // power-of-two table at most half full; a removal shifts the slots after
-  // it back instead of leaving a tombstone.
-  size_t HomeSlot(uint32_t tag) const;
-  void IndexInsert(uint32_t record);
-  void IndexErase(uint32_t record);
-  void ResizeIndex(size_t slots);
+  // Host-only list links.
   void PushBack(LruList& list, uint32_t record);
   void Unlink(LruList& list, uint32_t record);
 
@@ -239,8 +237,6 @@ class DemandPager : public FaultHandler {
   // Anonymous resident pages only; file pages are owned by their file.
   std::vector<PageRecord> records_;
   uint32_t free_records_ = kNil;
-  std::vector<IndexSlot> index_;  // empty, or a power of two >= 16 slots
-  int index_shift_ = 64;          // 64 - log2(index_.size())
   LruList inactive_;
   LruList active_;
   // Userfault ranges: start -> (len, callback).

@@ -63,7 +63,19 @@ PageTableNode* PageTable::Descend(Vaddr vaddr, int target_level, bool create) {
   return node;
 }
 
-Status PageTable::MapPage(Vaddr vaddr, Paddr paddr, uint64_t page_bytes, Prot prot) {
+const PtEntry& PageTable::WalkTo(Vaddr vaddr, int* level) const {
+  const PageTableNode* node = root_.get();
+  for (int l = depth_;; --l) {  // level-1 entries are never tables
+    const PtEntry& e = node->at(IndexAt(vaddr, l));
+    if (e.kind != PtEntry::Kind::kTable) {
+      *level = l;
+      return e;
+    }
+    node = e.child.get();
+  }
+}
+
+Result<PtEntry*> PageTable::MapPage(Vaddr vaddr, Paddr paddr, uint64_t page_bytes, Prot prot) {
   const int level = LevelForPageBytes(page_bytes);
   if (level == 0) {
     return InvalidArgument("unsupported page size");
@@ -90,7 +102,7 @@ Status PageTable::MapPage(Vaddr vaddr, Paddr paddr, uint64_t page_bytes, Prot pr
   e.prot = prot;
   ctx_->Charge(ctx_->cost().pte_write_cycles);
   ctx_->counters().ptes_written++;
-  return OkStatus();
+  return &e;
 }
 
 Status PageTable::UnmapPage(Vaddr vaddr, uint64_t page_bytes) {
@@ -123,27 +135,29 @@ std::optional<PtTranslation> PageTable::Lookup(Vaddr vaddr) const {
   if (vaddr >= va_limit()) {
     return std::nullopt;
   }
-  const PageTableNode* node = root_.get();
-  int walked = 1;
-  for (int level = depth_; level >= 1; --level) {
-    const PtEntry& e = node->at(IndexAt(vaddr, level));
-    if (e.kind == PtEntry::Kind::kEmpty) {
-      return std::nullopt;
-    }
-    if (e.kind == PtEntry::Kind::kLeaf) {
-      const uint64_t page_bytes = BytesPerEntry(level);
-      PtTranslation t;
-      t.page_bytes = page_bytes;
-      t.paddr = e.paddr + (vaddr & (page_bytes - 1));
-      t.prot = e.prot;
-      t.leaf_level = level;
-      t.levels_walked = walked;
-      return t;
-    }
-    node = e.child.get();
-    ++walked;
+  int level = 0;
+  const PtEntry& e = WalkTo(vaddr, &level);
+  if (e.kind != PtEntry::Kind::kLeaf) {
+    return std::nullopt;
   }
-  return std::nullopt;
+  const uint64_t page_bytes = BytesPerEntry(level);
+  PtTranslation t;
+  t.page_bytes = page_bytes;
+  t.paddr = e.paddr + (vaddr & (page_bytes - 1));
+  t.prot = e.prot;
+  t.leaf_level = level;
+  t.levels_walked = depth_ - level + 1;
+  return t;
+}
+
+const PtEntry* PageTable::LeafAt(Vaddr page_base) const {
+  if (page_base >= va_limit()) {
+    return nullptr;
+  }
+  int level = 0;
+  const PtEntry& e = WalkTo(page_base, &level);
+  const bool starts_here = IsAligned(page_base, BytesPerEntry(level));
+  return e.kind == PtEntry::Kind::kLeaf && starts_here ? &e : nullptr;
 }
 
 Status PageTable::SpliceSubtree(Vaddr vaddr, int level, NodeRef subtree) {

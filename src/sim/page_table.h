@@ -12,10 +12,13 @@
 //   * shared mappings (Fig. 3): two processes' tables point at the same
 //     interior node when the mapping is aligned on a node boundary.
 //
-// Structural reads (Lookup) are uncharged -- hardware walk costs are modeled
-// in the Mmu, which knows about page-walk caches. Mutations (MapPage,
+// Structural reads (Lookup, LeafAt) are uncharged -- hardware walk costs are
+// modeled in the Mmu, which knows about page-walk caches. Mutations (MapPage,
 // UnmapPage, Splice...) charge kernel-software costs, because in a real
 // kernel those are instructions executed on the CPU.
+//
+// A leaf names its owner's record (the baseline pager's, for an anonymous
+// page), so the table is the pager's index.
 #ifndef O1MEM_SRC_SIM_PAGE_TABLE_H_
 #define O1MEM_SRC_SIM_PAGE_TABLE_H_
 
@@ -53,11 +56,15 @@ struct PtEntry {
   enum class Kind : uint8_t { kEmpty, kTable, kLeaf };
   Kind kind = Kind::kEmpty;
   Prot prot = Prot::kNone;  // leaf only
-  Paddr paddr = 0;          // leaf only: physical base of the page
-  NodeRef child;            // table only
+  // Leaf only: the owner's record plus one; 0 (none) keeps a fresh node all
+  // zero bytes. MapPage over a leaf keeps it; clearing the entry drops it.
+  uint32_t record = 0;
+  Paddr paddr = 0;  // leaf only: physical base of the page
+  NodeRef child;    // table only
 
   bool empty() const { return kind == Kind::kEmpty; }
 };
+static_assert(sizeof(PtEntry) == 32, "the record sits in what was padding");
 
 class PageTableNode {
  public:
@@ -99,10 +106,10 @@ class PageTable {
 
   int depth() const { return depth_; }
 
-  // Maps one page of `page_bytes` (4K/2M/1G) at `vaddr` -> `paddr`.
-  // Charges pt-node allocations and a PTE store; per-page cost by design --
-  // this is the baseline the paper criticizes.
-  Status MapPage(Vaddr vaddr, Paddr paddr, uint64_t page_bytes, Prot prot);
+  // Maps one page of `page_bytes` (4K/2M/1G) at `vaddr` -> `paddr` and
+  // returns the leaf it wrote. Charges pt-node allocations and a PTE store;
+  // per-page cost by design -- this is the baseline the paper criticizes.
+  Result<PtEntry*> MapPage(Vaddr vaddr, Paddr paddr, uint64_t page_bytes, Prot prot);
 
   // Unmaps one page. Intermediate nodes stay even when they empty; a later
   // MapPage under them reuses them without a pt_node_alloc charge.
@@ -123,6 +130,10 @@ class PageTable {
 
   // Structural, uncharged lookup used by the Mmu's walk model and by tests.
   std::optional<PtTranslation> Lookup(Vaddr vaddr) const;
+
+  // The leaf of the page, of any size, that starts exactly at `page_base`,
+  // or nullptr. Uncharged, like Lookup.
+  const PtEntry* LeafAt(Vaddr page_base) const;
 
   // O(1) mechanisms -----------------------------------------------------
 
@@ -174,6 +185,9 @@ class PageTable {
   // Descends to the node at `target_level` covering vaddr, allocating
   // missing interior nodes (charged) when `create` is set.
   PageTableNode* Descend(Vaddr vaddr, int target_level, bool create);
+  // The leaf or empty entry a walk to `vaddr` (< va_limit()) ends at, and
+  // its level.
+  const PtEntry& WalkTo(Vaddr vaddr, int* level) const;
 
   // ForEachLeaf below `node`, the node at `level` whose first VA is `base`;
   // [start, end) overlaps the node.

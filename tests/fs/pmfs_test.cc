@@ -337,6 +337,36 @@ TEST_F(PmfsTest, VolatileInodeVanishesOnCrashAndFreesBlocks) {
   EXPECT_EQ(fs_.free_bytes(), free_before - kMiB);
 }
 
+// An unjournaled inode shrinks and changes flags in memory only, as it
+// grows: the journal does not move, and a crash recovers what it would
+// have recovered without those ops.
+TEST_F(PmfsTest, VolatileInodeShrinkAndFlagChangeAreNotJournaled) {
+  const uint64_t free_at_start = fs_.free_bytes();
+  auto keeper = fs_.Create("/keeper", FileFlags{.persistent = true});
+  ASSERT_TRUE(keeper.ok());
+  ASSERT_TRUE(fs_.Resize(*keeper, kMiB).ok());
+  auto id = fs_.CreateVolatile(FileFlags{});
+  ASSERT_TRUE(id.ok());
+  ASSERT_TRUE(fs_.AddMapRef(*id).ok());
+  ASSERT_TRUE(fs_.Resize(*id, 4 * kMiB).ok());
+  const uint64_t tail = fs_.journal_tail_bytes();
+  const uint64_t free_before = fs_.free_bytes();
+  ASSERT_TRUE(fs_.Resize(*id, kMiB + 5).ok());
+  EXPECT_EQ(fs_.Stat(*id)->size, kMiB + 5);
+  EXPECT_EQ(fs_.free_bytes(), free_before + 3 * kMiB - kPageSize);
+  ASSERT_TRUE(fs_.SetPersistent(*id, false).ok());
+  EXPECT_FALSE(fs_.Stat(*id)->persistent);
+  EXPECT_EQ(fs_.journal_tail_bytes(), tail);
+  machine_.Crash();
+  ASSERT_TRUE(fs_.OnCrash().ok());
+  EXPECT_FALSE(fs_.Stat(*id).ok());
+  auto kept = fs_.LookupPath("/keeper");
+  ASSERT_TRUE(kept.ok());
+  EXPECT_EQ(fs_.Stat(*kept)->size, kMiB);
+  EXPECT_EQ(fs_.free_bytes(), free_at_start - kMiB);
+  EXPECT_TRUE(fs_.VerifyIntegrity().ok());
+}
+
 TEST_F(PmfsZeroEpochTest, WritesLandAfterLazyZero) {
   auto id = fs_.Create("/w", FileFlags{});
   ASSERT_TRUE(id.ok());

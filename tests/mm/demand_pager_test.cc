@@ -385,9 +385,9 @@ TEST_F(TeardownTest, ForkExitThenExitReleaseEveryKindOfPage) {
   EXPECT_EQ(pager_.swapped_pages(), 2u);
   EXPECT_EQ(swap_.used_slots(), 2u);
   EXPECT_EQ(phys_mgr_.free_bytes(), free_before_fork);
-  // The mlock flag lives on the frame the child shared, so the child's exit
-  // took the implicit munlock -- and the pin's reference -- with it.
-  EXPECT_EQ(PinnedRefcount(), 1);
+  // The pin belongs to the parent's record, so the child's exit dropped only
+  // its own mapping: the parent's mapping and its pin remain.
+  EXPECT_EQ(PinnedRefcount(), 2);
 
   ExitPager(pager_, vmas_, machine_);
   EXPECT_EQ(pager_.resident_anon_pages(), 0u);
@@ -397,9 +397,104 @@ TEST_F(TeardownTest, ForkExitThenExitReleaseEveryKindOfPage) {
   EXPECT_EQ(phys_mgr_.free_bytes(), free_at_start_ - kFilePages * kPageSize);
 }
 
+// A child that mlocks and munlocks a page the parent pinned takes and drops
+// a pin of its own; the parent's pin, and its reference, outlive the child.
+TEST_F(TeardownTest, ChildMlockCycleKeepsTheParentsPin) {
+  {
+    std::unique_ptr<AddressSpace> child_as = machine_.CreateAddressSpace();
+    VmaTree child_vmas(&machine_.ctx());
+    DemandPager child(&machine_, &phys_mgr_, &swap_, child_as.get(), &child_vmas);
+    for (const Vma& vma : vmas_.Regions()) {
+      ASSERT_TRUE(child_vmas.Insert(vma).ok());
+    }
+    ASSERT_TRUE(pager_.ForkInto(child).ok());
+    machine_.mmu().FlushPending();
+    EXPECT_EQ(PinnedRefcount(), 3);  // two mappings and the parent's pin
+    ASSERT_TRUE(child.PinRange(kPinned, kPageSize).ok());
+    EXPECT_EQ(PinnedRefcount(), 4);
+    EXPECT_EQ(child.SwapOutPage(kPinned).code(), StatusCode::kBusy);
+    ASSERT_TRUE(child.UnpinRange(kPinned, kPageSize).ok());
+    EXPECT_EQ(PinnedRefcount(), 3);
+    ExitPager(child, child_vmas, machine_);
+  }
+  EXPECT_EQ(PinnedRefcount(), 2);  // the parent's mapping plus its pin
+  EXPECT_EQ(pager_.SwapOutPage(kPinned).code(), StatusCode::kBusy);
+  EXPECT_EQ(PinnedRefcount(), 2);
+  EXPECT_EQ(as_->page_table().Lookup(kPinned)->paddr, pinned_frame_);
+}
+
+// A write to a pinned page that no sibling shares any more lands in place
+// under the pin; one that breaks copy-on-write moves the pin to the copy.
+TEST_F(TeardownTest, PinStaysWithItsPageAcrossCopyOnWrite) {
+  auto fork_child = [&](std::unique_ptr<AddressSpace>& as, VmaTree& vmas) {
+    as = machine_.CreateAddressSpace();
+    auto child = std::make_unique<DemandPager>(&machine_, &phys_mgr_, &swap_, as.get(), &vmas);
+    for (const Vma& vma : vmas_.Regions()) {
+      EXPECT_TRUE(vmas.Insert(vma).ok());
+    }
+    EXPECT_TRUE(pager_.ForkInto(*child).ok());
+    machine_.mmu().FlushPending();
+    return child;
+  };
+  {
+    std::unique_ptr<AddressSpace> child_as;
+    VmaTree child_vmas(&machine_.ctx());
+    auto child = fork_child(child_as, child_vmas);
+    ExitPager(*child, child_vmas, machine_);
+  }
+  ASSERT_TRUE(machine_.mmu().Touch(*as_, kPinned, 1, AccessType::kWrite).ok());
+  EXPECT_EQ(as_->page_table().Lookup(kPinned)->paddr, pinned_frame_);
+  EXPECT_EQ(PinnedRefcount(), 2);
+
+  std::unique_ptr<AddressSpace> child_as;
+  VmaTree child_vmas(&machine_.ctx());
+  auto child = fork_child(child_as, child_vmas);
+  ASSERT_TRUE(machine_.mmu().Touch(*as_, kPinned, 1, AccessType::kWrite).ok());
+  const Paddr copy = as_->page_table().Lookup(kPinned)->paddr;
+  EXPECT_NE(copy, pinned_frame_);
+  EXPECT_EQ(PinnedRefcount(), 1);  // the child's mapping
+  EXPECT_EQ(phys_mgr_.meta().Peek(copy).refcount, 2);  // the parent's mapping and pin
+  EXPECT_EQ(pager_.SwapOutPage(kPinned).code(), StatusCode::kBusy);
+  ASSERT_TRUE(pager_.UnpinRange(kPinned, kPageSize).ok());
+  EXPECT_EQ(phys_mgr_.meta().Peek(copy).refcount, 1);
+  ExitPager(*child, child_vmas, machine_);
+  EXPECT_EQ(PinnedRefcount(), 0);
+}
+
+// Promote, Demote, TestAndClearReferenced and SwapOutPage name a 2 MiB page
+// by its base, so the pager's lookup must find a 2 MiB leaf there, not only
+// a 4 KiB one.
+TEST_F(PagerTest, LargePageIsFoundByItsBase) {
+  constexpr Vaddr kBase = 8 * kMiB;
+  ASSERT_TRUE(vmas_.Insert(Vma{.start = kBase, .end = kBase + 2 * kLargePageSize,
+                               .prot = Prot::kReadWrite, .large_pages = true})
+                  .ok());
+  ASSERT_TRUE(machine_.mmu().Touch(*as_, kBase + kLargePageSize + 5, 1, AccessType::kWrite).ok());
+  ASSERT_TRUE(machine_.mmu().Touch(*as_, kBase, 1, AccessType::kWrite).ok());
+  constexpr Vaddr kLarge = kBase + kLargePageSize;
+  ASSERT_EQ(pager_.OldestInactive(), kLarge);
+  ASSERT_EQ(as_->page_table().Lookup(kLarge)->page_bytes, kLargePageSize);
+  // A 4 KiB address inside the page is not the base of any page.
+  pager_.Promote(kLarge + kPageSize);
+  EXPECT_EQ(pager_.active_pages(), 0u);
+  pager_.Promote(kLarge);
+  EXPECT_EQ(pager_.active_pages(), 1u);
+  EXPECT_EQ(pager_.OldestActive(), kLarge);
+  pager_.Demote(kLarge);
+  EXPECT_EQ(pager_.active_pages(), 0u);
+  EXPECT_EQ(pager_.inactive_pages(), 2u);
+  EXPECT_TRUE(pager_.TestAndClearReferenced(kLarge));
+  EXPECT_FALSE(pager_.TestAndClearReferenced(kLarge));
+  ASSERT_TRUE(pager_.SwapOutPage(kLarge).ok());
+  EXPECT_EQ(pager_.swapped_pages(), 1u);
+  EXPECT_EQ(pager_.resident_anon_pages(), 1u + 511u);
+  EXPECT_FALSE(as_->page_table().Lookup(kLarge).has_value());
+  EXPECT_EQ(as_->page_table().Lookup(kLarge + kPageSize)->page_bytes, kPageSize);
+}
+
 // The pager's LRU lists as std::list, the way the pager kept them before
 // its records were threaded through a table. The op mix below checks the
-// table, its index and both reclaimers against it.
+// table and both reclaimers against it.
 class LruModel {
  public:
   explicit LruModel(const PageMetaArray& meta) : meta_(meta) {}
@@ -420,12 +515,14 @@ class LruModel {
         it = pages_.erase(it);
       } else {
         it->second.frame = now->second.frame;
+        it->second.pinned = now->second.pinned;
         ++it;
       }
     }
     for (const auto& [vaddr, page] : resident) {
       if (!pages_.contains(vaddr)) {
         Append(vaddr, page.frame, page.page_bytes == kLargePageSize);
+        pages_.at(vaddr).pinned = page.pinned;
       }
     }
   }
@@ -447,7 +544,8 @@ class LruModel {
   }
 
   // ClockReclaimer and TwoQueueReclaimer over the model. They read each
-  // frame's flags as they stand before the real reclaim runs.
+  // frame's flags as they stand before the real reclaim runs, and each
+  // page's pin as the pager reported it.
   ReclaimStats Clock(uint64_t target) {
     StartReclaim();
     ReclaimStats stats;
@@ -499,12 +597,13 @@ class LruModel {
     Paddr frame;
     bool large;
     bool active;
+    bool pinned;
     std::list<Vaddr>::iterator it;
   };
 
   void Append(Vaddr vaddr, Paddr frame, bool large) {
     lists_[0].push_back(vaddr);
-    pages_[vaddr] = Entry{frame, large, false, std::prev(lists_[0].end())};
+    pages_[vaddr] = Entry{frame, large, false, false, std::prev(lists_[0].end())};
   }
 
   void Remove(Vaddr vaddr) {
@@ -534,20 +633,24 @@ class LruModel {
   }
 
   // DemandPager::SwapOutPage: splits a 2 MiB page, then evicts its first
-  // 4 KiB page unless that page is pinned or shared. A split gives every
-  // 4 KiB page one reference.
+  // 4 KiB page unless that page is pinned or shared. A pin or a sibling
+  // holds a second reference on a 2 MiB head, which refuses the split; a
+  // split gives every 4 KiB page one reference.
   bool SwapOut(Vaddr vaddr) {
     const Entry e = pages_.at(vaddr);
     if (e.large) {
+      if (meta_.Peek(e.frame).refcount > 1) {
+        return false;
+      }
       Remove(vaddr);
       for (uint64_t off = 0; off < kLargePageSize; off += kPageSize) {
         Append(vaddr + off, e.frame + off, /*large=*/false);
         split_.insert(e.frame + off);
       }
     }
-    const Paddr frame = pages_.at(vaddr).frame;
-    const PageMeta& m = meta_.Peek(frame);
-    if (m.Test(PageFlag::kMlocked) || (m.refcount > 1 && !split_.contains(frame))) {
+    const Entry& page = pages_.at(vaddr);
+    if (page.pinned ||
+        (meta_.Peek(page.frame).refcount > 1 && !split_.contains(page.frame))) {
       return false;
     }
     Remove(vaddr);
@@ -565,13 +668,16 @@ class LruModel {
 // A seeded mix of every op that installs, drops or reorders resident pages:
 // map (with or without populate), populate, faults, munmap, clock and 2Q
 // reclaim, 2 MiB splits, mlock/munlock, referenced-bit aging and fork +
-// exit. The pager grows past 2,048 resident pages, so its index resizes
-// eight times or more. After every op the pager's records match the present
-// anonymous leaves one for one, and its LRU lists match the model.
+// exit. The pager grows past 2,048 resident pages over many 2 MiB windows.
+// After every op the pager's records match the present anonymous leaves one
+// for one, each such leaf names the record holding its page, no leaf of the
+// populated file VMA beside the slots names one, and the LRU lists match the
+// model. A forked child is checked the same way before it exits.
 class PagerOpMixTest : public ::testing::TestWithParam<uint64_t> {
  protected:
-  static constexpr int kSlots = 6;
+  static constexpr int kSlots = 7;
   static constexpr uint64_t kSlotBytes = 64 * kMiB;
+  static constexpr uint64_t kFilePages = 16;
 
   PagerOpMixTest()
       : machine_(MachineConfig{.dram_bytes = 96 * kMiB, .nvm_bytes = 0}),
@@ -579,9 +685,46 @@ class PagerOpMixTest : public ::testing::TestWithParam<uint64_t> {
         swap_(&machine_.ctx(), &machine_.phys(), /*capacity_pages=*/1 << 16),
         as_(machine_.CreateAddressSpace()),
         vmas_(&machine_.ctx()),
-        pager_(&machine_, &phys_mgr_, &swap_, as_.get(), &vmas_) {}
+        pager_(&machine_, &phys_mgr_, &swap_, as_.get(), &vmas_),
+        file_(&phys_mgr_) {
+    const Vma file{.start = SlotBase(kSlots), .end = SlotBase(kSlots) + kFilePages * kPageSize,
+                   .prot = Prot::kReadWrite, .backing = &file_};
+    O1_CHECK(vmas_.Insert(file).ok());
+    O1_CHECK(pager_.Populate(file).ok());
+  }
 
   static Vaddr SlotBase(uint64_t slot) { return (slot + 1) * kSlotBytes; }
+
+  // Every anonymous leaf names the record ForEachResident reports for its
+  // page (the records match the leaves one for one, checked apart), and no
+  // file-backed leaf names one.
+  static void ExpectLeavesNameRecords(const DemandPager& pager, PageTable& pt,
+                                      const VmaTree& vmas) {
+    std::map<Vaddr, DemandPager::ResidentPage> pages;
+    (void)pager.ForEachResident([&](const DemandPager::ResidentPage& page) {
+      pages.emplace(page.vaddr, page);
+      return OkStatus();
+    });
+    uint64_t file_leaves = 0;
+    for (const Vma& vma : vmas.Regions()) {
+      ASSERT_TRUE(pt.ForEachLeaf(vma.start, vma.end, [&](const PtLeaf& leaf) {
+                      if (!vma.anonymous()) {
+                        EXPECT_EQ(leaf.entry->record, 0u) << std::hex << leaf.vaddr;
+                        ++file_leaves;
+                        return OkStatus();
+                      }
+                      auto page = pages.find(leaf.vaddr);
+                      EXPECT_NE(page, pages.end()) << std::hex << leaf.vaddr;
+                      if (page != pages.end()) {
+                        EXPECT_EQ(DemandPager::RecordOf(*leaf.entry), page->second.record);
+                        EXPECT_EQ(leaf.entry->paddr, page->second.frame);
+                        EXPECT_EQ(leaf.page_bytes, page->second.page_bytes);
+                      }
+                      return OkStatus();
+                    }).ok());
+    }
+    EXPECT_EQ(file_leaves, kFilePages);
+  }
 
   // Every present anonymous leaf, and the pager's records, as
   // vaddr -> (paddr, page bytes).
@@ -634,6 +777,7 @@ class PagerOpMixTest : public ::testing::TestWithParam<uint64_t> {
     });
     ASSERT_EQ(child_order, parent_order);
     ASSERT_EQ(child.swapped_pages(), pager_.swapped_pages());
+    ASSERT_NO_FATAL_FAILURE(ExpectLeavesNameRecords(child, child_as->page_table(), child_vmas));
     for (const Vma& vma : child_vmas.Regions()) {
       ASSERT_TRUE(child.UnmapRange(vma).ok());
     }
@@ -646,6 +790,7 @@ class PagerOpMixTest : public ::testing::TestWithParam<uint64_t> {
   std::unique_ptr<AddressSpace> as_;
   VmaTree vmas_;
   DemandPager pager_;
+  CacheFile file_;
 };
 
 TEST_P(PagerOpMixTest, RecordsAndLruListsMatchLeavesAndReferenceModel) {
@@ -654,7 +799,9 @@ TEST_P(PagerOpMixTest, RecordsAndLruListsMatchLeavesAndReferenceModel) {
   uint64_t most_resident = 0;
   for (int op = 0; op < 1000; ++op) {
     SCOPED_TRACE(::testing::Message() << "seed " << GetParam() << " op " << op);
-    const std::vector<Vma> regions = vmas_.Regions();
+    // The ops pick among the slots' VMAs only; the file VMA stays put.
+    std::vector<Vma> regions = vmas_.Regions();
+    std::erase_if(regions, [](const Vma& v) { return !v.anonymous(); });
     const Vma* vma = regions.empty() ? nullptr : &regions[rng.NextBelow(regions.size())];
     const uint64_t kind = rng.NextBelow(100);
     if (kind < 20) {
@@ -751,8 +898,10 @@ TEST_P(PagerOpMixTest, RecordsAndLruListsMatchLeavesAndReferenceModel) {
     ASSERT_EQ(pager_.resident_anon_pages(), leaves.size());
     ASSERT_EQ(pager_.inactive_pages() + pager_.active_pages(), leaves.size());
     ASSERT_EQ(Records(), leaves);
+    ASSERT_NO_FATAL_FAILURE(ExpectLeavesNameRecords(pager_, as_->page_table(), vmas_));
     most_resident = std::max(most_resident, pager_.resident_anon_pages());
   }
+  // Enough pages to span many 2 MiB windows.
   EXPECT_GT(most_resident, 2048u);
 }
 

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <type_traits>
 #include <vector>
 
 #include "src/os/system.h"
@@ -19,10 +20,14 @@
 namespace o1mem {
 namespace {
 
+// No padding: gtest prints a Param's raw bytes into each case's listed name,
+// and padding bytes would make that name vary between builds.
 struct Param {
   PersistenceModel persistence;
+  uint32_t zero = 0;
   uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<Param>);
 
 class CrashProperty : public ::testing::TestWithParam<Param> {};
 
@@ -188,12 +193,12 @@ std::string ParamName(const ::testing::TestParamInfo<Param>& info) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, CrashProperty,
-    ::testing::Values(Param{PersistenceModel::kAutoDurable, 11},
-                      Param{PersistenceModel::kAutoDurable, 22},
-                      Param{PersistenceModel::kAutoDurable, 33},
-                      Param{PersistenceModel::kExplicitFlush, 11},
-                      Param{PersistenceModel::kExplicitFlush, 22},
-                      Param{PersistenceModel::kExplicitFlush, 33}),
+    ::testing::Values(Param{.persistence = PersistenceModel::kAutoDurable, .seed = 11},
+                      Param{.persistence = PersistenceModel::kAutoDurable, .seed = 22},
+                      Param{.persistence = PersistenceModel::kAutoDurable, .seed = 33},
+                      Param{.persistence = PersistenceModel::kExplicitFlush, .seed = 11},
+                      Param{.persistence = PersistenceModel::kExplicitFlush, .seed = 22},
+                      Param{.persistence = PersistenceModel::kExplicitFlush, .seed = 33}),
     ParamName);
 
 }  // namespace

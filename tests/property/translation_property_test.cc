@@ -122,8 +122,7 @@ TEST_P(TranslationProperty, HardwareAgreesWithReferenceModel) {
                         .Insert({.vbase = vbase, .bytes = bytes, .pbase = pbase, .prot = prot})
                         .ok());
       } else {
-        Status s = as->page_table().MapPage(vbase, pbase, bytes, prot);
-        if (!s.ok()) {
+        if (!as->page_table().MapPage(vbase, pbase, bytes, prot).ok()) {
           continue;  // e.g. 4K under an existing 2M region of the radix tree
         }
       }

@@ -151,7 +151,7 @@ Status Remap(Rig& rig, uint64_t page) {
   rig.remapped[page] = !rig.remapped[page];
   const Paddr to = (rig.remapped[page] ? kAltFrames : a.pbase) + page * kPageSize;
   O1_RETURN_IF_ERROR(rig.as1->page_table().UnmapPage(vaddr, kPageSize));
-  O1_RETURN_IF_ERROR(rig.as1->page_table().MapPage(vaddr, to, kPageSize, a.prot));
+  O1_RETURN_IF_ERROR(rig.as1->page_table().MapPage(vaddr, to, kPageSize, a.prot).status());
   rig.machine.mmu().ShootdownPage(rig.as1->asid(), vaddr);
   return OkStatus();
 }

@@ -101,8 +101,9 @@ class MappingFaultHandler : public FaultHandler {
     ++faults;
     const Paddr frame = next_;
     next_ += kPageSize;
-    return as_->page_table().MapPage(AlignDown(vaddr, kPageSize), frame, kPageSize,
-                                     Prot::kReadWrite);
+    return as_->page_table()
+        .MapPage(AlignDown(vaddr, kPageSize), frame, kPageSize, Prot::kReadWrite)
+        .status();
   }
 
   int faults = 0;

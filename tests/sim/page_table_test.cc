@@ -358,5 +358,82 @@ TEST_P(PageTableWalkTest, ProtectRangeRewritesTheLeavesThePerPageLoopDid) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PageTableWalkTest, ::testing::Values(1, 2, 3));
 
+// Lookup, LeafAt and the leaf MapPage returns against a walk of the root as
+// a standalone subtree: a seeded mix of 4 KiB and 2 MiB maps and unmaps,
+// UnmapLeaf, and splices and unsplices of level-1 nodes over a few 2 MiB
+// windows. After every op they agree with
+// LookupInSubtree(root(), depth(), vaddr) at probed addresses.
+TEST(PageTableLeafTest, LookupAndLeafAtAgreeWithSubtreeWalk) {
+  SimContext ctx;
+  PageTable pt(&ctx, 4);
+  constexpr int kWindows = 6;
+  const NodeRef nodes[2] = {
+      PageTable::BuildExtentSubtree(&ctx, 1, 64 * kMiB, 100 * kPageSize, Prot::kRead),
+      PageTable::BuildExtentSubtree(&ctx, 1, 96 * kMiB, kLargePageSize, Prot::kReadWrite)};
+  Rng rng(7);
+  auto expect_agrees = [&](Vaddr vaddr) {
+    const auto want = PageTable::LookupInSubtree(pt.root(), pt.depth(), vaddr);
+    const auto got = pt.Lookup(vaddr);
+    ASSERT_EQ(got.has_value(), want.has_value()) << std::hex << vaddr;
+    if (want.has_value()) {
+      EXPECT_EQ(got->paddr, want->paddr);
+      EXPECT_EQ(got->prot, want->prot);
+      EXPECT_EQ(got->page_bytes, want->page_bytes);
+      EXPECT_EQ(got->leaf_level, want->leaf_level);
+      EXPECT_EQ(got->levels_walked, want->levels_walked);
+    }
+    // LeafAt names a leaf exactly when one starts at the page base.
+    const Vaddr base = AlignDown(vaddr, kPageSize);
+    const PtEntry* leaf = pt.LeafAt(base);
+    const bool starts_here =
+        want.has_value() && AlignDown(base, want->page_bytes) == base;
+    ASSERT_EQ(leaf != nullptr, starts_here) << std::hex << base;
+    if (leaf != nullptr) {
+      EXPECT_EQ(leaf->paddr, want->paddr - (vaddr - base));
+    }
+  };
+  int unspliced = 0;
+  for (int op = 0; op < 20000; ++op) {
+    const uint64_t window = rng.NextBelow(kWindows);
+    const Vaddr wbase = kHugePageSize + window * kLargePageSize;
+    const Vaddr va = wbase + rng.NextBelow(kPtEntriesPerNode) * kPageSize;
+    const uint64_t kind = rng.NextBelow(100);
+    if (kind < 50) {
+      const bool large = kind < 5;
+      const Vaddr at = large ? wbase : va;
+      const Paddr pa = AlignDown(rng.NextBelow(kGiB), large ? kLargePageSize : kPageSize);
+      Result<PtEntry*> leaf = pt.MapPage(at, pa, large ? kLargePageSize : kPageSize,
+                                         Prot::kReadWrite);
+      if (leaf.ok()) {
+        (*leaf)->record = static_cast<uint32_t>(op + 1);
+        const PtEntry* found = pt.LeafAt(at);
+        ASSERT_EQ(found, *leaf);
+        EXPECT_EQ(found->paddr, pa);
+        EXPECT_EQ(found->record, static_cast<uint32_t>(op + 1));
+      }
+    } else if (kind < 70) {
+      (void)pt.UnmapPage(va, kPageSize);
+    } else if (kind < 75) {
+      (void)pt.UnmapPage(wbase, kLargePageSize);
+    } else if (kind < 85) {
+      const Vaddr end = wbase + kLargePageSize;
+      ASSERT_TRUE(pt.ForEachLeaf(va, std::min(end, va + 8 * kPageSize), [&](const PtLeaf& leaf) {
+                      pt.UnmapLeaf(leaf);
+                      return OkStatus();
+                    }).ok());
+    } else if (kind < 92) {
+      unspliced += pt.UnspliceSubtree(wbase, 1).ok() ? 1 : 0;
+    } else {
+      (void)pt.SpliceSubtree(wbase, 1, nodes[rng.NextBelow(2)]);
+    }
+    for (int probe = 0; probe < 4; ++probe) {
+      ASSERT_NO_FATAL_FAILURE(expect_agrees(kHugePageSize + rng.NextBelow(kWindows) *
+                                                                kLargePageSize +
+                                            rng.NextBelow(kLargePageSize)));
+    }
+  }
+  EXPECT_GT(unspliced, 100);
+}
+
 }  // namespace
 }  // namespace o1mem
